@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chow import builtin_chow, eval_chow
-from .errors import AllPartiesTrivial, NotSeparableVerdict
+from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
 from .grassmann import pluecker
 from .oracle import (
     Decomposition,
@@ -235,7 +235,7 @@ def classify(
             if rule == RULE_CHOW_222:
                 bad = [rec for rec in ppt_report.records if rec.rank != 4]
                 if bad:
-                    raise RuntimeError(
+                    raise InconsistentTolerances(
                         "tolerance bug: entangled 2x2x2 rank-4 state has a partial "
                         f"transpose of rank != 4: {bad}"
                     )

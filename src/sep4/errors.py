@@ -81,5 +81,9 @@ class DegenerateComplement(Sep4Error):
     """Orthogonal complement of the span is zero-dimensional."""
 
 
+class InconsistentTolerances(Sep4Error):
+    """Threshold decisions contradict a theorem the verdict rests on."""
+
+
 class StateFormatError(Sep4Error):
     """State JSON is malformed or contains non-finite entries."""

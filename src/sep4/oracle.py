@@ -31,6 +31,7 @@ from .states import (
 
 MAX_SWEEPS = 200
 SWEEP_EPS = 1e-14
+POLISH_RATIO = 1e-3
 DEDUP_OVERLAP = 1 - 1e-8
 
 
@@ -134,52 +135,97 @@ def decomposition_from_dict(obj: dict) -> Decomposition:
     )
 
 
-def _product_residuals(x: np.ndarray, dims) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """Batched per-party SVD pass: leading factors, gap measure, ratios."""
+def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
+    """Per-party flattenings of the rows of ``x``, each (rows, dp, rest)."""
+    t = x.reshape((x.shape[0],) + tuple(dims))
+    return [
+        np.moveaxis(t, 1 + axis, 1).reshape(x.shape[0], dp, -1)
+        for axis, dp in enumerate(dims)
+    ]
+
+
+def _product_residuals(x: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Batched per-party Gram pass: leading factors, gap measure, ratios.
+
+    The leading left singular vector of a flattening m is the top
+    eigenvector of its Gram matrix m m^H, which is only dp x dp.  Ratios
+    taken from its eigenvalues carry an absolute error near sqrt(eps),
+    about 1e-8: enough to steer a sweep, not to certify a product vector
+    (see :func:`_flattening_ratios`).
+    """
     rows = x.shape[0]
     ratios = np.zeros(rows)
     gap = np.zeros(rows)
     leads = []
-    for axis, dp in enumerate(dims):
-        t = x.reshape((rows,) + tuple(dims))
-        m = np.moveaxis(t, 1 + axis, 1).reshape(rows, dp, -1)
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        leads.append(u[:, :, 0])
-        gap += np.maximum(0.0, 1.0 - s[:, 0] ** 2)
-        if s.shape[1] > 1:
-            ratios = np.maximum(ratios, s[:, 1] / np.maximum(s[:, 0], 1e-300))
+    for m in _flattenings(x, dims):
+        w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
+        leads.append(v[:, :, -1])
+        gap += np.maximum(0.0, 1.0 - w[:, -1])
+        if w.shape[1] > 1:
+            second = np.maximum(w[:, -2], 0.0) / np.maximum(w[:, -1], 1e-300)
+            ratios = np.maximum(ratios, np.sqrt(second))
     return ratios, gap, leads
 
 
+def _flattening_ratios(x: np.ndarray, dims) -> np.ndarray:
+    """Largest second-to-first singular value ratio over the flattenings of each row, by SVD."""
+    ratios = np.zeros(x.shape[0])
+    for m in _flattenings(x, dims):
+        s = np.linalg.svd(m, compute_uv=False)
+        if s.shape[1] > 1:
+            ratios = np.maximum(ratios, s[:, 1] / np.maximum(s[:, 0], 1e-300))
+    return ratios
+
+
 def _alternate_to_product(
-    coeffs: np.ndarray, onb: np.ndarray, dims, max_sweeps: int = MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray]:
+    coeffs: np.ndarray, onb: np.ndarray, dims, max_sweeps: int = MAX_SWEEPS, polish=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ProductVectorHit | None]:
     """Alternate nearest-product and subspace-projection steps.
 
     ``coeffs`` are rows of unit coefficient vectors in the orthonormal
-    row basis ``onb``; returns the final subspace vectors and their
-    product residuals.  Convergence near tangential intersections is
-    slow, so callers follow up with :func:`_newton_product_polish`.
+    row basis ``onb``.  Each pass takes every party's leading vector from
+    its Gram matrix (:func:`_product_residuals`) and projects their
+    product back onto the subspace.  A row whose gap measure moves by less
+    than ``SWEEP_EPS`` is frozen and no longer computed.  ``polish`` maps
+    a vector to a certified hit or ``None``; after each pass it receives,
+    once and in row order, every row that has just reached a ratio of at
+    most ``POLISH_RATIO``, and its first hit ends the sweep.  Returns the
+    final vectors, their exact (SVD) ratios, the mask of rows polished
+    and the hit.  Convergence near tangential intersections is slow, so
+    callers polish the best remaining rows too.
     """
     onb_proj = onb.conj().T
     x = coeffs @ onb
     x /= np.linalg.norm(x, axis=1, keepdims=True)
+    tried = np.zeros(x.shape[0], dtype=bool)
     gap_prev = np.full(x.shape[0], np.inf)
+    active = np.arange(x.shape[0])
+    hit = None
     for _ in range(max_sweeps):
-        ratios, gap, leads = _product_residuals(x, dims)
-        if np.all(np.abs(gap_prev - gap) < SWEEP_EPS):
-            return x, ratios
-        gap_prev = gap
-        y = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1), leads)
+        ratios, gap, leads = _product_residuals(x[active], dims)
+        if polish is not None:
+            fresh = active[(ratios <= POLISH_RATIO) & ~tried[active]]
+            tried[fresh] = True
+            hit = next((h for h in map(polish, x[fresh]) if h is not None), None)
+            if hit is not None:
+                break
+        moving = np.abs(gap_prev[active] - gap) >= SWEEP_EPS
+        gap_prev[active] = gap
+        active = active[moving]
+        if active.size == 0:
+            break
+        y = reduce(
+            lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1),
+            [lead[moving] for lead in leads],
+        )
         c = y @ onb_proj
         norms = np.linalg.norm(c, axis=1)
         stuck = norms < 1e-12
         if np.any(stuck):
-            c[stuck] = x[stuck] @ onb_proj
+            c[stuck] = x[active[stuck]] @ onb_proj
             norms[stuck] = np.linalg.norm(c[stuck], axis=1)
-        x = (c / norms[:, None]) @ onb
-    ratios, _, _ = _product_residuals(x, dims)
-    return x, ratios
+        x[active] = (c / norms[:, None]) @ onb
+    return x, _flattening_ratios(x, dims), tried, hit
 
 
 def _truncated_step(jac: np.ndarray, rhs: np.ndarray, residual: float):
@@ -201,48 +247,56 @@ def _truncated_step(jac: np.ndarray, rhs: np.ndarray, residual: float):
     return vh[keep].conj().T @ coeffs
 
 
-def _newton_product_polish(factors, comp_conj: np.ndarray, dims, max_iters: int = 40):
-    """Drive per-party factors onto the subspace with Gauss-Newton steps.
+def _search_product_vector(
+    onb, blocks, dims, coeff_rows, restarts, seed, chunk_size, cutoff, tol_product
+):
+    """Seeded restart search for a product vector obeying ``blocks``.
 
-    Solves the holomorphic system comp_conj @ (f_1 x ... x f_n) = 0 whose
-    zeros are exactly the product vectors of the subspace; converges
-    quadratically from the seeds the alternating sweeps provide.  Returns
-    unit factors or ``None``.
+    ``onb`` is an orthonormal row basis of the subspace searched and
+    ``blocks`` the conditions of :func:`_compatible_newton`, the subspace's
+    own ``()`` block among them.  Chunks of ``chunk_size`` random starts are
+    swept; rows are polished as they reach ``POLISH_RATIO`` inside the
+    sweep, and after it the best 12 rows not yet polished whose ratio is
+    at most ``cutoff``.  A hit is certified by an exact SVD ratio at most
+    ``tol_product``; its coefficients refer to ``coeff_rows``.
     """
-    factors = [np.asarray(f, dtype=complex).copy() for f in factors]
-    for i, f in enumerate(factors):
-        nrm = np.linalg.norm(f)
-        if nrm < 1e-12:
+
+    def polish(vec):
+        factors = _compatible_newton(product_factors(vec, dims), blocks, dims)
+        if factors is None:
             return None
-        factors[i] = f / nrm
-    if comp_conj.shape[0] == 0:
-        return tuple(factors)
-    for _ in range(max_iters):
-        prod = assemble_product(factors)
-        fval = comp_conj @ prod
-        if np.linalg.norm(fval) < 1e-13:
-            break
-        blocks = []
-        for i, dp in enumerate(dims):
-            pieces = [f[:, None] for f in factors]
-            pieces[i] = np.eye(dp, dtype=complex)
-            blocks.append(comp_conj @ reduce(np.kron, pieces))
-        step = _truncated_step(np.hstack(blocks), fval, np.linalg.norm(fval))
-        if step is None or not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10.0:
+        vec = (assemble_product(factors) @ onb.conj().T) @ onb
+        nrm = np.linalg.norm(vec)
+        if nrm < 1e-8:
             return None
-        offset = 0
-        for i, dp in enumerate(dims):
-            factors[i] = factors[i] - step[offset : offset + dp]
-            offset += dp
-        for i, f in enumerate(factors):
-            nrm = np.linalg.norm(f)
-            if nrm < 1e-8:
-                return None
-            factors[i] = f / nrm
-    prod = assemble_product(factors)
-    if np.linalg.norm(comp_conj @ prod) > 1e-12:
-        return None
-    return tuple(factors)
+        vec = vec / nrm
+        ratio = float(_flattening_ratios(vec[None, :], dims)[0])
+        if ratio > tol_product:
+            return None
+        return ProductVectorHit(
+            coefficients=np.linalg.lstsq(coeff_rows.T, vec, rcond=None)[0],
+            vector=vec,
+            factors=product_factors(vec, dims),
+            residual=ratio,
+        )
+
+    rng = np.random.default_rng(seed)
+    shape = (restarts, onb.shape[0])
+    starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    for lo in range(0, restarts, chunk_size):
+        x, ratios, tried, hit = _alternate_to_product(
+            starts[lo : lo + chunk_size], onb, dims, polish=polish
+        )
+        if hit is not None:
+            return hit
+        untried = np.flatnonzero(~tried)
+        best = untried[np.argsort(ratios[untried])[:12]]
+        for idx in sorted(int(i) for i in best if ratios[i] <= cutoff):
+            hit = polish(x[idx])
+            if hit is not None:
+                return hit
+    return None
 
 
 def find_product_vector(
@@ -254,46 +308,22 @@ def find_product_vector(
 ) -> ProductVectorHit | None:
     """Search for a product vector in the span of ``basis``.
 
-    Runs alternating leading-singular-vector iterations from ``restarts``
-    seeded random starts and returns the first (in restart order) whose
-    residual reaches ``tol_product``; ``None`` after exhausting all
-    starts.  A ``None`` is evidence, not proof, that the subspace is
-    completely entangled.
+    Runs alternating Gram-matrix sweeps from ``restarts`` seeded random
+    starts, in chunks of ``chunk_size``, and finishes promising rows with
+    Gauss-Newton as soon as they reach a flattening ratio of
+    ``POLISH_RATIO``.  Returns the first certified hit found, in sweep
+    order rather than restart order, whose residual reaches
+    ``tol_product``; ``None`` after exhausting all starts.  A ``None`` is
+    evidence, not proof, that the subspace is completely entangled.
     """
     k = basis.k
     if k == 0:
         return None
-    dims = basis.dims
     _, _, vh = np.linalg.svd(basis.rows, full_matrices=True)
-    onb = vh[:k]
-    comp_conj = vh[k:].conj()
-    rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    for lo in range(0, restarts, chunk_size):
-        block = starts[lo : lo + chunk_size]
-        x, ratios = _alternate_to_product(block, onb, dims)
-        candidates = [int(i) for i in np.argsort(ratios)[:12] if ratios[i] <= 0.25]
-        for idx in sorted(candidates):
-            vec = x[idx]
-            polished = _newton_product_polish(product_factors(vec, dims), comp_conj, dims)
-            if polished is not None:
-                vec = assemble_product(polished)
-                vec = (vec @ onb.conj().T) @ onb
-                vec /= np.linalg.norm(vec)
-            elif ratios[idx] > tol_product:
-                continue
-            final_ratio, _, _ = _product_residuals(vec[None, :], dims)
-            if final_ratio[0] > tol_product:
-                continue
-            coeff = np.linalg.lstsq(basis.rows.T, vec, rcond=None)[0]
-            return ProductVectorHit(
-                coefficients=coeff,
-                vector=vec,
-                factors=product_factors(vec, dims),
-                residual=float(final_ratio[0]),
-            )
-    return None
+    blocks = [((), vh[k:])]
+    return _search_product_vector(
+        vh[:k], blocks, basis.dims, basis.rows, restarts, seed, chunk_size, 0.25, tol_product
+    )
 
 
 def check_general_position(
@@ -332,10 +362,12 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
     ``condition_blocks`` is a list of (subset, rows) pairs: the product of
     the factors, with the factors of the named parties conjugated, must be
     annihilated by ``rows.conj()``.  The subset () block keeps the vector
-    inside the working subspace; nonempty subsets keep its conjugates
+    inside the working subspace; alone, it makes this the plain polish of a
+    product vector in a subspace.  Nonempty subsets keep its conjugates
     inside the ranges of the corresponding partial transposes.  The mixed
     holomorphic/antiholomorphic system is solved over real and imaginary
-    parts.  Returns unit factors or ``None``.
+    parts; from the seeds the alternating sweeps provide it converges
+    quadratically.  Returns unit factors or ``None``.
     """
     factors = [np.asarray(f, dtype=complex).copy() for f in factors]
     for i, f in enumerate(factors):
@@ -344,66 +376,58 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
             return None
         factors[i] = f / nrm
     sizes = [int(d) for d in dims]
-    total = sum(sizes)
+    edges = np.cumsum([0] + sizes)
+    # each annihilator as one (rows, other parties, dp) array per party
+    blocks = [
+        (subset, [
+            np.moveaxis(rows.conj().reshape((-1, *sizes)), 1 + i, -1).reshape(rows.shape[0], -1, dp)
+            for i, dp in enumerate(sizes)
+        ])
+        for subset, rows in condition_blocks
+        if rows.shape[0]
+    ]
+    if not blocks:
+        return tuple(factors)
+    one = np.ones(1, dtype=complex)
+
+    def system(factors):
+        """Residual, holomorphic and antiholomorphic Jacobians."""
+        fvals, hol, antihol = [], [], []
+        for subset, mats in blocks:
+            g = [np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)]
+            h = np.zeros((mats[0].shape[0], edges[-1]), dtype=complex)
+            a = np.zeros_like(h)
+            for i, m in enumerate(mats):
+                part = reduce(lambda u, v: np.outer(u, v).ravel(), g[:i] + g[i + 1 :], one) @ m
+                (a if (i + 1) in subset else h)[:, edges[i] : edges[i + 1]] = part
+            fvals.append(part @ g[-1])
+            hol.append(h)
+            antihol.append(a)
+        return np.concatenate(fvals), np.vstack(hol), np.vstack(antihol)
+
     for _ in range(max_iters):
-        fvals = []
-        jac_real_rows = []
-        for subset, rows in condition_blocks:
-            if rows.shape[0] == 0:
-                continue
-            conj_factors = [
-                np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)
-            ]
-            annihilator = rows.conj()
-            fvals.append(annihilator @ assemble_product(conj_factors))
-            hol = np.zeros((rows.shape[0], total), dtype=complex)
-            antihol = np.zeros((rows.shape[0], total), dtype=complex)
-            offset = 0
-            for i, dp in enumerate(sizes):
-                pieces = [g[:, None] for g in conj_factors]
-                pieces[i] = np.eye(dp, dtype=complex)
-                block = annihilator @ reduce(np.kron, pieces)
-                if (i + 1) in subset:
-                    antihol[:, offset : offset + dp] = block
-                else:
-                    hol[:, offset : offset + dp] = block
-                offset += dp
-            jac_real_rows.append(
-                np.block(
-                    [
-                        [np.real(hol + antihol), -np.imag(hol - antihol)],
-                        [np.imag(hol + antihol), np.real(hol - antihol)],
-                    ]
-                )
-            )
-        fval = np.concatenate(fvals) if fvals else np.zeros(0, dtype=complex)
+        fval, hol, antihol = system(factors)
         if np.linalg.norm(fval) < 1e-13:
             break
-        jac = np.vstack(jac_real_rows)
-        rhs = np.concatenate([np.concatenate([v.real, v.imag]) for v in fvals])
+        jac = np.vstack([
+            np.hstack([np.real(hol + antihol), -np.imag(hol - antihol)]),
+            np.hstack([np.imag(hol + antihol), np.real(hol - antihol)]),
+        ])
+        rhs = np.concatenate([fval.real, fval.imag])
         step = _truncated_step(jac, rhs, float(np.linalg.norm(fval)))
         if step is None or not np.all(np.isfinite(step)):
             return None
         nrm = np.linalg.norm(step)
         if nrm > 1.0:
             step = step / nrm
-        delta = step[:total] + 1j * step[total:]
-        offset = 0
-        for i, dp in enumerate(sizes):
-            factors[i] = factors[i] - delta[offset : offset + dp]
-            offset += dp
-        for i, f in enumerate(factors):
+        delta = step[: edges[-1]] + 1j * step[edges[-1] :]
+        for i in range(len(factors)):
+            f = factors[i] - delta[edges[i] : edges[i + 1]]
             nrm = np.linalg.norm(f)
             if nrm < 1e-8:
                 return None
             factors[i] = f / nrm
-    fvals = []
-    for subset, rows in condition_blocks:
-        if rows.shape[0] == 0:
-            continue
-        conj_factors = [np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)]
-        fvals.append(rows.conj() @ assemble_product(conj_factors))
-    if fvals and np.linalg.norm(np.concatenate(fvals)) > 1e-11:
+    if np.linalg.norm(system(factors)[0]) > 1e-11:
         return None
     return tuple(factors)
 
@@ -457,37 +481,7 @@ def _find_peelable_product_vector(
         eigs, vecs = np.linalg.eigh(partial_transpose(rem_state, subset).matrix)
         keep = np.abs(eigs) <= tol_rank * np.abs(eigs).max()
         blocks.append((subset, np.ascontiguousarray(vecs[:, keep].T)))
-    if all(rows.shape[0] == 0 for _, rows in blocks):
-        blocks = blocks[:1]
-
-    rng = np.random.default_rng(seed)
-    starts = rng.standard_normal((restarts, rank)) + 1j * rng.standard_normal((restarts, rank))
-    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    chunk_size = 64
-    for lo in range(0, restarts, chunk_size):
-        block = starts[lo : lo + chunk_size]
-        x, ratios = _alternate_to_product(block, onb, dims)
-        candidates = [int(i) for i in np.argsort(ratios)[:12] if ratios[i] <= 0.3]
-        for idx in sorted(candidates):
-            polished = _compatible_newton(product_factors(x[idx], dims), blocks, dims)
-            if polished is None:
-                continue
-            vec = assemble_product(polished)
-            vec = (vec @ onb.conj().T) @ onb
-            nrm = np.linalg.norm(vec)
-            if nrm < 1e-8:
-                continue
-            vec /= nrm
-            final_ratio, _, _ = _product_residuals(vec[None, :], dims)
-            if final_ratio[0] > tol_product:
-                continue
-            return ProductVectorHit(
-                coefficients=np.linalg.lstsq(onb.T, vec, rcond=None)[0],
-                vector=vec,
-                factors=product_factors(vec, dims),
-                residual=float(final_ratio[0]),
-            )
-    return None
+    return _search_product_vector(onb, blocks, dims, onb, restarts, seed, 64, 0.3, tol_product)
 
 
 def greedy_decompose(
@@ -684,7 +678,7 @@ def _polish_in_subspace(vec: np.ndarray, onb: np.ndarray, dims) -> tuple[np.ndar
     nrm = np.linalg.norm(coeff)
     if nrm < 1e-12:
         return vec, np.inf
-    x, ratios = _alternate_to_product(coeff / nrm, onb, dims, max_sweeps=60)
+    x, ratios, _, _ = _alternate_to_product(coeff / nrm, onb, dims, max_sweeps=60)
     return x[0], float(ratios[0])
 
 
@@ -811,13 +805,12 @@ def count_kernel_product_vectors_3x3(
     out = []
     for vec, fa, fb in ordered:
         coeff = np.linalg.lstsq(kernel.rows.T, vec, rcond=None)[0]
-        ratios, _, _ = _product_residuals(vec[None, :], kernel.dims)
         out.append(
             ProductVectorHit(
                 coefficients=coeff,
                 vector=vec,
                 factors=(fa, fb),
-                residual=float(ratios[0]),
+                residual=float(_flattening_ratios(vec[None, :], kernel.dims)[0]),
             )
         )
     return out

@@ -1,8 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
+import sep4.engine
 from sep4.cli import main
+from sep4.engine import classify
+from sep4.errors import InconsistentTolerances
 from sep4.gallery import divincenzo_state, two_qutrit_ab_rows
 from sep4.states import assemble_product, new_state, state_to_dict
 
@@ -104,6 +109,29 @@ class TestBatchCommand:
         assert lines[0]["report"]["verdict"] == "Separable"
         assert lines[1]["report"]["verdict"] == "Entangled"
         assert "error" in lines[2]
+
+    def test_tolerance_guard_is_recorded_per_file(self, tmp_path, capsys, monkeypatch):
+        # an entangled 2x2x2 rank-4 state must have full-rank partial
+        # transposes; report one of rank 3 to trip the guard
+        real_is_ppt = sep4.engine.is_ppt
+
+        def lowered_ranks(state):
+            report = real_is_ppt(state)
+            records = tuple(dataclasses.replace(r, rank=r.rank - 1) for r in report.records)
+            return dataclasses.replace(report, records=records)
+
+        monkeypatch.setattr(sep4.engine, "is_ppt", lowered_ranks)
+        with pytest.raises(InconsistentTolerances):
+            classify(divincenzo_state())
+        write_state(tmp_path / "a_prod.json", product_projector_state())
+        write_state(tmp_path / "b_dv.json", divincenzo_state())
+        out_file = tmp_path / "results.jsonl"
+        assert main(["batch", "--input", str(tmp_path), "--out", str(out_file)]) == 0
+        capsys.readouterr()
+        lines = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [line["file"] for line in lines] == ["a_prod.json", "b_dv.json"]
+        assert lines[0]["report"]["verdict"] == "Separable"
+        assert lines[1]["error"].startswith("InconsistentTolerances: tolerance bug")
 
     def test_empty_directory(self, tmp_path, capsys):
         out_file = tmp_path / "results.jsonl"

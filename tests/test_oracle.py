@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sep4.oracle as oracle
 from sep4.errors import NotApplicable, WrongDimension
 from sep4.gallery import (
     divincenzo_state,
@@ -10,12 +11,14 @@ from sep4.gallery import (
 )
 from sep4.grassmann import SubspaceBasis
 from sep4.oracle import (
+    MAX_SWEEPS,
     bipartite_kernel_product_vectors_2x2x2,
     check_general_position,
     count_kernel_product_vectors_3x3,
     find_product_vector,
     greedy_decompose,
 )
+from sep4.ppt import subset_representatives
 from sep4.states import (
     assemble_product,
     is_product,
@@ -33,6 +36,31 @@ def ket(*amps):
 
 def random_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def planted_basis(seed, dims):
+    """Four-dimensional span of one random product vector and three random vectors."""
+    rng = np.random.default_rng(seed)
+    planted = assemble_product([random_vec(rng, dp) for dp in dims])
+    d = int(np.prod(dims))
+    return SubspaceBasis(np.vstack([planted] + [random_vec(rng, d) for _ in range(3)]), dims)
+
+
+def svd_flattening_ratio(vec, dims):
+    """Largest s2/s1 over the party flattenings, computed independently of the oracle."""
+    t = np.asarray(vec).reshape(dims)
+    worst = 0.0
+    for axis, dp in enumerate(dims):
+        s = np.linalg.svd(np.moveaxis(t, axis, 0).reshape(dp, -1), compute_uv=False)
+        worst = max(worst, s[1] / s[0])
+    return worst
+
+
+def peel_search(state, seed=0):
+    return oracle._find_peelable_product_vector(
+        state, subset_representatives(state.n), restarts=200, seed=seed,
+        tol_product=state.cfg.tol_product,
+    )
 
 
 class TestFindProductVector:
@@ -79,6 +107,66 @@ class TestFindProductVector:
         assert full_rank_kernel.k == 0
         assert find_product_vector(full_rank_kernel, restarts=10, seed=0) is None
         assert st_ is not None
+
+
+class TestSearchCost:
+    """Sweep passes, counted through ``_product_residuals``, so the bounds hold on any machine."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        real = oracle._product_residuals
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_product_residuals", counted)
+        return count
+
+    def test_peel_search_stops_early(self, passes):
+        hit = peel_search(random_separable((3, 3), 4, seed=0))
+        assert hit is not None
+        # 19 passes measured; waiting for every row to stall took 157
+        assert passes[0] <= 60
+
+    def test_planted_search_stops_early(self, passes):
+        hit = find_product_vector(planted_basis(0, (3, 3)), restarts=200, seed=0)
+        assert hit is not None
+        # 49 passes measured; waiting for every row to stall took 202
+        assert passes[0] <= MAX_SWEEPS // 2
+
+    def test_ces_search_still_finds_nothing(self, passes):
+        basis = range_basis(two_qutrit_ab_state(1.0, 1.0))
+        assert find_product_vector(basis, restarts=64, seed=0) is None
+        assert 0 < passes[0] <= MAX_SWEEPS
+
+
+class TestHitResidualsAreExact:
+    """Sweep ratios come from Gram eigenvalues, accurate only to about 1e-8;
+    every certified residual must be the SVD ratio of the returned vector."""
+
+    def assert_exact(self, hit, dims):
+        assert hit.residual <= 1e-8
+        assert abs(hit.residual - svd_flattening_ratio(hit.vector, dims)) <= 1e-12
+
+    def test_find_product_vector(self):
+        rows = np.array([[1, 0, 0, 1], [0, 1, 0, 0]], dtype=complex)
+        hit = find_product_vector(SubspaceBasis(rows, (2, 2)), restarts=50, seed=1)
+        self.assert_exact(hit, (2, 2))
+        for seed, dims in [(0, (3, 3)), (1, (2, 2, 2)), (2, (2, 4))]:
+            hit = find_product_vector(planted_basis(seed, dims), restarts=200, seed=seed)
+            self.assert_exact(hit, dims)
+
+    def test_peel(self):
+        for seed, dims, rank in [(0, (3, 3), 4), (1, (2, 2, 2), 4), (2, (2, 3), 3)]:
+            self.assert_exact(peel_search(random_separable(dims, rank, seed=seed)), dims)
+
+    def test_kernel_count(self):
+        hits = count_kernel_product_vectors_3x3(kernel_basis(two_qutrit_ab_state(1.0, 1.0)))
+        assert len(hits) == 6
+        for hit in hits:
+            self.assert_exact(hit, (3, 3))
 
 
 class TestKernelCounting:
