@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -205,13 +206,29 @@ def _classify_file(path: str, cfg_values: dict, seed: int) -> dict:
         return {"file": Path(path).name, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
 def _cmd_batch(args) -> int:
     cfg = _tolerances_from_args(args)
     cfg_values = dataclasses.asdict(cfg)
     files = sorted(str(p) for p in Path(args.input).glob("*.json"))
-    if args.parallel > 1 and len(files) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_classify_file, files, [cfg_values] * len(files), [args.seed] * len(files)))
+    # the pool forks every worker up front, so never ask for more than
+    # there are files or usable CPUs
+    workers = min(args.parallel, len(files), _usable_cpus())
+    if workers > 1:
+        # one task per file costs about as much as a verdict; send each
+        # worker about four chunks
+        chunksize = math.ceil(len(files) / (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                _classify_file, files, [cfg_values] * len(files), [args.seed] * len(files),
+                chunksize=chunksize,
+            ))
     else:
         results = [_classify_file(path, cfg_values, args.seed) for path in files]
     counts: dict[str, int] = {}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chow import builtin_chow, eval_chow
 from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
-from .grassmann import pluecker
+from .grassmann import SubspaceBasis, pluecker
 from .oracle import (
     Decomposition,
     DecompositionTerm,
@@ -26,13 +26,10 @@ from .oracle import (
 from .ppt import PptReport, is_ppt, ppt_report_from_dict, ppt_report_to_dict
 from .states import (
     MultiState,
+    _rank_from_eigenvalues,
     assemble_product,
     compress_support,
     is_product,
-    local_ranks,
-    range_basis,
-    rank_of,
-    reduced_state,
     spectral,
 )
 
@@ -116,17 +113,14 @@ def length_bounds(report: ClassificationReport) -> tuple[int, int]:
     return _bounds_for(report.rank, report.compressed_dims)
 
 
-def _pure_product_decomposition(state: MultiState) -> Decomposition:
-    factors = []
-    for p in range(1, state.n + 1):
-        sd = spectral(reduced_state(state, (p,)))
-        factors.append(sd.eigenvectors[:, 0])
+def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
+    factors = tuple(w[:, 0] for w in isometries)
     vec = assemble_product(factors)
     weight = state.trace
     recon = weight * np.outer(vec, vec.conj())
     residual = float(np.linalg.norm(state.matrix - recon))
     return Decomposition(
-        terms=(DecompositionTerm(weight=weight, factors=tuple(factors), vector=vec),),
+        terms=(DecompositionTerm(weight=weight, factors=factors, vector=vec),),
         residual=residual,
         length_upper_bound=1,
     )
@@ -139,12 +133,14 @@ def classify(
 
     On separable verdicts a greedy decomposition is attempted
     (best-effort; its absence never changes the verdict) and length
-    bounds are attached.
+    bounds are attached.  One spectral pass, kept for this call only:
+    the reduced states are diagonalized in :func:`compress_support`, the
+    compressed state here, and each representative partial transpose in
+    :func:`is_ppt` (whose empty subset repeats the compressed state's
+    eigenvalues).
     """
-    ranks = tuple(local_ranks(state))
     base = dict(
         dims=state.dims,
-        local_ranks=ranks,
         ppt=None,
         chow_system=None,
         chow_value=None,
@@ -156,22 +152,25 @@ def classify(
 
     try:
         comp = compress_support(state)
-    except AllPartiesTrivial:
+    except AllPartiesTrivial as exc:
         report = ClassificationReport(
             verdict=SEPARABLE,
             rule=RULE_RANK1_PRODUCT,
             compressed_dims=(),
             dropped_parties=tuple(range(1, state.n + 1)),
             rank=1,
+            local_ranks=(1,) * state.n,
             notes=(_RULE_NOTES[RULE_RANK1_PRODUCT],),
             **base,
         )
-        dec = _pure_product_decomposition(state) if decompose else None
+        dec = _pure_product_decomposition(state, exc.isometries) if decompose else None
         return replace(report, decomposition=dec, length_bounds=(1, 1))
 
+    base["local_ranks"] = tuple(w.shape[1] for w in comp.isometries)
     small = comp.state
     cdims = small.dims
-    rank = rank_of(small)
+    sd = spectral(small)
+    rank = _rank_from_eigenvalues(sd.eigenvalues, small.cfg.tol_rank)
 
     def finish(verdict, rule, **extra):
         notes = (_RULE_NOTES[rule],)
@@ -201,8 +200,7 @@ def classify(
         return report
 
     if rank == 1:
-        vec = range_basis(small).rows[0]
-        ok, _ = is_product(vec, cdims, small.cfg.tol_product)
+        ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)
         if ok:
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
         return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small))
@@ -221,7 +219,8 @@ def classify(
         if cdims in ((3, 3), (2, 2, 2)):
             rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
             form = builtin_chow(cdims)
-            value = eval_chow(form, pluecker(range_basis(small)), normalized=True)
+            basis = SubspaceBasis(sd.eigenvectors[:, :rank].T, cdims)
+            value = eval_chow(form, pluecker(basis), normalized=True)
             mag = abs(value)
             tol = small.cfg.tol_chow
             extra = dict(

@@ -26,7 +26,15 @@ class EigFailure(Sep4Error):
 
 
 class AllPartiesTrivial(Sep4Error):
-    """Every single-party reduced state has rank one (pure product state)."""
+    """Every single-party reduced state has rank one (pure product state).
+
+    ``isometries`` holds each party's d x 1 unit column spanning the range
+    of its reduced state, so the product factors need no second eigensolve.
+    """
+
+    def __init__(self, message: str, isometries: tuple = ()):
+        super().__init__(message)
+        self.isometries = tuple(isometries)
 
 
 class ZeroVector(Sep4Error):

@@ -123,20 +123,6 @@ def pluecker(basis: SubspaceBasis) -> PlueckerVector:
     return PlueckerVector(k=k, d=d, tuples=tuples, raw=raw, normalized=normalized)
 
 
-def signed_lookup(values: dict[tuple[int, ...], complex], seq) -> complex:
-    """Antisymmetric entry lookup: sort ``seq``, fold the sign, 0 on repeats."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        return 0.0
-    sign = 1
-    lst = list(seq)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return sign * values[tuple(sorted(lst))]
-
-
 def pluecker_relations_residual(p: PlueckerVector) -> float:
     """Largest absolute single-exchange quadratic relation residual.
 
@@ -156,7 +142,9 @@ def pluecker_relations_residual(p: PlueckerVector) -> float:
             for a, j in enumerate(right):
                 if j in left_set:
                     continue
-                first = signed_lookup(vals, left + (j,))
+                # ``left`` is increasing and avoids j: the entries are distinct
+                key = left + (j,)
+                first = permutation_sign(key) * vals[tuple(sorted(key))]
                 if first == 0.0:
                     continue
                 rest = right[:a] + right[a + 1:]

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotBipartite
-from .states import MultiState, partial_transpose, rank_of, spectral, _rank_from_eigenvalues
+from .states import MultiState, partial_transpose, rank_of, _rank_from_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,17 @@ def is_ppt(state: MultiState) -> PptReport:
     """Evaluate every representative partial transpose of ``state``.
 
     PPT holds iff each minimum eigenvalue is at least
-    ``-tol_psd * lambda_max`` of the input state.
+    ``-tol_psd * lambda_max`` of the input state.  One eigensolve per
+    subset: ``lambda_max`` comes from the empty subset, which is first.
     """
-    lam_max = float(spectral(state).eigenvalues[0])
-    threshold = -state.cfg.tol_psd * lam_max
     records = []
     worst: tuple[int, ...] = ()
     worst_val = np.inf
     for subset in subset_representatives(state.n):
         pt = partial_transpose(state, subset)
         eigs = np.linalg.eigvalsh(pt.matrix)
+        if not subset:
+            threshold = -state.cfg.tol_psd * float(eigs[-1])
         rank = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
         mn = float(eigs[0])
         records.append(SubsetRecord(subset=subset, min_eigenvalue=mn, rank=rank))

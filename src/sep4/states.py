@@ -240,9 +240,10 @@ def compress_support(state: MultiState) -> CompressionResult:
     """Restrict every party to the range of its reduced state.
 
     Parties whose reduced state has rank one are removed entirely; rank,
-    PPT status and separability are unaffected.  Raises
-    :class:`AllPartiesTrivial` when nothing would remain (the state is a
-    pure product state).
+    PPT status and separability are unaffected.  The isometry widths are
+    the local ranks.  Raises :class:`AllPartiesTrivial`, carrying the
+    isometries, when nothing would remain (the state is a pure product
+    state).
     """
     n = state.n
     isometries = []
@@ -253,7 +254,9 @@ def compress_support(state: MultiState) -> CompressionResult:
         isometries.append(np.ascontiguousarray(sd.eigenvectors[:, :r]))
         ranks.append(r)
     if all(r == 1 for r in ranks):
-        raise AllPartiesTrivial("every single-party reduced state has rank one")
+        raise AllPartiesTrivial(
+            "every single-party reduced state has rank one", tuple(isometries)
+        )
     w = reduce(np.kron, isometries)
     m = w.conj().T @ state.matrix @ w
     m = 0.5 * (m + m.conj().T)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import sep4.engine
+from sep4 import cli
 from sep4.cli import main
 from sep4.engine import classify
 from sep4.errors import InconsistentTolerances
-from sep4.gallery import divincenzo_state, two_qutrit_ab_rows
+from sep4.gallery import divincenzo_state, two_qutrit_ab_rows, two_qutrit_ab_state
 from sep4.states import assemble_product, new_state, state_to_dict
 
 
@@ -151,6 +152,81 @@ class TestBatchCommand:
         ) == 0
         capsys.readouterr()
         assert serial.read_text() == parallel.read_text()
+
+    def mixed_directory(self, root):
+        """20 files that sort into an interleaved mix, one of them broken."""
+        states = [
+            product_projector_state(),
+            divincenzo_state(),
+            two_qutrit_ab_state(1.0, 1.0),
+            two_qutrit_ab_state(2.0, 0.5),
+            two_qutrit_ab_state(0.0, 1 + 1j),
+        ]
+        for i in range(19):
+            write_state(root / f"s{i:02d}.json", states[i % len(states)])
+        (root / "s07x.json").write_text("{broken")
+
+    def test_parallel_matches_serial_in_chunks(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        self.mixed_directory(inputs)
+        serial = tmp_path / "serial.jsonl"
+        parallel = tmp_path / "parallel.jsonl"
+        assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
+        assert main(
+            ["batch", "--input", str(inputs), "--out", str(parallel), "--parallel", "2"]
+        ) == 0
+        capsys.readouterr()
+        lines = serial.read_text().splitlines()
+        assert len(lines) == 20
+        assert sum("error" in json.loads(line) for line in lines) == 1
+        assert serial.read_text() == parallel.read_text()
+
+    def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class SerialPool:
+            """Records the pool's arguments and maps in this process."""
+
+            def __init__(self, max_workers):
+                calls.append({"max_workers": max_workers})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                calls[-1]["chunksize"] = chunksize
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        self.mixed_directory(inputs)
+        serial = tmp_path / "serial.jsonl"
+        assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
+        assert calls == []
+        for parallel, workers, chunksize in [("5000", 8, 1), ("3", 3, 2), ("1", None, None)]:
+            out = tmp_path / f"p{parallel}.jsonl"
+            argv = ["batch", "--input", str(inputs), "--out", str(out), "--parallel", parallel]
+            assert main(argv) == 0
+            if workers is not None:
+                assert calls.pop() == {"max_workers": workers, "chunksize": chunksize}
+            assert calls == []
+            assert out.read_text() == serial.read_text()
+        two = tmp_path / "two"
+        two.mkdir()
+        write_state(two / "a.json", product_projector_state())
+        write_state(two / "b.json", divincenzo_state())
+        assert main(
+            ["batch", "--input", str(two), "--out", str(tmp_path / "two.jsonl"),
+             "--parallel", "5000"]
+        ) == 0
+        capsys.readouterr()
+        assert calls == [{"max_workers": 2, "chunksize": 1}]
 
 
 class TestGalleryCommand:

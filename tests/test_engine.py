@@ -15,11 +15,21 @@ from sep4.gallery import (
     conjugate_local,
     divincenzo_state,
     random_local_unitaries,
+    random_ppt_rank4_33,
     random_separable,
     two_qutrit_ab_state,
 )
 from sep4.oracle import find_product_vector
-from sep4.states import assemble_product, new_state, partial_transpose, range_basis
+from sep4.ppt import is_ppt
+from sep4.states import (
+    assemble_product,
+    compress_support,
+    local_ranks,
+    new_state,
+    partial_transpose,
+    range_basis,
+    rank_of,
+)
 
 
 def ket(*amps):
@@ -196,6 +206,70 @@ class TestEngineConsistency:
         base = classify(st).verdict
         for factor in (1e-3, 1e3):
             assert classify(new_state(st.matrix * factor, st.dims)).verdict == base
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            divincenzo_state(),
+            two_qutrit_ab_state(1.0, 1.0),
+            two_qutrit_ab_state(0.0, 1.0),
+            two_qutrit_ab_state(0.0, 1 + 1j),
+            random_ppt_rank4_33(seed=2),
+            random_separable((2, 3, 4), 2, seed=11),
+            random_separable((2, 2, 3), 4, seed=6),
+            ghz_projector(),
+            new_state(np.eye(6), (2, 3)),
+        ],
+        ids=["divincenzo", "ab-1-1", "ab-0-1", "ab-npt", "ppt-rank4-33", "sep-rank2",
+             "sep-rank4", "ghz", "full-rank"],
+    )
+    def test_report_matches_public_helpers(self, state):
+        """The engine reads local ranks, rank and PPT records off one spectral
+        pass; they must equal what the public helpers compute on their own."""
+        rep = classify(state, decompose=False)
+        small = compress_support(state).state
+        assert rep.local_ranks == tuple(local_ranks(state))
+        assert rep.rank == rank_of(small)
+        assert rep.ppt == is_ppt(small)
+
+
+class TestEigensolveBudget:
+    """Eigensolves per ``classify`` call, counted through ``numpy.linalg``
+    so the bounds hold on any machine."""
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        count = [0]
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, **kwargs):
+                count[0] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def classify_counted(state, **kwargs):
+            # the state is built (and validated by one eigensolve) before this
+            count[0] = 0
+            classify(state, **kwargs)
+            return count[0]
+
+        return classify_counted
+
+    def test_three_qubit_chow(self, eigensolves):
+        # 3 reduced states, the compressed state, 4 partial transposes
+        # (the first is the state itself); 13 before the single pass
+        assert eigensolves(divincenzo_state()) <= 8
+
+    def test_two_qutrit_chow(self, eigensolves):
+        # 2 reduced states, the compressed state, 2 partial transposes; 9 before
+        assert eigensolves(two_qutrit_ab_state(1, 1)) <= 5
+
+    def test_pure_product_with_decomposition(self, eigensolves):
+        # the product factors come from the compression's reduced spectra; 6 before
+        v = assemble_product((ket(1, 1j) / np.sqrt(2), ket(0, 1)))
+        assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 2
 
 
 class TestReportSerialization:
