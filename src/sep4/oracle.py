@@ -17,13 +17,14 @@ from itertools import combinations
 import numpy as np
 
 from .chow import subspace_meets_segre
-from .errors import DegenerateConfiguration, NotApplicable, WrongDimension
+from .errors import DegenerateConfiguration, EigFailure, NotApplicable, WrongDimension
 from .grassmann import SubspaceBasis
 from .ppt import is_ppt
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
     assemble_product,
+    partial_transpose,
     product_factors,
     spectral,
     _rank_from_eigenvalues,
@@ -144,27 +145,39 @@ def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
     ]
 
 
-def _product_residuals(x: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Batched per-party Gram pass: leading factors, gap measure, ratios.
+def _product_residuals(
+    x: np.ndarray, dims, leads: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Batched per-party power step: leading factors, gap measure, ratio bounds.
 
-    The leading left singular vector of a flattening m is the top
-    eigenvector of its Gram matrix m m^H, which is only dp x dp.  Ratios
-    taken from its eigenvalues carry an absolute error near sqrt(eps),
-    about 1e-8: enough to steer a sweep, not to certify a product vector
-    (see :func:`_flattening_ratios`).
+    Each party's lead takes one power step u <- m (m^H u) on its flattening
+    m, warm-started from ``leads`` (the previous pass's leads of the same
+    rows) or, without them, from the flattening's largest column.  Rows are
+    unit vectors, so each flattening's squared singular values sum to 1;
+    with lam = |m^H u|^2 <= s1^2, the tail mass 1 - lam bounds s2^2, and
+    sqrt((1 - lam) / lam) bounds s2/s1 from above.  Enough to steer a sweep,
+    not to certify a product vector (see :func:`_flattening_ratios`).
     """
     rows = x.shape[0]
     ratios = np.zeros(rows)
     gap = np.zeros(rows)
-    leads = []
-    for m in _flattenings(x, dims):
-        w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
-        leads.append(v[:, :, -1])
-        gap += np.maximum(0.0, 1.0 - w[:, -1])
-        if w.shape[1] > 1:
-            second = np.maximum(w[:, -2], 0.0) / np.maximum(w[:, -1], 1e-300)
-            ratios = np.maximum(ratios, np.sqrt(second))
-    return ratios, gap, leads
+    new_leads = []
+    for p, m in enumerate(_flattenings(x, dims)):
+        if leads is None:
+            col = np.argmax((m.real**2 + m.imag**2).sum(axis=1), axis=1)
+            u = m[np.arange(rows), :, col]
+        else:
+            u = leads[p]
+        mh = m.conj().transpose(0, 2, 1)
+        u = (m @ (mh @ u[:, :, None]))[:, :, 0]
+        u /= np.maximum(np.linalg.norm(u, axis=1), 1e-300)[:, None]
+        z = mh @ u[:, :, None]
+        lam = (z.real**2 + z.imag**2).sum(axis=(1, 2))
+        new_leads.append(u)
+        tail = np.maximum(1.0 - lam, 0.0)
+        gap += tail
+        ratios = np.maximum(ratios, np.sqrt(tail / np.maximum(lam, 1e-300)))
+    return ratios, gap, new_leads
 
 
 def _flattening_ratios(x: np.ndarray, dims) -> np.ndarray:
@@ -179,20 +192,22 @@ def _flattening_ratios(x: np.ndarray, dims) -> np.ndarray:
 
 def _alternate_to_product(
     coeffs: np.ndarray, onb: np.ndarray, dims, max_sweeps: int = MAX_SWEEPS, polish=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ProductVectorHit | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, ProductVectorHit | None]:
     """Alternate nearest-product and subspace-projection steps.
 
     ``coeffs`` are rows of unit coefficient vectors in the orthonormal
-    row basis ``onb``.  Each pass takes every party's leading vector from
-    its Gram matrix (:func:`_product_residuals`) and projects their
-    product back onto the subspace.  A row whose gap measure moves by less
-    than ``SWEEP_EPS`` is frozen and no longer computed.  ``polish`` maps
-    a vector to a certified hit or ``None``; after each pass it receives,
-    once and in row order, every row that has just reached a ratio of at
-    most ``POLISH_RATIO``, and its first hit ends the sweep.  Returns the
-    final vectors, their exact (SVD) ratios, the mask of rows polished
-    and the hit.  Convergence near tangential intersections is slow, so
-    callers polish the best remaining rows too.
+    row basis ``onb``.  Each pass takes every party's leading vector by
+    one power step warm-started from the previous pass
+    (:func:`_product_residuals`) and projects their product back onto the
+    subspace.  A row whose gap measure moves by less than ``SWEEP_EPS`` is
+    frozen and no longer computed.  ``polish`` maps a vector to a
+    certified hit or ``None``; after each pass it receives, once and in
+    row order, every row whose ratio bound has just reached
+    ``POLISH_RATIO``, and its first hit ends the sweep.  Returns the final
+    vectors, their exact (SVD) ratios (``None`` with a hit, which needs
+    none), the mask of rows polished and the hit.  Convergence near
+    tangential intersections is slow, so callers polish the best remaining
+    rows too.
     """
     onb_proj = onb.conj().T
     x = coeffs @ onb
@@ -200,9 +215,10 @@ def _alternate_to_product(
     tried = np.zeros(x.shape[0], dtype=bool)
     gap_prev = np.full(x.shape[0], np.inf)
     active = np.arange(x.shape[0])
+    leads = None
     hit = None
     for _ in range(max_sweeps):
-        ratios, gap, leads = _product_residuals(x[active], dims)
+        ratios, gap, leads = _product_residuals(x[active], dims, leads)
         if polish is not None:
             fresh = active[(ratios <= POLISH_RATIO) & ~tried[active]]
             tried[fresh] = True
@@ -214,10 +230,8 @@ def _alternate_to_product(
         active = active[moving]
         if active.size == 0:
             break
-        y = reduce(
-            lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1),
-            [lead[moving] for lead in leads],
-        )
+        leads = [lead[moving] for lead in leads]
+        y = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1), leads)
         c = y @ onb_proj
         norms = np.linalg.norm(c, axis=1)
         stuck = norms < 1e-12
@@ -225,6 +239,8 @@ def _alternate_to_product(
             c[stuck] = x[active[stuck]] @ onb_proj
             norms[stuck] = np.linalg.norm(c[stuck], axis=1)
         x[active] = (c / norms[:, None]) @ onb
+    if hit is not None:
+        return x, None, tried, hit
     return x, _flattening_ratios(x, dims), tried, hit
 
 
@@ -308,9 +324,9 @@ def find_product_vector(
 ) -> ProductVectorHit | None:
     """Search for a product vector in the span of ``basis``.
 
-    Runs alternating Gram-matrix sweeps from ``restarts`` seeded random
+    Runs alternating power-step sweeps from ``restarts`` seeded random
     starts, in chunks of ``chunk_size``, and finishes promising rows with
-    Gauss-Newton as soon as they reach a flattening ratio of
+    Gauss-Newton as soon as their flattening ratio bound reaches
     ``POLISH_RATIO``.  Returns the first certified hit found, in sweep
     order rather than restart order, whose residual reaches
     ``tol_product``; ``None`` after exhausting all starts.  A ``None`` is
@@ -367,7 +383,8 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
     inside the ranges of the corresponding partial transposes.  The mixed
     holomorphic/antiholomorphic system is solved over real and imaginary
     parts; from the seeds the alternating sweeps provide it converges
-    quadratically.  Returns unit factors or ``None``.
+    quadratically, so iteration stops once the residual norm has failed to
+    halve over 8 iterations.  Returns unit factors or ``None``.
     """
     factors = [np.asarray(f, dtype=complex).copy() for f in factors]
     for i, f in enumerate(factors):
@@ -405,16 +422,19 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
             antihol.append(a)
         return np.concatenate(fvals), np.vstack(hol), np.vstack(antihol)
 
+    norms = []
     for _ in range(max_iters):
         fval, hol, antihol = system(factors)
-        if np.linalg.norm(fval) < 1e-13:
+        norms.append(float(np.linalg.norm(fval)))
+        # stop once |f| has failed to halve over the last 8 iterations
+        if norms[-1] < 1e-13 or (len(norms) > 8 and norms[-1] > 0.5 * norms[-9]):
             break
         jac = np.vstack([
             np.hstack([np.real(hol + antihol), -np.imag(hol - antihol)]),
             np.hstack([np.imag(hol + antihol), np.real(hol - antihol)]),
         ])
         rhs = np.concatenate([fval.real, fval.imag])
-        step = _truncated_step(jac, rhs, float(np.linalg.norm(fval)))
+        step = _truncated_step(jac, rhs, norms[-1])
         if step is None or not np.all(np.isfinite(step)):
             return None
         nrm = np.linalg.norm(step)
@@ -432,9 +452,11 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
     return tuple(factors)
 
 
-def _peel_weight(matrix: np.ndarray, vec: np.ndarray, tol_rank: float) -> float:
-    """Largest t with matrix - t |vec><vec| still PSD; 0 if vec leaves the range."""
-    eigs, vecs = np.linalg.eigh(matrix)
+def _peel_weight(eigs: np.ndarray, vecs: np.ndarray, vec: np.ndarray, tol_rank: float) -> float:
+    """Largest t with matrix - t |vec><vec| still PSD; 0 if vec leaves the range.
+
+    ``eigs`` and ``vecs`` are the matrix's eigendecomposition.
+    """
     scale = np.abs(eigs).max()
     if scale == 0.0:
         return 0.0
@@ -454,8 +476,16 @@ def _subset_conjugate(factors, subset) -> np.ndarray:
     return assemble_product(pieces)
 
 
+def _transpose_spectra(state: MultiState, subsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ascending eigendecomposition of each partial transpose named in ``subsets``."""
+    try:
+        return [np.linalg.eigh(partial_transpose(state, subset).matrix) for subset in subsets]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
+        raise EigFailure(str(exc)) from exc
+
+
 def _find_peelable_product_vector(
-    rem_state: MultiState, subsets, restarts: int, seed: int, tol_product: float
+    rem_state: MultiState, subsets, restarts: int, seed: int, tol_product: float, spectra=None
 ):
     """Product vector in the range whose conjugates fit every transpose range.
 
@@ -464,24 +494,29 @@ def _find_peelable_product_vector(
     range of the corresponding partial transpose; random members of the
     range's product-vector family generally fail this, so the alternating
     candidates are polished against the full compatibility system.
+    ``subsets`` must include ``()``, the state itself.  ``spectra`` are the
+    :func:`_transpose_spectra` of ``rem_state``, computed here when not
+    given.
     """
-    from .states import partial_transpose
-
-    dims = rem_state.dims
+    if spectra is None:
+        spectra = _transpose_spectra(rem_state, subsets)
+    by_subset = dict(zip(subsets, spectra))
     tol_rank = rem_state.cfg.tol_rank
-    sd = spectral(rem_state)
-    rank = _rank_from_eigenvalues(sd.eigenvalues, tol_rank)
+    eigs, vecs = by_subset[()]
+    order = np.argsort(eigs)[::-1]
+    rank = _rank_from_eigenvalues(eigs[order], tol_rank)
     if rank == 0:
         return None
-    onb = np.ascontiguousarray(sd.eigenvectors[:, :rank].T)
-    blocks = [((), np.ascontiguousarray(sd.eigenvectors[:, rank:].T))]
-    for subset in subsets:
+    onb = np.ascontiguousarray(vecs[:, order[:rank]].T)
+    blocks = [((), np.ascontiguousarray(vecs[:, order[rank:]].T))]
+    for subset, (eigs, vecs) in by_subset.items():
         if not subset:
             continue
-        eigs, vecs = np.linalg.eigh(partial_transpose(rem_state, subset).matrix)
         keep = np.abs(eigs) <= tol_rank * np.abs(eigs).max()
         blocks.append((subset, np.ascontiguousarray(vecs[:, keep].T)))
-    return _search_product_vector(onb, blocks, dims, onb, restarts, seed, 64, 0.3, tol_product)
+    return _search_product_vector(
+        onb, blocks, rem_state.dims, onb, restarts, seed, 64, 0.3, tol_product
+    )
 
 
 def greedy_decompose(
@@ -504,7 +539,6 @@ def greedy_decompose(
     refute separability.
     """
     from .ppt import subset_representatives
-    from .states import partial_transpose
 
     target = 1e-8 * state.trace
     tol_rank = state.cfg.tol_rank
@@ -516,12 +550,14 @@ def greedy_decompose(
             if np.linalg.norm(remainder) <= target:
                 break
             rem_state = MultiState(remainder, state.dims, state.cfg)
+            spectra = _transpose_spectra(rem_state, subsets)
             hit = _find_peelable_product_vector(
                 rem_state,
                 subsets,
                 restarts=restarts,
                 seed=seed + 7919 * attempt + 101 * step,
                 tol_product=state.cfg.tol_product,
+                spectra=spectra,
             )
             if hit is None:
                 if step == 0 and attempt >= 1:
@@ -530,16 +566,14 @@ def greedy_decompose(
                     return None
                 break
             weight = np.inf
-            for subset in subsets:
+            for subset, (eigs, vecs) in zip(subsets, spectra):
                 target_vec = hit.vector if not subset else _subset_conjugate(hit.factors, subset)
                 nrm = np.linalg.norm(target_vec)
                 if nrm == 0.0:
                     weight = 0.0
                     break
                 target_vec = target_vec / nrm
-                bound = _peel_weight(
-                    partial_transpose(rem_state, subset).matrix, target_vec, tol_rank
-                )
+                bound = _peel_weight(eigs, vecs, target_vec, tol_rank)
                 weight = min(weight, bound)
                 if weight == 0.0:
                     break

@@ -169,6 +169,76 @@ class TestHitResidualsAreExact:
             self.assert_exact(hit, (3, 3))
 
 
+class TestPowerStepSweep:
+    """The sweep takes each party's lead by a warm-started power step, not an eigensolve."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of eigensolves, Newton steps and batched SVD ratio passes."""
+        count = {"eig": 0, "newton": 0, "batched_svd": 0}
+
+        def counting(owner, name, key, rows_over=None):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                if rows_over is None or args[0].shape[0] > rows_over:
+                    count[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counting(np.linalg, "eigh", "eig")
+        counting(np.linalg, "eigvalsh", "eig")
+        counting(oracle, "_truncated_step", "newton")
+        counting(oracle, "_flattening_ratios", "batched_svd", rows_over=1)
+        return count
+
+    @pytest.mark.parametrize("seed, dims", [(0, (3, 3)), (1, (2, 2, 2))])
+    def test_search_makes_no_eigensolve(self, calls, seed, dims):
+        hit = find_product_vector(planted_basis(seed, dims), restarts=200, seed=seed)
+        assert hit is not None
+        assert calls["eig"] == 0
+        # the hit ends the sweep, whose end-of-chunk SVD ratios would go unused
+        assert calls["batched_svd"] == 0
+
+    def test_negative_search_newton_stops_on_stagnation(self, calls):
+        basis = range_basis(two_qutrit_ab_state(1.0, 1.0))
+        assert find_product_vector(basis, restarts=64, seed=0) is None
+        # 96 steps measured (8 on each of 12 candidates); running every
+        # candidate to its 80-iteration cap took 960
+        assert 0 < calls["newton"] <= 200
+
+    def test_peel_step_diagonalizes_each_transpose_once(self, calls, monkeypatch):
+        searches = [0]
+        real = oracle._find_peelable_product_vector
+
+        def counted(*args, **kwargs):
+            searches[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_find_peelable_product_vector", counted)
+        st_ = random_separable((2, 2, 2), 4, seed=1)
+        before = calls["eig"]
+        assert greedy_decompose(st_, max_terms=6) is not None
+        assert calls["eig"] - before == len(subset_representatives(st_.n)) * searches[0]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2, 2), (3, 3), (2, 3), (2, 4), (2, 2, 2), (3, 2, 2)]),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_bound_dominates_svd_ratio(self, seed, dims, rows):
+        rng = np.random.default_rng(seed)
+        x = random_vec(rng, (rows, int(np.prod(dims))))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        leads = [random_vec(rng, (rows, dp)) for dp in dims]
+        exact = oracle._flattening_ratios(x, dims)
+        for prev in (None, leads):
+            ratios, _, _ = oracle._product_residuals(x, dims, prev)
+            assert np.all(ratios >= exact - 1e-12)
+
+
 class TestKernelCounting:
     def test_family_kernel_has_exactly_six(self):
         hits = count_kernel_product_vectors_3x3(kernel_basis(two_qutrit_ab_state(1.0, 1.0)))
