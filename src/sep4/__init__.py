@@ -19,6 +19,7 @@ from .chow import (
     permute_form,
     subspace_meets_segre,
 )
+from .codec import from_dict, to_dict
 from .engine import (
     ClassificationReport,
     classify,
@@ -49,12 +50,8 @@ from .oracle import (
     bipartite_kernel_product_vectors_2x2x2,
     check_general_position,
     count_kernel_product_vectors_3x3,
-    decomposition_from_dict,
-    decomposition_to_dict,
     find_product_vector,
     greedy_decompose,
-    hit_from_dict,
-    hit_to_dict,
 )
 from .ppt import PptReport, birank, is_ppt
 from .states import (

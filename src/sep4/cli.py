@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .chow import (
     builtin_chow,
@@ -27,8 +25,9 @@ from .chow import (
     generate_chow_Mx2,
     supported_systems,
 )
+from .codec import from_pairs
 from .engine import ENTANGLED, OUT_OF_SCOPE, SEPARABLE, classify, report_to_dict
-from .errors import Sep4Error
+from .errors import Sep4Error, StateFormatError
 from .gallery import (
     divincenzo_state,
     random_ppt_rank4_33,
@@ -128,6 +127,17 @@ def _load_state(path: str, cfg: ToleranceConfig) -> MultiState:
     return state_from_dict(obj, cfg)
 
 
+def _load_basis(path: str) -> SubspaceBasis:
+    with open(path, "r") as fh:
+        obj = json.load(fh)
+    try:
+        return SubspaceBasis(from_pairs(obj["rows"]), tuple(obj["dims"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StateFormatError(
+            f"basis JSON must carry 'dims' and 'rows', a k x d grid of [re, im] pairs: {exc!r}"
+        ) from exc
+
+
 def _human_report(report_dict: dict) -> str:
     lines = [
         f"verdict: {report_dict['verdict']}",
@@ -179,12 +189,7 @@ def _cmd_chow(args) -> int:
         print(json.dumps(form_to_dict(form), indent=1))
         did_something = True
     if args.eval_file:
-        with open(args.eval_file, "r") as fh:
-            obj = json.load(fh)
-        arr = np.asarray(obj["rows"], dtype=float)
-        rows = arr[:, :, 0] + 1j * arr[:, :, 1]
-        basis = SubspaceBasis(rows, tuple(obj["dims"]))
-        vec = pluecker(basis)
+        vec = pluecker(_load_basis(args.eval_file))
         raw = eval_chow(form, vec, normalized=False)
         scaled = eval_chow(form, vec, normalized=True)
         print(f"F (unnormalized) = {raw.real:+.12e}{raw.imag:+.12e}j")

@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chow import builtin_chow, eval_chow
+from .codec import from_dict, to_dict
 from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
 from .grassmann import SubspaceBasis, pluecker
-from .oracle import (
-    Decomposition,
-    DecompositionTerm,
-    decomposition_from_dict,
-    decomposition_to_dict,
-    greedy_decompose,
-)
-from .ppt import PptReport, is_ppt, ppt_report_from_dict, ppt_report_to_dict
+from .oracle import Decomposition, DecompositionTerm, greedy_decompose
+from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
     _rank_from_eigenvalues,
@@ -247,58 +242,9 @@ def classify(
 # --- report serialization ---------------------------------------------------
 
 
-def _complex_pair(z: complex | None):
-    if z is None:
-        return None
-    return [float(z.real), float(z.imag)]
-
-
 def report_to_dict(report: ClassificationReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "rule": report.rule,
-        "dims": list(report.dims),
-        "compressed_dims": list(report.compressed_dims),
-        "dropped_parties": list(report.dropped_parties),
-        "rank": report.rank,
-        "local_ranks": list(report.local_ranks),
-        "ppt": None if report.ppt is None else ppt_report_to_dict(report.ppt),
-        "chow_system": None if report.chow_system is None else list(report.chow_system),
-        "chow_value": _complex_pair(report.chow_value),
-        "chow_abs": report.chow_abs,
-        "low_confidence": report.low_confidence,
-        "decomposition": (
-            None if report.decomposition is None else decomposition_to_dict(report.decomposition)
-        ),
-        "length_bounds": (
-            None if report.length_bounds is None else list(report.length_bounds)
-        ),
-        "notes": list(report.notes),
-    }
+    return to_dict(report)
 
 
 def report_from_dict(obj: dict) -> ClassificationReport:
-    chow_value = obj.get("chow_value")
-    return ClassificationReport(
-        verdict=obj["verdict"],
-        rule=obj["rule"],
-        dims=tuple(obj["dims"]),
-        compressed_dims=tuple(obj["compressed_dims"]),
-        dropped_parties=tuple(obj["dropped_parties"]),
-        rank=int(obj["rank"]),
-        local_ranks=tuple(obj["local_ranks"]),
-        ppt=None if obj["ppt"] is None else ppt_report_from_dict(obj["ppt"]),
-        chow_system=None if obj["chow_system"] is None else tuple(obj["chow_system"]),
-        chow_value=None if chow_value is None else complex(chow_value[0], chow_value[1]),
-        chow_abs=None if obj["chow_abs"] is None else float(obj["chow_abs"]),
-        low_confidence=bool(obj["low_confidence"]),
-        decomposition=(
-            None
-            if obj["decomposition"] is None
-            else decomposition_from_dict(obj["decomposition"])
-        ),
-        length_bounds=(
-            None if obj["length_bounds"] is None else tuple(obj["length_bounds"])
-        ),
-        notes=tuple(obj["notes"]),
-    )
+    return from_dict(ClassificationReport, obj)

@@ -94,4 +94,4 @@ class InconsistentTolerances(Sep4Error):
 
 
 class StateFormatError(Sep4Error):
-    """State JSON is malformed or contains non-finite entries."""
+    """State or basis JSON is malformed or contains non-finite entries."""

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .codec import to_pairs
 from .errors import DuplicateIndex, RankDeficientBasis
 
 # Rows count as independent when the smallest singular value clears this
@@ -188,7 +189,4 @@ def dual_pluecker(q_index, total: int) -> tuple[int, tuple[int, ...]]:
 def pluecker_to_dict(p: PlueckerVector, normalized: bool = False) -> dict[str, list[float]]:
     """Serialize as ``"i1,i2,...,ik" -> [re, im]``."""
     vec = p.normalized if normalized else p.raw
-    return {
-        ",".join(str(i) for i in tup): [float(v.real), float(v.imag)]
-        for tup, v in zip(p.tuples, vec)
-    }
+    return {",".join(str(i) for i in tup): pair for tup, pair in zip(p.tuples, to_pairs(vec))}

@@ -10,13 +10,14 @@ resultants and is reliable up to explicitly detected degeneracies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
 from .chow import subspace_meets_segre
+from .codec import SKIP
 from .errors import DegenerateConfiguration, EigFailure, NotApplicable, WrongDimension
 from .grassmann import SubspaceBasis
 from .ppt import is_ppt
@@ -52,9 +53,16 @@ class ProductVectorHit:
 
 @dataclass(frozen=True)
 class DecompositionTerm:
+    """``vector`` is kept as found, which need not be bit-equal to the
+    product of ``factors``; JSON leaves it out and it is rebuilt."""
+
     weight: float
     factors: tuple[np.ndarray, ...]
-    vector: np.ndarray
+    vector: np.ndarray = field(default=None, metadata=SKIP)
+
+    def __post_init__(self):
+        if self.vector is None:
+            object.__setattr__(self, "vector", assemble_product(self.factors))
 
 
 @dataclass(frozen=True)
@@ -65,9 +73,9 @@ class Decomposition:
     bound on the true minimal length.
     """
 
-    terms: tuple[DecompositionTerm, ...]
     residual: float
     length_upper_bound: int
+    terms: tuple[DecompositionTerm, ...]
 
     def reconstruct(self) -> np.ndarray:
         d = self.terms[0].vector.shape[0]
@@ -75,65 +83,6 @@ class Decomposition:
         for term in self.terms:
             out += term.weight * np.outer(term.vector, term.vector.conj())
         return out
-
-
-def _vector_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex).ravel()]
-
-
-def _vector_from_pairs(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def hit_to_dict(hit: ProductVectorHit) -> dict:
-    return {
-        "coefficients": _vector_pairs(hit.coefficients),
-        "vector": _vector_pairs(hit.vector),
-        "factors": [_vector_pairs(f) for f in hit.factors],
-        "residual": hit.residual,
-    }
-
-
-def hit_from_dict(obj: dict) -> ProductVectorHit:
-    return ProductVectorHit(
-        coefficients=_vector_from_pairs(obj["coefficients"]),
-        vector=_vector_from_pairs(obj["vector"]),
-        factors=tuple(_vector_from_pairs(f) for f in obj["factors"]),
-        residual=float(obj["residual"]),
-    )
-
-
-def decomposition_to_dict(dec: Decomposition) -> dict:
-    return {
-        "residual": dec.residual,
-        "length_upper_bound": dec.length_upper_bound,
-        "terms": [
-            {
-                "weight": term.weight,
-                "factors": [_vector_pairs(f) for f in term.factors],
-            }
-            for term in dec.terms
-        ],
-    }
-
-
-def decomposition_from_dict(obj: dict) -> Decomposition:
-    terms = []
-    for record in obj["terms"]:
-        factors = tuple(_vector_from_pairs(f) for f in record["factors"])
-        terms.append(
-            DecompositionTerm(
-                weight=float(record["weight"]),
-                factors=factors,
-                vector=assemble_product(factors),
-            )
-        )
-    return Decomposition(
-        terms=tuple(terms),
-        residual=float(obj["residual"]),
-        length_upper_bound=int(obj["length_upper_bound"]),
-    )
 
 
 def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:

@@ -23,8 +23,8 @@ class SubsetRecord:
 @dataclass(frozen=True)
 class PptReport:
     is_ppt: bool
-    records: tuple[SubsetRecord, ...]
     worst_subset: tuple[int, ...]
+    records: tuple[SubsetRecord, ...]
 
 
 def subset_representatives(n: int) -> list[tuple[int, ...]]:
@@ -71,33 +71,3 @@ def birank(state: MultiState) -> tuple[int, int]:
     if state.n != 2:
         raise NotBipartite(f"birank needs 2 parties, state has {state.n}")
     return rank_of(state), rank_of(partial_transpose(state, (1,)))
-
-
-def ppt_report_to_dict(report: PptReport) -> dict:
-    return {
-        "is_ppt": report.is_ppt,
-        "worst_subset": list(report.worst_subset),
-        "records": [
-            {
-                "subset": list(rec.subset),
-                "min_eigenvalue": rec.min_eigenvalue,
-                "rank": rec.rank,
-            }
-            for rec in report.records
-        ],
-    }
-
-
-def ppt_report_from_dict(obj: dict) -> PptReport:
-    return PptReport(
-        is_ppt=bool(obj["is_ppt"]),
-        worst_subset=tuple(obj["worst_subset"]),
-        records=tuple(
-            SubsetRecord(
-                subset=tuple(rec["subset"]),
-                min_eigenvalue=float(rec["min_eigenvalue"]),
-                rank=int(rec["rank"]),
-            )
-            for rec in obj["records"]
-        ),
-    )

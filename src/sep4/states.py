@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from .codec import from_pairs, to_pairs
 from .errors import (
     AllPartiesTrivial,
     DimensionMismatch,
@@ -329,12 +330,7 @@ def assemble_product(factors) -> np.ndarray:
 
 def state_to_dict(state: MultiState) -> dict:
     """Dense row-major JSON form: entries as [re, im] pairs."""
-    return {
-        "dims": list(state.dims),
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in state.matrix
-        ],
-    }
+    return {"dims": list(state.dims), "matrix": to_pairs(state.matrix)}
 
 
 def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
@@ -344,16 +340,14 @@ def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiStat
     dims = obj["dims"]
     if not isinstance(dims, list) or not dims or not all(isinstance(x, int) for x in dims):
         raise StateFormatError("'dims' must be a nonempty list of integers")
-    raw = obj["matrix"]
     try:
-        arr = np.asarray(raw, dtype=float)
+        m = from_pairs(obj["matrix"])
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"'matrix' is not a dense [re, im] grid: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise StateFormatError(f"'matrix' has shape {arr.shape}, expected (d, d, 2)")
-    if not np.all(np.isfinite(arr)):
+    if np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
+        raise StateFormatError(f"'matrix' is a {np.shape(m)} grid of pairs, expected (d, d)")
+    if not np.all(np.isfinite(m)):
         raise StateFormatError("'matrix' contains NaN or Inf")
-    m = arr[:, :, 0] + 1j * arr[:, :, 1]
     try:
         return new_state(m, dims, cfg)
     except (DimensionMismatch, NotHermitian, NotPositive) as exc:

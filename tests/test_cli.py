@@ -82,6 +82,17 @@ class TestChowCommand:
         unnormalized = out.splitlines()[0]
         assert unnormalized.startswith("F (unnormalized) = -1.0")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"dims": [3, 3]}, {"dims": [3, 3], "rows": [list(range(1, 10))]}, [[3, 3]]],
+        ids=["missing-rows", "rows-not-pairs", "top-level-list"],
+    )
+    def test_malformed_basis_is_a_parse_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(payload))
+        assert main(["chow", "--system", "3x3", "--eval", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: StateFormatError")
+
     def test_generated_mx2(self, capsys):
         assert main(["chow", "--system", "Mx2:5", "--print"]) == 0
         blob = json.loads(capsys.readouterr().out)

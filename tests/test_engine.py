@@ -272,22 +272,48 @@ class TestEigensolveBudget:
         assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 2
 
 
+def bell_plus_noise():
+    bell = ket(1, 0, 0, 1) / np.sqrt(2)
+    noise = ket(0, 1, 0, 0)
+    return new_state(0.9 * np.outer(bell, bell) + 0.1 * np.outer(noise, noise), (2, 2))
+
+
 class TestReportSerialization:
+    REPORT_KEYS = [
+        "verdict", "rule", "dims", "compressed_dims", "dropped_parties", "rank",
+        "local_ranks", "ppt", "chow_system", "chow_value", "chow_abs",
+        "low_confidence", "decomposition", "length_bounds", "notes",
+    ]
+
     @pytest.mark.parametrize(
-        "state",
+        "state, rule",
         [
-            divincenzo_state(),
-            two_qutrit_ab_state(0.0, 1.0),
-            new_state(np.eye(6), (2, 3)),
+            (divincenzo_state(), "Chow222"),
+            (two_qutrit_ab_state(0.0, 1.0), "Chow33"),
+            (new_state(np.eye(6), (2, 3)), "RankAbove4"),
+            (new_state(np.outer(ket(0, 1, 0, 0), ket(0, 1, 0, 0)), (2, 2)), "Rank1Product"),
+            (bell_plus_noise(), "NPT"),
         ],
-        ids=["entangled", "separable", "out-of-scope"],
+        ids=["entangled", "separable", "out-of-scope", "pure-product", "npt"],
     )
-    def test_json_round_trip(self, state):
+    def test_json_round_trip(self, state, rule):
         report = classify(state)
-        first = report_to_dict(report)
-        back = report_from_dict(json.loads(json.dumps(first)))
+        assert report.rule == rule
+        blob = json.dumps(report_to_dict(report))
+        payload = json.loads(blob)
+        back = report_from_dict(payload)
         assert isinstance(back, ClassificationReport)
-        assert report_to_dict(back) == first
+        # compare bytes: dict equality would not see a reordered field
+        assert json.dumps(report_to_dict(back)) == blob
+        assert list(payload) == self.REPORT_KEYS
+        if payload["ppt"] is not None:
+            assert list(payload["ppt"]) == ["is_ppt", "worst_subset", "records"]
+            for record in payload["ppt"]["records"]:
+                assert list(record) == ["subset", "min_eigenvalue", "rank"]
+        if payload["decomposition"] is not None:
+            assert list(payload["decomposition"]) == ["residual", "length_upper_bound", "terms"]
+            for term in payload["decomposition"]["terms"]:
+                assert list(term) == ["weight", "factors"]
 
     def test_rule_matches_enum_string(self):
         payload = report_to_dict(classify(divincenzo_state()))

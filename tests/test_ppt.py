@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from sep4 import from_dict, to_dict
 from sep4.errors import NotBipartite
 from sep4.gallery import divincenzo_state, random_separable, two_qutrit_ab_state
-from sep4.ppt import birank, is_ppt, ppt_report_from_dict, ppt_report_to_dict, subset_representatives
+from sep4.ppt import PptReport, birank, is_ppt, subset_representatives
 from sep4.states import MultiState, new_state, partial_transpose, rank_of
 
 
@@ -92,5 +93,5 @@ class TestBirank:
 class TestReportJson:
     def test_round_trip(self):
         report = is_ppt(two_qutrit_ab_state(1.0, 1.0))
-        back = ppt_report_from_dict(ppt_report_to_dict(report))
+        back = from_dict(PptReport, to_dict(report))
         assert back == report
