@@ -70,7 +70,7 @@ class WrongDimension(Sep4Error):
 
 
 class DegenerateConfiguration(Sep4Error):
-    """Root clusters too tight to count product vectors reliably."""
+    """No coordinate change certified an exact count of product vectors."""
 
 
 class NotApplicable(Sep4Error):

@@ -2,14 +2,17 @@
 
 The searches here are numerical and one-sided: a hit certifies that a
 product vector exists (it is exhibited), while "none found" is evidence,
-not proof, of a completely entangled subspace.  The exact counting
-routine for 5-dimensional kernels in 3 x 3 eliminates one party with
-resultants and is reliable up to explicitly detected degeneracies.
+not proof, of a completely entangled subspace.  Every hit, searched or
+counted, is finished by the one Gauss-Newton polish (:func:`_polish_hit`)
+and certified by an exact SVD.  The exact counting routine for
+5-dimensional kernels in 3 x 3 takes its polynomials from sampled
+determinants and an FFT, eliminates one party with a sampled Sylvester
+resultant, and answers only when a coordinate change certifies six
+distinct transverse product vectors, which by Bezout are all of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
@@ -140,7 +143,7 @@ def _flattening_ratios(x: np.ndarray, dims) -> np.ndarray:
 
 
 def _alternate_to_product(
-    coeffs: np.ndarray, onb: np.ndarray, dims, max_sweeps: int = MAX_SWEEPS, polish=None
+    coeffs: np.ndarray, onb: np.ndarray, dims, polish
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, ProductVectorHit | None]:
     """Alternate nearest-product and subspace-projection steps.
 
@@ -166,14 +169,13 @@ def _alternate_to_product(
     active = np.arange(x.shape[0])
     leads = None
     hit = None
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         ratios, gap, leads = _product_residuals(x[active], dims, leads)
-        if polish is not None:
-            fresh = active[(ratios <= POLISH_RATIO) & ~tried[active]]
-            tried[fresh] = True
-            hit = next((h for h in map(polish, x[fresh]) if h is not None), None)
-            if hit is not None:
-                break
+        fresh = active[(ratios <= POLISH_RATIO) & ~tried[active]]
+        tried[fresh] = True
+        hit = next((h for h in map(polish, x[fresh]) if h is not None), None)
+        if hit is not None:
+            break
         moving = np.abs(gap_prev[active] - gap) >= SWEEP_EPS
         gap_prev[active] = gap
         active = active[moving]
@@ -212,6 +214,33 @@ def _truncated_step(jac: np.ndarray, rhs: np.ndarray, residual: float):
     return vh[keep].conj().T @ coeffs
 
 
+def _polish_hit(vec, onb, blocks, dims, coeff_rows, tol_product) -> ProductVectorHit | None:
+    """Polish ``vec`` into a certified product vector obeying ``blocks``, or ``None``.
+
+    Gauss-Newton (:func:`_compatible_newton`) from the factors of ``vec``,
+    then projection onto the span of the orthonormal rows ``onb``; the hit
+    counts only when the exact SVD ratio of the projected vector is at
+    most ``tol_product``.  Its coefficients refer to ``coeff_rows``.
+    """
+    factors = _compatible_newton(product_factors(vec, dims), blocks, dims)
+    if factors is None:
+        return None
+    vec = (assemble_product(factors) @ onb.conj().T) @ onb
+    nrm = np.linalg.norm(vec)
+    if nrm < 1e-8:
+        return None
+    vec = vec / nrm
+    ratio = float(_flattening_ratios(vec[None, :], dims)[0])
+    if ratio > tol_product:
+        return None
+    return ProductVectorHit(
+        coefficients=np.linalg.lstsq(coeff_rows.T, vec, rcond=None)[0],
+        vector=vec,
+        factors=product_factors(vec, dims),
+        residual=ratio,
+    )
+
+
 def _search_product_vector(
     onb, blocks, dims, coeff_rows, restarts, seed, chunk_size, cutoff, tol_product
 ):
@@ -220,30 +249,13 @@ def _search_product_vector(
     ``onb`` is an orthonormal row basis of the subspace searched and
     ``blocks`` the conditions of :func:`_compatible_newton`, the subspace's
     own ``()`` block among them.  Chunks of ``chunk_size`` random starts are
-    swept; rows are polished as they reach ``POLISH_RATIO`` inside the
-    sweep, and after it the best 12 rows not yet polished whose ratio is
-    at most ``cutoff``.  A hit is certified by an exact SVD ratio at most
-    ``tol_product``; its coefficients refer to ``coeff_rows``.
+    swept; rows are polished (:func:`_polish_hit`) as they reach
+    ``POLISH_RATIO`` inside the sweep, and after it the best 12 rows not
+    yet polished whose ratio is at most ``cutoff``.
     """
 
     def polish(vec):
-        factors = _compatible_newton(product_factors(vec, dims), blocks, dims)
-        if factors is None:
-            return None
-        vec = (assemble_product(factors) @ onb.conj().T) @ onb
-        nrm = np.linalg.norm(vec)
-        if nrm < 1e-8:
-            return None
-        vec = vec / nrm
-        ratio = float(_flattening_ratios(vec[None, :], dims)[0])
-        if ratio > tol_product:
-            return None
-        return ProductVectorHit(
-            coefficients=np.linalg.lstsq(coeff_rows.T, vec, rcond=None)[0],
-            vector=vec,
-            factors=product_factors(vec, dims),
-            residual=ratio,
-        )
+        return _polish_hit(vec, onb, blocks, dims, coeff_rows, tol_product)
 
     rng = np.random.default_rng(seed)
     shape = (restarts, onb.shape[0])
@@ -550,197 +562,107 @@ def greedy_decompose(
 # four 3 x 3 minors zero.  After a random projective change of
 # coordinates a = T (1, s, t), two of the four cubic minor curves are
 # eliminated by a resultant in t, giving a univariate polynomial in s of
-# degree at most 9.
+# degree at most 9.  Both the minors and the resultant are sampled
+# determinants on roots of unity, turned into coefficients by an FFT.
 
-_FFT_SAMPLES = 32
 _COEFF_TRIM = 1e-9
 _CLUSTER_GAP = 1e-6
+_RANK_GAP = 1e-6
 
 
-def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
-    for (i, j), val in np.ndenumerate(a):
-        if val != 0.0:
-            out[i : i + b.shape[0], j : j + b.shape[1]] += val * b
-    return out
+def _unit_roots(n: int) -> np.ndarray:
+    """The ``n``-th roots of unity exp(2 pi i m / n).
+
+    At these samples the forward FFT of the values of a polynomial of
+    degree below ``n`` is ``n`` times its coefficients, lowest degree first.
+    """
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _det3_poly(rows) -> np.ndarray:
-    """Determinant of a 3 x 3 matrix of bivariate coefficient arrays."""
-    acc = np.zeros((1, 1), dtype=complex)
-    for perm, sign in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-    ):
-        term = reduce(_poly2_mul, (rows[r][perm[r]] for r in range(3)))
-        if term.shape[0] > acc.shape[0] or term.shape[1] > acc.shape[1]:
-            grown = np.zeros(
-                (max(term.shape[0], acc.shape[0]), max(term.shape[1], acc.shape[1])),
-                dtype=complex,
-            )
-            grown[: acc.shape[0], : acc.shape[1]] = acc
-            acc = grown
-        acc[: term.shape[0], : term.shape[1]] += sign * term
-    return acc
-
-
-def _poly2_eval(coeffs: np.ndarray, s: complex, t: complex) -> complex:
-    val = 0.0 + 0.0j
-    for (i, j), c in np.ndenumerate(coeffs):
-        if c != 0.0:
-            val += c * s**i * t**j
-    return val
-
-
-def _poly2_eval_grad(coeffs: np.ndarray, s: complex, t: complex) -> tuple[complex, complex, complex]:
-    f = _poly2_eval(coeffs, s, t)
-    fs = 0.0 + 0.0j
-    ft = 0.0 + 0.0j
-    for (i, j), c in np.ndenumerate(coeffs):
-        if c == 0.0:
-            continue
-        if i > 0:
-            fs += i * c * s ** (i - 1) * t**j
-        if j > 0:
-            ft += j * c * s**i * t ** (j - 1)
-    return f, fs, ft
-
-
-def _tpoly_at_s(coeffs: np.ndarray, s: complex) -> np.ndarray:
-    """Coefficients in t of a bivariate polynomial at fixed s."""
-    powers = s ** np.arange(coeffs.shape[0])
-    return powers @ coeffs
-
-
-def _trim_poly(c: np.ndarray, rel: float = _COEFF_TRIM) -> np.ndarray:
+def _trim_poly(c: np.ndarray) -> np.ndarray:
     scale = np.abs(c).max()
     if scale == 0.0:
         return c[:1]
-    keep = np.flatnonzero(np.abs(c) > rel * scale)
+    keep = np.flatnonzero(np.abs(c) > _COEFF_TRIM * scale)
     return c[: keep[-1] + 1]
 
 
-def _resultant_in_t(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Resultant of two cubics in t, as a polynomial in s (low-to-high)."""
-    samples = np.exp(2j * np.pi * np.arange(_FFT_SAMPLES) / _FFT_SAMPLES)
-    values = np.empty(_FFT_SAMPLES, dtype=complex)
-    for m, s in enumerate(samples):
-        cp = _tpoly_at_s(p, s)
-        cq = _tpoly_at_s(q, s)
-        syl = np.zeros((6, 6), dtype=complex)
-        for r in range(3):
-            syl[r, r : r + 4] = cp[::-1]
-            syl[3 + r, r : r + 4] = cq[::-1]
-        values[m] = np.linalg.det(syl)
-    # samples sit at exp(+2 pi i m / N), so the forward transform recovers
-    # the coefficients in increasing degree
-    return np.fft.fft(values) / _FFT_SAMPLES
+def _transverse(a: np.ndarray, b: np.ndarray, bilinear: np.ndarray) -> bool:
+    """Whether the kernel meets the Segre cone transversally at a (x) b.
+
+    The cone's tangent space at a (x) b, spanned by e_i (x) b and
+    a (x) e_j, must meet the kernel only in the line of the hit: the four
+    conditions M_j have rank 4 on it (the 4 x 6 matrix [M_j b | a^T M_j]).
+    """
+    sv = np.linalg.svd(np.hstack([bilinear @ b, a @ bilinear]), compute_uv=False)
+    return sv[3] > _RANK_GAP * sv[0]
 
 
-def _newton_refine(p: np.ndarray, q: np.ndarray, s: complex, t: complex, scale: float):
-    for _ in range(25):
-        f1, f1s, f1t = _poly2_eval_grad(p, s, t)
-        f2, f2s, f2t = _poly2_eval_grad(q, s, t)
-        res = math.hypot(abs(f1), abs(f2))
-        if res < 1e-14 * scale:
-            break
-        jac = np.array([[f1s, f1t], [f2s, f2t]])
-        rhs = np.array([f1, f2])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)) or max(abs(step[0]), abs(step[1])) > 1.0:
-            break
-        s, t = s - step[0], t - step[1]
-    return s, t
+def _kernel_pv_round(complement, onb, kernel, rng, membership_tol):
+    """One coordinate-change round: six certified hits, or ``None``.
 
-
-def _polish_in_subspace(vec: np.ndarray, onb: np.ndarray, dims) -> tuple[np.ndarray, float]:
-    coeff = (vec @ onb.conj().T)[None, :]
-    nrm = np.linalg.norm(coeff)
-    if nrm < 1e-12:
-        return vec, np.inf
-    x, ratios, _, _ = _alternate_to_product(coeff / nrm, onb, dims, max_sweeps=60)
-    return x[0], float(ratios[0])
-
-
-def _dedup_append(vectors: list[np.ndarray], vec: np.ndarray) -> bool:
-    for known in vectors:
-        if abs(np.vdot(known, vec)) > DEDUP_OVERLAP:
-            return False
-    vectors.append(vec)
-    return True
-
-
-def _kernel_pv_round(bilinear, onb, dims, rng, membership_tol):
-    """One coordinate-change round; returns (hits, reliable flag)."""
+    The round certifies its answer only when the resultant's roots are
+    isolated and they yield six distinct polished hits, each a transverse
+    intersection; a degree-6 intersection has no room for a seventh.
+    """
+    bilinear = complement.conj().reshape(4, 3, 3)
     t_mat, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    rotated = [t_mat.T @ m for m in bilinear]
 
-    # cubic minor curves of the 4 x 3 coefficient matrix C(s, t)
-    entry_polys = []
-    for nj in rotated:
-        row = []
-        for c in range(3):
-            coeff = np.zeros((2, 2), dtype=complex)
-            coeff[0, 0] = nj[0, c]
-            coeff[1, 0] = nj[1, c]
-            coeff[0, 1] = nj[2, c]
-            row.append(coeff)
-        entry_polys.append(row)
-    minors = []
-    for drop in range(4):
-        rows = [entry_polys[r] for r in range(4) if r != drop]
-        minors.append(_det3_poly(rows))
-
-    m1, m2 = minors[0], minors[1]
+    # the cubic minor curves dropping rows 0 and 1 of C(s, t), sampled on a
+    # 4 x 4 grid; coefficient [i, j] belongs to s^i t^j
+    z = _unit_roots(4)
+    grid = np.stack(np.broadcast_arrays(1.0, z[:, None], z[None, :]), axis=-1) @ t_mat.T
+    c_grid = np.einsum("sta,jab->stjb", grid, bilinear)
+    m1, m2 = (
+        np.fft.fft2(np.linalg.det(c_grid[..., rows, :])) / 16 for rows in ([1, 2, 3], [0, 2, 3])
+    )
     scale = max(np.abs(m1).max(), np.abs(m2).max())
     if scale == 0.0:
-        return [], False
+        return None
     # t-degree drop makes the Sylvester eliminant unreliable
     if abs(m1[0, 3]) < 1e-10 * np.abs(m1).max() or abs(m2[0, 3]) < 1e-10 * np.abs(m2).max():
-        return [], False
+        return None
 
-    res = _trim_poly(_resultant_in_t(m1, m2))
-    if np.abs(res).max() < 1e-12:
-        return [], False
-    if res.shape[0] < 2:
-        return [], True
+    # Sylvester resultant in t of degree at most 9 in s, sampled at 16 points
+    powers = _unit_roots(16)[:, None] ** np.arange(4)
+    syl = np.zeros((16, 6, 6), dtype=complex)
+    for r in range(3):
+        syl[:, r, r : r + 4] = (powers @ m1)[:, ::-1]
+        syl[:, 3 + r, r : r + 4] = (powers @ m2)[:, ::-1]
+    res = _trim_poly(np.fft.fft(np.linalg.det(syl)) / 16)
+    if np.abs(res).max() < 1e-12 or res.shape[0] < 2:
+        return None
     s_roots = np.roots(res[::-1])
+    gaps = np.abs(np.subtract.outer(s_roots, s_roots))[np.triu_indices(len(s_roots), 1)]
+    if np.any(gaps < _CLUSTER_GAP):
+        return None
 
-    reliable = True
-    for i in range(len(s_roots)):
-        for j in range(i + 1, len(s_roots)):
-            if abs(s_roots[i] - s_roots[j]) < _CLUSTER_GAP:
-                reliable = False
-
-    hits_vecs: list[np.ndarray] = []
-    hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    blocks = [((), complement)]
+    hits: list[ProductVectorHit] = []
     for s0 in s_roots:
-        tc = _trim_poly(_tpoly_at_s(m1, s0))
+        s_pow = s0 ** np.arange(4)
+        tc = _trim_poly(s_pow @ m1)
         if tc.shape[0] < 2:
             continue
         for t0 in np.roots(tc[::-1]):
-            if abs(_poly2_eval(m2, s0, t0)) > 1e-4 * scale * max(1.0, abs(s0), abs(t0)) ** 3:
+            bound = 1e-4 * scale * max(1.0, abs(s0), abs(t0)) ** 3
+            if abs(s_pow @ m2 @ t0 ** np.arange(4)) > bound:
                 continue
-            s1, t1 = _newton_refine(m1, m2, s0, t0, scale)
-            a = t_mat @ np.array([1.0, s1, t1])
+            a = t_mat @ np.array([1.0, s0, t0])
             a /= np.linalg.norm(a)
-            coeff_mat = np.array([a @ m for m in bilinear])
-            _, sv, vh = np.linalg.svd(coeff_mat)
-            if sv[2] > 1e-6 * sv[0]:
+            _, sv, vh = np.linalg.svd(a @ bilinear)
+            if sv[2] > _RANK_GAP * sv[0]:
                 continue
-            b = vh[2].conj()
-            vec = np.kron(a, b)
-            vec, ratio = _polish_in_subspace(vec, onb, dims)
-            membership = np.linalg.norm(vec - (vec @ onb.conj().T) @ onb)
-            if ratio > membership_tol or membership > membership_tol:
-                continue
-            if _dedup_append(hits_vecs, vec):
-                fac = product_factors(vec, dims)
-                hits.append((vec, fac[0], fac[1]))
-    return hits, reliable
+            hit = _polish_hit(
+                np.kron(a, vh[2].conj()), onb, blocks, kernel.dims, kernel.rows, membership_tol
+            )
+            if hit is not None and all(
+                abs(np.vdot(h.vector, hit.vector)) <= DEDUP_OVERLAP for h in hits
+            ):
+                hits.append(hit)
+    if len(hits) != 6 or not all(_transverse(*h.factors, bilinear) for h in hits):
+        return None
+    return hits
 
 
 def count_kernel_product_vectors_3x3(
@@ -748,55 +670,30 @@ def count_kernel_product_vectors_3x3(
 ) -> list[ProductVectorHit]:
     """All product vectors in a 5-dimensional kernel of a 3 x 3 system.
 
-    Three independent random coordinate changes vote on the count;
-    :class:`DegenerateConfiguration` is raised when root clusters make
-    every round unreliable or the reliable rounds disagree.
+    Returns the six vectors of the first of at most three random
+    coordinate changes whose round certifies them: isolated resultant
+    roots, six distinct hits polished by Gauss-Newton to a flattening ratio
+    at most ``membership_tol``, each a transverse intersection.  By Bezout
+    these are all of them, since the Segre variety P2 x P2 has degree 6.
+    :class:`DegenerateConfiguration` is raised when no round certifies,
+    as on kernels whose product vectors are not isolated.
     """
     if kernel.dims != (3, 3) or kernel.k != 5:
         raise WrongDimension(
             f"expected a 5-dim subspace of dims (3, 3), got k={kernel.k}, dims={kernel.dims}"
         )
     _, _, vh = np.linalg.svd(kernel.rows)
-    complement = vh[5:]
-    bilinear = [complement[j].conj().reshape(3, 3) for j in range(4)]
-    onb = vh[:5]
-
     rng = np.random.default_rng(seed)
-    rounds = []
     for _ in range(3):
-        hits, reliable = _kernel_pv_round(bilinear, onb, kernel.dims, rng, membership_tol)
-        rounds.append((hits, reliable))
-
-    reliable_rounds = [hits for hits, ok in rounds if ok]
-    if not reliable_rounds:
-        raise DegenerateConfiguration(
-            "root clusters closer than 1e-6 in all three coordinate changes"
-        )
-    counts = [len(hits) for hits in reliable_rounds]
-    winner = None
-    for count in counts:
-        if counts.count(count) >= 2 or len(counts) == 1:
-            winner = count
-            break
-    if winner is None:
-        raise DegenerateConfiguration(f"coordinate-change rounds disagree on count: {counts}")
-    chosen = next(hits for hits in reliable_rounds if len(hits) == winner)
-
-    ordered = sorted(
-        chosen, key=lambda h: tuple(np.round(np.concatenate([h[0].real, h[0].imag]), 6))
-    )
-    out = []
-    for vec, fa, fb in ordered:
-        coeff = np.linalg.lstsq(kernel.rows.T, vec, rcond=None)[0]
-        out.append(
-            ProductVectorHit(
-                coefficients=coeff,
-                vector=vec,
-                factors=(fa, fb),
-                residual=float(_flattening_ratios(vec[None, :], kernel.dims)[0]),
+        hits = _kernel_pv_round(vh[5:], vh[:5], kernel, rng, membership_tol)
+        if hits is not None:
+            return sorted(
+                hits,
+                key=lambda h: tuple(np.round(np.concatenate([h.vector.real, h.vector.imag]), 6)),
             )
-        )
-    return out
+    raise DegenerateConfiguration(
+        "no coordinate change certified six distinct transverse product vectors"
+    )
 
 
 # --- the four bipartite kernel product vectors of a 2x2x2 entangled state --
@@ -844,16 +741,14 @@ def bipartite_kernel_product_vectors_2x2x2(
     kernel_rows = vecs[:, np.abs(eigs) <= state.cfg.tol_rank * np.abs(eigs).max()].T
     if kernel_rows.shape[0] != 4:
         raise NotApplicable("kernel is not four-dimensional")
-    bilinear = [kernel_rows[j].conj().reshape(2, 4) for j in range(4)]
+    bilinear = kernel_rows.conj().reshape(4, 2, 4)
 
     rng = np.random.default_rng(seed)
+    z = _unit_roots(8)
     for _ in range(3):
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        samples = np.exp(2j * np.pi * np.arange(8) / 8)
-        values = np.empty(8, dtype=complex)
-        for m, z in enumerate(samples):
-            a = u @ np.array([1.0, z])
-            values[m] = np.linalg.det(np.array([a @ mj for mj in bilinear]))
+        samples = np.stack([np.ones(8), z], axis=1) @ u.T
+        values = np.linalg.det(np.einsum("ma,jab->mjb", samples, bilinear))
         quartic = _trim_poly(np.fft.fft(values) / 8)
         if quartic.shape[0] == 5:
             break
@@ -865,9 +760,8 @@ def bipartite_kernel_product_vectors_2x2x2(
     for z in np.roots(quartic[::-1]):
         a = u @ np.array([1.0, z])
         a /= np.linalg.norm(a)
-        coeff_mat = np.array([a @ mj for mj in bilinear])
-        _, sv, vh = np.linalg.svd(coeff_mat)
-        if sv[3] > 1e-6 * sv[0]:
+        _, sv, vh = np.linalg.svd(a @ bilinear)
+        if sv[3] > _RANK_GAP * sv[0]:
             raise NotApplicable("range product vector is not isolated")
         cut_factors.append(a)
         rest_vectors.append(vh[3].conj())

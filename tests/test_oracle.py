@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sep4.oracle as oracle
-from sep4.errors import NotApplicable, WrongDimension
+from sep4.errors import DegenerateConfiguration, NotApplicable, WrongDimension
 from sep4.gallery import (
     divincenzo_state,
     random_separable,
@@ -263,12 +263,54 @@ class TestKernelCounting:
         overlaps = [abs(np.vdot(h.vector, target)) / np.linalg.norm(target) for h in hits]
         assert max(overlaps) >= 1 - 1e-8
 
-    def test_separable_rank4_kernel_recorded_behavior(self):
-        # complement of four generic product projectors: six product
-        # vectors observed, matching the generic count
-        st_ = random_separable((3, 3), 4, seed=2)
-        hits = count_kernel_product_vectors_3x3(kernel_basis(st_))
-        assert len(hits) >= 6
+    @pytest.mark.parametrize("kind", ["separable", "random"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_separable_rank4_kernel_recorded_behavior(self, kind, seed):
+        # complement of four generic product projectors, or a random
+        # 5-dim subspace: the generic count of six, each hit exact
+        if kind == "separable":
+            kernel = kernel_basis(random_separable((3, 3), 4, seed=seed))
+        else:
+            rng = np.random.default_rng(seed)
+            kernel = SubspaceBasis(np.vstack([random_vec(rng, 9) for _ in range(5)]), (3, 3))
+        hits = count_kernel_product_vectors_3x3(kernel)
+        assert len(hits) == 6
+        q, _ = np.linalg.qr(kernel.rows.T)
+        for hit in hits:
+            assert svd_flattening_ratio(hit.vector, (3, 3)) <= 1e-8
+            assert np.linalg.norm(hit.vector - q @ (q.conj().T @ hit.vector)) <= 1e-8
+
+    @pytest.mark.parametrize("planted", [
+        [(0, 0), (0, 1), (0, 2)],  # the plane e0 (x) C^3
+        [(0, 0), (0, 1)],  # the line e0 (x) span(e0, e1)
+        [(0, 0), (1, 0)],  # the line span(e0, e1) (x) e0
+    ])
+    def test_non_isolated_families_raise(self, planted):
+        # every 5-dim subspace meets the Segre variety, and these meet it
+        # in infinitely many points: no finite answer is right
+        rng = np.random.default_rng(0)
+        e = np.eye(3)
+        rows = np.vstack(
+            [np.kron(e[i], e[j]) for i, j in planted]
+            + [random_vec(rng, 9) for _ in range(5 - len(planted))]
+        )
+        with pytest.raises(DegenerateConfiguration):
+            count_kernel_product_vectors_3x3(SubspaceBasis(rows, (3, 3)))
+
+    def test_transversality_certificate(self):
+        # the counted hits are transverse; a point on a line of product
+        # vectors inside the kernel is not, its tangent holding the line
+        kernel = kernel_basis(two_qutrit_ab_state(1.0, 1.0))
+        bilinear = np.linalg.svd(kernel.rows)[2][5:].conj().reshape(4, 3, 3)
+        for hit in count_kernel_product_vectors_3x3(kernel):
+            assert oracle._transverse(*hit.factors, bilinear)
+        rng = np.random.default_rng(0)
+        e = np.eye(3)
+        rows = np.vstack(
+            [np.kron(e[0], e[0]), np.kron(e[0], e[1])] + [random_vec(rng, 9) for _ in range(3)]
+        )
+        bilinear = np.linalg.svd(rows)[2][5:].conj().reshape(4, 3, 3)
+        assert not oracle._transverse(e[0], (e[0] + 2 * e[1]) / np.sqrt(5), bilinear)
 
     def test_wrong_dimension_rejected(self):
         rng = np.random.default_rng(12)
