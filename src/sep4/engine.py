@@ -121,18 +121,17 @@ def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
     )
 
 
-def classify(
-    state: MultiState, seed: int = 0, decompose: bool = True, restarts: int = 200
-) -> ClassificationReport:
+def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> ClassificationReport:
     """Decide separable / entangled / out-of-scope for ``state``.
 
-    On separable verdicts a greedy decomposition is attempted
-    (best-effort; its absence never changes the verdict) and length
-    bounds are attached.  One spectral pass, kept for this call only:
-    the reduced states are diagonalized in :func:`compress_support`, the
-    compressed state here, and each representative partial transpose in
-    :func:`is_ppt` (whose empty subset repeats the compressed state's
-    eigenvalues).
+    On separable verdicts length bounds are attached and, with
+    ``decompose``, one greedy peel pass of at most ``length_bounds[1]``
+    terms is made; the decomposition is ``None`` when that pass does not
+    close (its absence never changes the verdict).  One spectral pass,
+    kept for this call only: the reduced states are diagonalized in
+    :func:`compress_support`, the compressed state here, and each
+    representative partial transpose in :func:`is_ppt` (whose empty
+    subset repeats the compressed state's eigenvalues).
     """
     base = dict(
         dims=state.dims,
@@ -180,17 +179,7 @@ def classify(
         )
         if verdict == SEPARABLE:
             bounds = _bounds_for(rank, cdims)
-            dec = None
-            if decompose:
-                dec = greedy_decompose(
-                    state, max_terms=bounds[1], seed=seed, restarts=restarts
-                )
-                if dec is None:
-                    # greedy peels may spend extra terms lowering transpose
-                    # ranks before the state rank drops
-                    dec = greedy_decompose(
-                        state, max_terms=bounds[1] + 2, seed=seed + 1, restarts=restarts
-                    )
+            dec = greedy_decompose(state, max_terms=bounds[1], seed=seed) if decompose else None
             return replace(report, decomposition=dec, length_bounds=bounds)
         return report
 

@@ -23,7 +23,7 @@ from .chow import subspace_meets_segre
 from .codec import SKIP
 from .errors import DegenerateConfiguration, EigFailure, NotApplicable, WrongDimension
 from .grassmann import SubspaceBasis
-from .ppt import is_ppt
+from .ppt import is_ppt, subset_representatives
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
@@ -38,6 +38,7 @@ MAX_SWEEPS = 200
 SWEEP_EPS = 1e-14
 POLISH_RATIO = 1e-3
 DEDUP_OVERLAP = 1 - 1e-8
+PEEL_RESTARTS = 200
 
 
 @dataclass(frozen=True)
@@ -480,14 +481,8 @@ def _find_peelable_product_vector(
     )
 
 
-def greedy_decompose(
-    state: MultiState,
-    max_terms: int = 8,
-    seed: int = 0,
-    restarts: int = 200,
-    attempts: int = 5,
-) -> Decomposition | None:
-    """Peel pure product states off ``state`` until nothing remains.
+def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> Decomposition | None:
+    """Peel pure product states off ``state`` in one pass of at most ``max_terms``.
 
     Each round finds a product vector phi in the range of the remainder
     and subtracts it with the largest weight that keeps every partial
@@ -495,62 +490,55 @@ def greedy_decompose(
     projector transposes to the projector onto the party-conjugated
     vector, so each bound is a pseudo-inverse quadratic form).  Keeping
     the remainder PPT rather than merely positive prevents the peel from
-    overshooting into entangled remainders.  Success requires a
-    Frobenius residual at most ``1e-8 * trace``; a ``None`` does not
-    refute separability.
+    overshooting into entangled remainders.  The pass is not retried: it
+    returns ``None`` at the first round that finds no peelable product
+    vector or no positive weight, and when the Frobenius residual is
+    still above ``1e-8 * trace`` after ``max_terms`` rounds.  A ``None``
+    does not refute separability.
     """
-    from .ppt import subset_representatives
-
     target = 1e-8 * state.trace
     tol_rank = state.cfg.tol_rank
     subsets = subset_representatives(state.n)
-    for attempt in range(attempts):
-        remainder = np.array(state.matrix)
-        terms: list[DecompositionTerm] = []
-        for step in range(max_terms):
-            if np.linalg.norm(remainder) <= target:
+    remainder = np.array(state.matrix)
+    terms: list[DecompositionTerm] = []
+    for step in range(max_terms):
+        if np.linalg.norm(remainder) <= target:
+            break
+        rem_state = MultiState(remainder, state.dims, state.cfg)
+        spectra = _transpose_spectra(rem_state, subsets)
+        hit = _find_peelable_product_vector(
+            rem_state,
+            subsets,
+            restarts=PEEL_RESTARTS,
+            seed=seed + 101 * step,
+            tol_product=state.cfg.tol_product,
+            spectra=spectra,
+        )
+        if hit is None:
+            return None
+        weight = np.inf
+        for subset, (eigs, vecs) in zip(subsets, spectra):
+            target_vec = hit.vector if not subset else _subset_conjugate(hit.factors, subset)
+            nrm = np.linalg.norm(target_vec)
+            if nrm == 0.0:
+                weight = 0.0
                 break
-            rem_state = MultiState(remainder, state.dims, state.cfg)
-            spectra = _transpose_spectra(rem_state, subsets)
-            hit = _find_peelable_product_vector(
-                rem_state,
-                subsets,
-                restarts=restarts,
-                seed=seed + 7919 * attempt + 101 * step,
-                tol_product=state.cfg.tol_product,
-                spectra=spectra,
-            )
-            if hit is None:
-                if step == 0 and attempt >= 1:
-                    # the full range yielded nothing twice; further
-                    # attempts would search the same subspace again
-                    return None
+            target_vec = target_vec / nrm
+            bound = _peel_weight(eigs, vecs, target_vec, tol_rank)
+            weight = min(weight, bound)
+            if weight == 0.0:
                 break
-            weight = np.inf
-            for subset, (eigs, vecs) in zip(subsets, spectra):
-                target_vec = hit.vector if not subset else _subset_conjugate(hit.factors, subset)
-                nrm = np.linalg.norm(target_vec)
-                if nrm == 0.0:
-                    weight = 0.0
-                    break
-                target_vec = target_vec / nrm
-                bound = _peel_weight(eigs, vecs, target_vec, tol_rank)
-                weight = min(weight, bound)
-                if weight == 0.0:
-                    break
-            if not np.isfinite(weight) or weight <= 0.0:
-                break
-            phi = hit.vector
-            remainder = remainder - weight * np.outer(phi, phi.conj())
-            remainder = 0.5 * (remainder + remainder.conj().T)
-            terms.append(
-                DecompositionTerm(weight=weight, factors=hit.factors, vector=phi)
-            )
-        residual = float(np.linalg.norm(remainder))
-        if terms and residual <= target:
-            return Decomposition(
-                terms=tuple(terms), residual=residual, length_upper_bound=len(terms)
-            )
+        if not np.isfinite(weight) or weight <= 0.0:
+            return None
+        phi = hit.vector
+        remainder = remainder - weight * np.outer(phi, phi.conj())
+        remainder = 0.5 * (remainder + remainder.conj().T)
+        terms.append(DecompositionTerm(weight=weight, factors=hit.factors, vector=phi))
+    residual = float(np.linalg.norm(remainder))
+    if terms and residual <= target:
+        return Decomposition(
+            terms=tuple(terms), residual=residual, length_upper_bound=len(terms)
+        )
     return None
 
 

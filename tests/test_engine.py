@@ -22,6 +22,7 @@ from sep4.gallery import (
 from sep4.oracle import find_product_vector
 from sep4.ppt import is_ppt
 from sep4.states import (
+    ToleranceConfig,
     assemble_product,
     compress_support,
     local_ranks,
@@ -174,6 +175,33 @@ class TestLengthBounds:
         with pytest.raises(NotSeparableVerdict):
             length_bounds(rep)
 
+    # full-rank random two-qubit states: the one peel pass need not close on
+    # them, so they may carry no decomposition, but never an over-long one
+    MAY_LACK_DECOMPOSITION = {"full-2x2-4", "full-2x2-5", "full-2x2-6"}
+
+    BOUND_CASES = (
+        [
+            (f"sep-{'x'.join(map(str, dims))}-r{k}", random_separable(dims, k, seed=k))
+            for dims in [(2, 3), (3, 4), (2, 2, 2), (2, 2, 3)]
+            for k in (2, 3, 4)
+        ]
+        + [("ab-0-1", two_qutrit_ab_state(0, 1)), ("ab-1-0", two_qutrit_ab_state(1, 0))]
+        + [(f"rank3-2x2-s{s}", random_separable((2, 2), 3, seed=s)) for s in range(3)]
+        + [("eye-2x2", new_state(np.eye(4), (2, 2)))]
+        + [(f"full-2x2-{k}", random_separable((2, 2), k, seed=k)) for k in (4, 5, 6)]
+    )
+
+    @pytest.mark.parametrize("name, state", BOUND_CASES, ids=[n for n, _ in BOUND_CASES])
+    def test_decomposition_within_bounds(self, name, state):
+        rep = classify(state)
+        assert rep.verdict == "Separable"
+        lo, hi = rep.length_bounds
+        dec = rep.decomposition
+        if dec is None:
+            assert name in self.MAY_LACK_DECOMPOSITION
+        else:
+            assert lo <= len(dec.terms) <= hi
+
 
 class TestEngineConsistency:
     def test_chow_entangled_means_oracle_finds_nothing(self):
@@ -272,6 +300,43 @@ class TestEigensolveBudget:
         assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 2
 
 
+class TestDecompositionBudget:
+    """Peel searches per ``classify`` call: one pass, at most
+    ``length_bounds[1]`` searches, and no retry."""
+
+    @pytest.fixture
+    def peel_searches(self, monkeypatch):
+        import sep4.oracle
+
+        count = [0]
+        real = sep4.oracle._find_peelable_product_vector
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sep4.oracle, "_find_peelable_product_vector", counted)
+
+        def classify_counted(state):
+            count[0] = 0
+            report = classify(state)
+            return report, count[0]
+
+        return classify_counted
+
+    def test_forced_separable_divincenzo_searches_once(self, peel_searches):
+        # its range holds no product vector, so the first search ends the pass
+        state = divincenzo_state(ToleranceConfig(tol_chow=1e6))
+        rep, searches = peel_searches(state)
+        assert rep.verdict == "Separable" and rep.decomposition is None
+        assert searches == 1
+
+    def test_full_rank_two_qubit_within_upper_bound(self, peel_searches):
+        rep, searches = peel_searches(random_separable((2, 2), 4, seed=4))
+        assert rep.length_bounds == (4, 4)
+        assert searches <= rep.length_bounds[1]
+
+
 def bell_plus_noise():
     bell = ket(1, 0, 0, 1) / np.sqrt(2)
     noise = ket(0, 1, 0, 0)
@@ -323,8 +388,6 @@ class TestReportSerialization:
 
 class TestBorderlineFlag:
     def test_low_confidence_near_threshold(self):
-        from sep4.states import ToleranceConfig
-
         state = divincenzo_state()
         base = classify(state)
         assert not base.low_confidence

@@ -421,7 +421,7 @@ class TestGreedyDecompose:
             prev = cur
 
     def test_entangled_input_fails_cleanly(self):
-        dec = greedy_decompose(two_qutrit_ab_state(1.0, 1.0), max_terms=6, attempts=2)
+        dec = greedy_decompose(two_qutrit_ab_state(1.0, 1.0), max_terms=6)
         assert dec is None
 
 
