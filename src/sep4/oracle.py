@@ -21,20 +21,23 @@ import numpy as np
 
 from .chow import subspace_meets_segre
 from .codec import SKIP
-from .errors import DegenerateConfiguration, EigFailure, NotApplicable, WrongDimension
+from .errors import DegenerateConfiguration, NotApplicable, WrongDimension
 from .grassmann import SubspaceBasis
 from .ppt import is_ppt, subset_representatives
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
+    SpectralData,
     assemble_product,
     partial_transpose,
     product_factors,
     spectral,
+    _flattenings,
     _rank_from_eigenvalues,
 )
 
 MAX_SWEEPS = 200
+NEWTON_MAX_ITERS = 80
 SWEEP_EPS = 1e-14
 POLISH_RATIO = 1e-3
 DEDUP_OVERLAP = 1 - 1e-8
@@ -87,15 +90,6 @@ class Decomposition:
         for term in self.terms:
             out += term.weight * np.outer(term.vector, term.vector.conj())
         return out
-
-
-def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
-    """Per-party flattenings of the rows of ``x``, each (rows, dp, rest)."""
-    t = x.reshape((x.shape[0],) + tuple(dims))
-    return [
-        np.moveaxis(t, 1 + axis, 1).reshape(x.shape[0], dp, -1)
-        for axis, dp in enumerate(dims)
-    ]
 
 
 def _product_residuals(
@@ -334,7 +328,7 @@ def check_general_position(
 # --- greedy separable decomposition ---------------------------------------
 
 
-def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
+def _compatible_newton(factors, condition_blocks, dims):
     """Gauss-Newton for product vectors obeying conjugate-membership conditions.
 
     ``condition_blocks`` is a list of (subset, rows) pairs: the product of
@@ -385,7 +379,7 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
         return np.concatenate(fvals), np.vstack(hol), np.vstack(antihol)
 
     norms = []
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         fval, hol, antihol = system(factors)
         norms.append(float(np.linalg.norm(fval)))
         # stop once |f| has failed to halve over the last 8 iterations
@@ -414,16 +408,17 @@ def _compatible_newton(factors, condition_blocks, dims, max_iters: int = 80):
     return tuple(factors)
 
 
-def _peel_weight(eigs: np.ndarray, vecs: np.ndarray, vec: np.ndarray, tol_rank: float) -> float:
+def _peel_weight(sd: SpectralData, vec: np.ndarray, tol_rank: float) -> float:
     """Largest t with matrix - t |vec><vec| still PSD; 0 if vec leaves the range.
 
-    ``eigs`` and ``vecs`` are the matrix's eigendecomposition.
+    ``sd`` is the matrix's :func:`spectral` decomposition.
     """
+    eigs = sd.eigenvalues
     scale = np.abs(eigs).max()
     if scale == 0.0:
         return 0.0
     keep = eigs > tol_rank * scale
-    comp = vecs[:, keep].conj().T @ vec
+    comp = sd.eigenvectors[:, keep].conj().T @ vec
     outside = np.linalg.norm(vec) ** 2 - np.linalg.norm(comp) ** 2
     if outside > 1e-12 * np.linalg.norm(vec) ** 2:
         return 0.0
@@ -438,17 +433,7 @@ def _subset_conjugate(factors, subset) -> np.ndarray:
     return assemble_product(pieces)
 
 
-def _transpose_spectra(state: MultiState, subsets) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Ascending eigendecomposition of each partial transpose named in ``subsets``."""
-    try:
-        return [np.linalg.eigh(partial_transpose(state, subset).matrix) for subset in subsets]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigFailure(str(exc)) from exc
-
-
-def _find_peelable_product_vector(
-    rem_state: MultiState, subsets, restarts: int, seed: int, tol_product: float, spectra=None
-):
+def _find_peelable_product_vector(rem_state: MultiState, subsets, spectra, seed: int):
     """Product vector in the range whose conjugates fit every transpose range.
 
     A product vector can be subtracted without breaking the PPT property
@@ -456,28 +441,18 @@ def _find_peelable_product_vector(
     range of the corresponding partial transpose; random members of the
     range's product-vector family generally fail this, so the alternating
     candidates are polished against the full compatibility system.
-    ``subsets`` must include ``()``, the state itself.  ``spectra`` are the
-    :func:`_transpose_spectra` of ``rem_state``, computed here when not
-    given.
+    ``subsets`` starts with ``()``, the state itself, and ``spectra`` holds
+    the :func:`spectral` decomposition of each named partial transpose of
+    ``rem_state``.
     """
-    if spectra is None:
-        spectra = _transpose_spectra(rem_state, subsets)
-    by_subset = dict(zip(subsets, spectra))
     tol_rank = rem_state.cfg.tol_rank
-    eigs, vecs = by_subset[()]
-    order = np.argsort(eigs)[::-1]
-    rank = _rank_from_eigenvalues(eigs[order], tol_rank)
-    if rank == 0:
+    kernels = [np.abs(sd.eigenvalues) <= tol_rank * np.abs(sd.eigenvalues).max() for sd in spectra]
+    if np.all(kernels[0]):
         return None
-    onb = np.ascontiguousarray(vecs[:, order[:rank]].T)
-    blocks = [((), np.ascontiguousarray(vecs[:, order[rank:]].T))]
-    for subset, (eigs, vecs) in by_subset.items():
-        if not subset:
-            continue
-        keep = np.abs(eigs) <= tol_rank * np.abs(eigs).max()
-        blocks.append((subset, np.ascontiguousarray(vecs[:, keep].T)))
+    onb = np.ascontiguousarray(spectra[0].eigenvectors[:, ~kernels[0]].T)
+    blocks = [(s, sd.eigenvectors[:, k].T) for s, sd, k in zip(subsets, spectra, kernels)]
     return _search_product_vector(
-        onb, blocks, rem_state.dims, onb, restarts, seed, 64, 0.3, tol_product
+        onb, blocks, rem_state.dims, onb, PEEL_RESTARTS, seed, 64, 0.3, rem_state.cfg.tol_product
     )
 
 
@@ -505,26 +480,19 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
         if np.linalg.norm(remainder) <= target:
             break
         rem_state = MultiState(remainder, state.dims, state.cfg)
-        spectra = _transpose_spectra(rem_state, subsets)
-        hit = _find_peelable_product_vector(
-            rem_state,
-            subsets,
-            restarts=PEEL_RESTARTS,
-            seed=seed + 101 * step,
-            tol_product=state.cfg.tol_product,
-            spectra=spectra,
-        )
+        spectra = [spectral(partial_transpose(rem_state, subset)) for subset in subsets]
+        hit = _find_peelable_product_vector(rem_state, subsets, spectra, seed + 101 * step)
         if hit is None:
             return None
         weight = np.inf
-        for subset, (eigs, vecs) in zip(subsets, spectra):
+        for subset, sd in zip(subsets, spectra):
             target_vec = hit.vector if not subset else _subset_conjugate(hit.factors, subset)
             nrm = np.linalg.norm(target_vec)
             if nrm == 0.0:
                 weight = 0.0
                 break
             target_vec = target_vec / nrm
-            bound = _peel_weight(eigs, vecs, target_vec, tol_rank)
+            bound = _peel_weight(sd, target_vec, tol_rank)
             weight = min(weight, bound)
             if weight == 0.0:
                 break
@@ -586,6 +554,15 @@ def _transverse(a: np.ndarray, b: np.ndarray, bilinear: np.ndarray) -> bool:
     return sv[3] > _RANK_GAP * sv[0]
 
 
+def _null_factor(a: np.ndarray, bilinear: np.ndarray) -> np.ndarray | None:
+    """Unit b with a^T M_j b = 0 for every condition M_j, or ``None`` if the
+    conditions have full rank at ``a``."""
+    _, sv, vh = np.linalg.svd(a @ bilinear)
+    if sv[-1] > _RANK_GAP * sv[0]:
+        return None
+    return vh[-1].conj()
+
+
 def _kernel_pv_round(complement, onb, kernel, rng, membership_tol):
     """One coordinate-change round: six certified hits, or ``None``.
 
@@ -638,12 +615,10 @@ def _kernel_pv_round(complement, onb, kernel, rng, membership_tol):
                 continue
             a = t_mat @ np.array([1.0, s0, t0])
             a /= np.linalg.norm(a)
-            _, sv, vh = np.linalg.svd(a @ bilinear)
-            if sv[2] > _RANK_GAP * sv[0]:
+            b = _null_factor(a, bilinear)
+            if b is None:
                 continue
-            hit = _polish_hit(
-                np.kron(a, vh[2].conj()), onb, blocks, kernel.dims, kernel.rows, membership_tol
-            )
+            hit = _polish_hit(np.kron(a, b), onb, blocks, kernel.dims, kernel.rows, membership_tol)
             if hit is not None and all(
                 abs(np.vdot(h.vector, hit.vector)) <= DEDUP_OVERLAP for h in hits
             ):
@@ -724,12 +699,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     order = (cut - 1,) + tuple(i for i in range(3) if i != cut - 1)
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
-
-    eigs, vecs = np.linalg.eigh(matrix)
-    kernel_rows = vecs[:, np.abs(eigs) <= state.cfg.tol_rank * np.abs(eigs).max()].T
-    if kernel_rows.shape[0] != 4:
-        raise NotApplicable("kernel is not four-dimensional")
-    bilinear = kernel_rows.conj().reshape(4, 2, 4)
+    bilinear = sd.eigenvectors[perm_idx, 4:].T.conj().reshape(4, 2, 4)
 
     rng = np.random.default_rng(seed)
     z = _unit_roots(8)
@@ -748,11 +718,11 @@ def bipartite_kernel_product_vectors_2x2x2(
     for z in np.roots(quartic[::-1]):
         a = u @ np.array([1.0, z])
         a /= np.linalg.norm(a)
-        _, sv, vh = np.linalg.svd(a @ bilinear)
-        if sv[3] > _RANK_GAP * sv[0]:
+        psi = _null_factor(a, bilinear)
+        if psi is None:
             raise NotApplicable("range product vector is not isolated")
         cut_factors.append(a)
-        rest_vectors.append(vh[3].conj())
+        rest_vectors.append(psi)
 
     # positive weights reconstructing the state certify the decomposition
     columns = [

@@ -38,8 +38,6 @@ class ToleranceConfig:
     tol_herm: float = 1e-10
     tol_psd: float = 1e-9
     tol_rank: float = 1e-9
-    tol_orth: float = 1e-9
-    tol_recon: float = 1e-9
     tol_product: float = 1e-8
     tol_chow: float = 1e-8
 
@@ -48,6 +46,9 @@ class ToleranceConfig:
             v = float(value)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.tol_rank >= 1.0:
+            # a cutoff of lambda_max or more would count no eigenvalue at all
+            raise ValueError(f"tol_rank must be below 1, got {self.tol_rank!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -118,6 +119,8 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch("matrix contains non-finite entries")
     d = m.shape[0]
+    if not dims:
+        raise DimensionMismatch("dims must name at least one party")
     if any(x < 1 for x in dims) or math.prod(dims) != d:
         raise DimensionMismatch(f"dims {dims} do not multiply to matrix size {d}")
     if d > MAX_TOTAL_DIM:
@@ -272,11 +275,13 @@ def compress_support(state: MultiState) -> CompressionResult:
     )
 
 
-def party_flattening(v: np.ndarray, dims, party_axis: int) -> np.ndarray:
-    """Matrix view of ``v`` with the given 0-based party index as rows."""
-    dims = tuple(dims)
-    t = np.asarray(v).reshape(dims)
-    return np.moveaxis(t, party_axis, 0).reshape(dims[party_axis], -1)
+def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
+    """Per-party flattenings of the rows of ``x``, each (rows, dp, rest)."""
+    t = x.reshape((x.shape[0],) + tuple(dims))
+    return [
+        np.moveaxis(t, 1 + axis, 1).reshape(x.shape[0], dp, -1)
+        for axis, dp in enumerate(dims)
+    ]
 
 
 def product_factors(v: np.ndarray, dims) -> tuple[np.ndarray, ...]:
@@ -312,10 +317,8 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ZeroVector("cannot factor the zero vector")
-    for axis, dp in enumerate(dims):
-        if dp == 1:
-            continue
-        sv = np.linalg.svd(party_flattening(vec, dims, axis), compute_uv=False)
+    for m in _flattenings(vec[None, :], dims):
+        sv = np.linalg.svd(m[0], compute_uv=False)
         if sv.shape[0] >= 2 and sv[1] > tol_product * norm:
             return False, None
     return True, product_factors(vec, dims)

@@ -291,6 +291,14 @@ class TestVersionAndTolerances:
         assert main(["classify", "--input", path, "--tol-chow", "1e6"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag", [["--tol-orth", "1e-9"], ["--tol-recon", "1e-9"], ["--tol-rank", "1"]]
+    )
+    def test_unknown_or_invalid_tolerance_exits_3(self, tmp_path, capsys, flag):
+        path = write_state(tmp_path / "dv.json", divincenzo_state())
+        assert main(["classify", "--input", path, *flag]) == 3
+        capsys.readouterr()
+
     def test_flag_wins_over_env(self, tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path / "dv.json", divincenzo_state())
         monkeypatch.setenv("SEP4_TOL_CHOW", "1e6")

@@ -24,6 +24,7 @@ from sep4.states import (
     is_product,
     kernel_basis,
     new_state,
+    partial_transpose,
     range_basis,
     rank_of,
     spectral,
@@ -57,10 +58,31 @@ def svd_flattening_ratio(vec, dims):
 
 
 def peel_search(state, seed=0):
-    return oracle._find_peelable_product_vector(
-        state, subset_representatives(state.n), restarts=200, seed=seed,
-        tol_product=state.cfg.tol_product,
-    )
+    subsets = subset_representatives(state.n)
+    spectra = [spectral(partial_transpose(state, subset)) for subset in subsets]
+    return oracle._find_peelable_product_vector(state, subsets, spectra, seed)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of eigensolves, Newton steps and batched SVD ratio passes."""
+    count = {"eig": 0, "newton": 0, "batched_svd": 0}
+
+    def counting(owner, name, key, rows_over=None):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            if rows_over is None or args[0].shape[0] > rows_over:
+                count[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(np.linalg, "eigh", "eig")
+    counting(np.linalg, "eigvalsh", "eig")
+    counting(oracle, "_truncated_step", "newton")
+    counting(oracle, "_flattening_ratios", "batched_svd", rows_over=1)
+    return count
 
 
 class TestFindProductVector:
@@ -171,27 +193,6 @@ class TestHitResidualsAreExact:
 
 class TestPowerStepSweep:
     """The sweep takes each party's lead by a warm-started power step, not an eigensolve."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts of eigensolves, Newton steps and batched SVD ratio passes."""
-        count = {"eig": 0, "newton": 0, "batched_svd": 0}
-
-        def counting(owner, name, key, rows_over=None):
-            real = getattr(owner, name)
-
-            def wrapped(*args, **kwargs):
-                if rows_over is None or args[0].shape[0] > rows_over:
-                    count[key] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapped)
-
-        counting(np.linalg, "eigh", "eig")
-        counting(np.linalg, "eigvalsh", "eig")
-        counting(oracle, "_truncated_step", "newton")
-        counting(oracle, "_flattening_ratios", "batched_svd", rows_over=1)
-        return count
 
     @pytest.mark.parametrize("seed, dims", [(0, (3, 3)), (1, (2, 2, 2))])
     def test_search_makes_no_eigensolve(self, calls, seed, dims):
@@ -336,6 +337,14 @@ class TestBipartiteKernelVectors:
             assert len(vecs) == 4
             for v in vecs:
                 assert np.linalg.norm(st_.matrix @ v) <= 1e-10 * lam
+
+    def test_one_spectral_pass_per_cut(self, calls):
+        st_ = divincenzo_state()
+        for cut in (1, 2, 3):
+            before = calls["eig"]
+            assert len(bipartite_kernel_product_vectors_2x2x2(st_, cut)) == 4
+            # spectral(state) and the 4 records of is_ppt; a second eigh made 6
+            assert calls["eig"] - before <= 5
 
     def test_cut_one_vectors_are_bipartite_products(self):
         vecs = bipartite_kernel_product_vectors_2x2x2(divincenzo_state(), 1)

@@ -13,6 +13,7 @@ from sep4.errors import (
 )
 from sep4.states import (
     MultiState,
+    ToleranceConfig,
     assemble_product,
     compress_support,
     is_product,
@@ -68,6 +69,11 @@ class TestNewState:
         with pytest.raises(DimensionMismatch):
             new_state(np.eye(4), (2, 3))
 
+    def test_empty_dims_rejected(self):
+        # prod(()) == 1, so a 1 x 1 matrix used to pass as a zero-party state
+        with pytest.raises(DimensionMismatch):
+            new_state(np.eye(1), ())
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             new_state(np.ones((2, 3)), (2,))
@@ -93,6 +99,17 @@ class TestNewState:
         m[0, 0] = np.nan
         with pytest.raises(DimensionMismatch):
             new_state(m, (2, 2))
+
+
+class TestToleranceConfig:
+    @pytest.mark.parametrize("tol_rank", [1.0, 2.0])
+    def test_rank_cutoff_must_keep_largest_eigenvalue(self, tol_rank):
+        with pytest.raises(ValueError):
+            ToleranceConfig(tol_rank=tol_rank)
+
+    def test_rank_cutoff_below_one_counts_largest_eigenvalue(self):
+        cfg = ToleranceConfig(tol_rank=0.999)
+        assert rank_of(new_state(np.diag([1.0, 0.5, 0.0, 0.0]), (2, 2), cfg)) == 1
 
 
 class TestPartialTranspose:
@@ -308,6 +325,18 @@ class TestIsProduct:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             is_product(np.zeros(4), (2, 2))
+
+    def test_trivial_party_product(self):
+        v = assemble_product((ket(1j), ket(1, 1), ket(1, -2j)))
+        ok, factors = is_product(v, (1, 2, 2))
+        assert ok
+        assert [f.shape for f in factors] == [(1,), (2,), (2,)]
+        assert np.linalg.norm(assemble_product(factors) - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_trivial_party_entangled_rest(self):
+        ok, factors = is_product(ket(1, 0, 0, 1), (1, 2, 2))
+        assert not ok
+        assert factors is None
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
