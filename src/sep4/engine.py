@@ -17,7 +17,7 @@ from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
 from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
 from .grassmann import SubspaceBasis, pluecker
-from .oracle import Decomposition, DecompositionTerm, greedy_decompose
+from .oracle import Decomposition, DecompositionTerm, _cut_decomposition, greedy_decompose
 from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
@@ -125,7 +125,10 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     """Decide separable / entangled / out-of-scope for ``state``.
 
     On separable verdicts length bounds are attached and, with
-    ``decompose``, one greedy peel pass of at most ``length_bounds[1]``
+    ``decompose``, states of rank two or more are first decomposed exactly
+    across a cut of the compressed state whose rest side has the state's
+    rank (:func:`~sep4.oracle._cut_decomposition`, no eigensolve).  Where
+    no cut qualifies, one greedy peel pass of at most ``length_bounds[1]``
     terms is made; the decomposition is ``None`` when that pass does not
     close (its absence never changes the verdict).  One spectral pass,
     kept for this call only: the reduced states are diagonalized in
@@ -179,7 +182,11 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         )
         if verdict == SEPARABLE:
             bounds = _bounds_for(rank, cdims)
-            dec = greedy_decompose(state, max_terms=bounds[1], seed=seed) if decompose else None
+            dec = None
+            if decompose and rank >= 2:
+                dec = _cut_decomposition(comp, sd, rank, state, seed)
+            if decompose and dec is None:
+                dec = greedy_decompose(state, max_terms=bounds[1], seed=seed)
             return replace(report, decomposition=dec, length_bounds=bounds)
         return report
 

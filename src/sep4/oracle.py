@@ -9,6 +9,10 @@ and certified by an exact SVD.  The exact counting routine for
 determinants and an FFT, eliminates one party with a sampled Sylvester
 resultant, and answers only when a coordinate change certifies six
 distinct transverse product vectors, which by Bezout are all of them.
+Where one side of a cut has the rank of the state, its range product
+vectors come from one small eigenproblem (:func:`_cut_products`), which
+decomposes separable states exactly and gives the three-qubit kernel
+vectors; the greedy peel serves the states without such a cut.
 """
 
 from __future__ import annotations
@@ -287,7 +291,13 @@ def find_product_vector(
     order rather than restart order, whose residual reaches
     ``tol_product``; ``None`` after exhausting all starts.  A ``None`` is
     evidence, not proof, that the subspace is completely entangled.
+    Raises ``ValueError`` when ``restarts`` is negative or ``chunk_size``
+    below 1, which would sweep no start and make that ``None`` meaningless.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts!r}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
     k = basis.k
     if k == 0:
         return None
@@ -510,6 +520,90 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
     return None
 
 
+# --- exact decomposition across a rank-matching cut ------------------------
+#
+# When the rest side of a cut p | rest has the rank r of rho, rho is a sum of
+# r product vectors across the cut and its range holds no others (Horodecki,
+# Lewenstein, Vidal & Cirac, PRA 62, 032310, 2000).  With V an orthonormal
+# range basis and A_m the party-p index-m block of V projected onto the
+# rest-side range, V c is a cut product exactly when all A_m c are parallel,
+# that is when A_g c is a common eigenvector of (sum_m h_m A_m) A_g^-1 with
+# A_g = sum_m g_m A_m, for every g and h.
+
+_PENCIL_GAP = 1e-6
+
+
+def _cut_products(vecs, eigs, dims, p, rng):
+    """Product vectors across the cut ``p`` | rest in the range of
+    ``vecs diag(eigs) vecs^H``, with their weights, or ``None``.
+
+    ``vecs`` has r orthonormal columns and ``eigs`` r positive values.
+    Returns the r unit vectors as rows and the diagonal of
+    C^-1 diag(eigs) C^-H, C = vecs^H psi, which is positive: the weights if
+    they reconstruct the operator, which is left to the caller.  ``None``
+    when the rest side does not have rank exactly r, A_g is singular or
+    two eigenvalues of the pencil are closer than ``_PENCIL_GAP`` (relative).
+    """
+    r = vecs.shape[1]
+    blocks = np.moveaxis(vecs.reshape(tuple(dims) + (r,)), p, 0).reshape(dims[p], -1, r)
+    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    if s.shape[0] < r or s[r - 1] <= _PENCIL_GAP * s[0] or np.any(s[r:] > _PENCIL_GAP * s[0]):
+        return None
+    proj = u[:, :r].conj().T @ blocks
+    g, h = rng.standard_normal((2, dims[p])) + 1j * rng.standard_normal((2, dims[p]))
+    a_g = np.tensordot(g, proj, 1)
+    if np.linalg.cond(a_g) * _PENCIL_GAP >= 1.0:
+        return None
+    a_g_inv = np.linalg.inv(a_g)
+    mu, b = np.linalg.eig(np.tensordot(h, proj, 1) @ a_g_inv)
+    gaps = np.abs(np.subtract.outer(mu, mu))[np.triu_indices(r, 1)]
+    if gaps.min() < _PENCIL_GAP * np.abs(mu).max():
+        return None
+    coeffs = a_g_inv @ b
+    coeffs /= np.linalg.norm(coeffs, axis=0)
+    return (vecs @ coeffs).T, np.abs(np.linalg.inv(coeffs)) ** 2 @ eigs
+
+
+def _cut_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
+    """Exact decomposition of ``state`` into ``rank`` product terms, or ``None``.
+
+    ``comp`` is the :func:`compress_support` result of ``state`` and ``sd``
+    the :func:`spectral` decomposition of ``comp.state``, whose rank is
+    ``rank``.  The parties of ``comp.state`` are tried in turn as the cut
+    (:func:`_cut_products`); a cut is declined when one of its vectors has
+    a flattening ratio above ``tol_product`` or when the terms, lifted
+    through the isometries, miss ``state`` by more than ``1e-8 * trace``
+    in Frobenius norm.  A dropped party's factor is its isometry's column.
+    """
+    small = comp.state
+    vecs = sd.eigenvectors[:, :rank]
+    rng = np.random.default_rng(seed)
+    for p in range(small.n):
+        found = _cut_products(vecs, sd.eigenvalues[:rank], small.dims, p, rng)
+        if found is None:
+            continue
+        psi, weights = found
+        svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
+        if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
+            continue
+        # each party's factors are the leading left singular vectors of its flattenings
+        local = iter(u[:, :, 0] for u, _, _ in svds)
+        factors = [
+            next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (rank, w.shape[0]))
+            for w in comp.isometries
+        ]
+        lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(rank, -1), factors)
+        residual = float(np.linalg.norm(state.matrix - (lifted.T * weights) @ lifted.conj()))
+        if residual > 1e-8 * state.trace:
+            continue
+        terms = tuple(
+            DecompositionTerm(float(w), tuple(f[i] for f in factors), vector=lifted[i])
+            for i, w in enumerate(weights)
+        )
+        return Decomposition(residual=residual, length_upper_bound=rank, terms=terms)
+    return None
+
+
 # --- exact kernel product-vector counting on 3 x 3 -------------------------
 #
 # Product vectors |a, b> in a 5-dim kernel K satisfy four bilinear
@@ -699,42 +793,16 @@ def bipartite_kernel_product_vectors_2x2x2(
     order = (cut - 1,) + tuple(i for i in range(3) if i != cut - 1)
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
-    bilinear = sd.eigenvectors[perm_idx, 4:].T.conj().reshape(4, 2, 4)
-
-    rng = np.random.default_rng(seed)
-    z = _unit_roots(8)
-    for _ in range(3):
-        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        samples = np.stack([np.ones(8), z], axis=1) @ u.T
-        values = np.linalg.det(np.einsum("ma,jab->mjb", samples, bilinear))
-        quartic = _trim_poly(np.fft.fft(values) / 8)
-        if quartic.shape[0] == 5:
-            break
-    else:
+    found = _cut_products(
+        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), 0, np.random.default_rng(seed)
+    )
+    if found is None:
         raise NotApplicable("could not isolate four range product vectors")
-
-    cut_factors = []
-    rest_vectors = []
-    for z in np.roots(quartic[::-1]):
-        a = u @ np.array([1.0, z])
-        a /= np.linalg.norm(a)
-        psi = _null_factor(a, bilinear)
-        if psi is None:
-            raise NotApplicable("range product vector is not isolated")
-        cut_factors.append(a)
-        rest_vectors.append(psi)
-
-    # positive weights reconstructing the state certify the decomposition
-    columns = [
-        np.outer(np.kron(a, psi), np.kron(a, psi).conj()).ravel()
-        for a, psi in zip(cut_factors, rest_vectors)
-    ]
-    weights, *_ = np.linalg.lstsq(np.column_stack(columns), matrix.ravel(), rcond=None)
-    recon = np.column_stack(columns) @ weights
-    if np.linalg.norm(recon - matrix.ravel()) > 1e-7 * np.linalg.norm(matrix):
+    # weights that reconstruct the state certify the decomposition
+    psi, weights = found
+    if np.linalg.norm((psi.T * weights) @ psi.conj() - matrix) > 1e-7 * np.linalg.norm(matrix):
         raise NotApplicable("state is not a sum of four product states across the cut")
-    if np.any(weights.real <= 0) or np.abs(weights.imag).max() > 1e-7 * weights.real.max():
-        raise NotApplicable("decomposition weights are not positive")
+    cut_factors, rest_vectors = zip(*(product_factors(v, (2, 4)) for v in psi))
 
     psi_mat = np.column_stack(rest_vectors)
     reciprocal = np.linalg.inv(psi_mat).conj().T

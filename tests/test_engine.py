@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,6 +36,25 @@ from sep4.states import (
 
 def ket(*amps):
     return np.asarray(amps, dtype=complex)
+
+
+def check_decomposition(state, report):
+    """Every term checked without the package: positive weight, product in
+    the original dims by SVD, reconstruction and term count within bounds."""
+    dec = report.decomposition
+    assert dec is not None
+    recon = np.zeros_like(state.matrix)
+    for term in dec.terms:
+        assert term.weight > 0
+        vec = reduce(np.kron, term.factors)
+        t = vec.reshape(state.dims)
+        for axis, dp in enumerate(state.dims):
+            s = np.linalg.svd(np.moveaxis(t, axis, 0).reshape(dp, -1), compute_uv=False)
+            assert s[1] <= 1e-8 * s[0]
+        recon += term.weight * np.outer(vec, vec.conj())
+    assert np.linalg.norm(state.matrix - recon) <= 1e-8 * state.trace
+    lo, hi = report.length_bounds
+    assert lo <= len(dec.terms) <= hi
 
 
 def ghz_projector():
@@ -299,6 +319,12 @@ class TestEigensolveBudget:
         v = assemble_product((ket(1, 1j) / np.sqrt(2), ket(0, 1)))
         assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 2
 
+    def test_exact_cut_decomposition_makes_no_eigensolve(self, eigensolves):
+        # the cut path reuses the compressed state's spectrum: SVDs and a
+        # non-Hermitian eig of at most 4 x 4 only
+        state = random_separable((2, 2, 2), 4, seed=1)
+        assert eigensolves(state, decompose=True) == eigensolves(state, decompose=False)
+
 
 class TestDecompositionBudget:
     """Peel searches per ``classify`` call: one pass, at most
@@ -335,6 +361,55 @@ class TestDecompositionBudget:
         rep, searches = peel_searches(random_separable((2, 2), 4, seed=4))
         assert rep.length_bounds == (4, 4)
         assert searches <= rep.length_bounds[1]
+
+    # a compressed party whose rest side has rank r(rho): exact, no peel
+    EXACT = [((2, 4), 4), ((3, 4), 2), ((3, 4), 3), ((3, 4), 4), ((2, 2, 2), 3),
+             ((2, 2, 2), 4), ((2, 2, 3), 4), ((2, 2, 2, 2), 2), ((2, 2, 2, 2), 3),
+             ((2, 2, 2, 2), 4)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "dims, k", EXACT, ids=[f"{'x'.join(map(str, d))}-r{k}" for d, k in EXACT]
+    )
+    def test_rank_matching_cut_skips_the_peel(self, peel_searches, dims, k, seed):
+        state = random_separable(dims, k, seed=seed)
+        rep, searches = peel_searches(state)
+        assert searches == 0
+        assert rep.rank == k and len(rep.decomposition.terms) == k
+        check_decomposition(state, rep)
+
+    def test_degenerate_cut_pencil_falls_back_to_the_peel(self, peel_searches):
+        # every cut pencil has a doubly degenerate spectrum: across 1 | 23 the
+        # range holds the cut products |0>(x|00> + y|11>) and |1>(x|01> + y|10>)
+        m = np.zeros((8, 8))
+        for i in (0b000, 0b011, 0b101, 0b110):
+            m[i, i] = 1.0
+        state = new_state(m, (2, 2, 2))
+        rep, searches = peel_searches(state)
+        assert rep.verdict == "Separable" and searches >= 1
+        check_decomposition(state, rep)
+
+    @pytest.mark.parametrize(
+        "state",
+        [random_separable((2, 2), 3, seed=0), two_qutrit_ab_state(0, 1),
+         random_separable((3, 3), 4, seed=0)],
+        ids=["2x2-r3", "ab-0-1", "3x3-r4"],
+    )
+    def test_no_rank_matching_cut_reaches_the_peel(self, peel_searches, state):
+        # every rest side is smaller than the rank
+        rep, searches = peel_searches(state)
+        assert searches >= 1
+        check_decomposition(state, rep)
+
+    def test_dropped_party_lifted_to_original_dims(self, peel_searches):
+        pure = np.zeros((2, 2))
+        pure[0, 0] = 1.0
+        state = new_state(np.kron(pure, random_separable((2, 3), 3, seed=0).matrix), (2, 2, 3))
+        rep, searches = peel_searches(state)
+        assert rep.dropped_parties == (1,) and searches == 0
+        for term in rep.decomposition.terms:
+            assert [f.shape for f in term.factors] == [(2,), (2,), (3,)]
+        check_decomposition(state, rep)
 
 
 def bell_plus_noise():

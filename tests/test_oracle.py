@@ -21,6 +21,7 @@ from sep4.oracle import (
 from sep4.ppt import subset_representatives
 from sep4.states import (
     assemble_product,
+    compress_support,
     is_product,
     kernel_basis,
     new_state,
@@ -129,6 +130,17 @@ class TestFindProductVector:
         assert full_rank_kernel.k == 0
         assert find_product_vector(full_rank_kernel, restarts=10, seed=0) is None
         assert st_ is not None
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"chunk_size": -3}, "chunk_size"), ({"chunk_size": 0}, "chunk_size"),
+         ({"restarts": -1}, "restarts")],
+    )
+    def test_search_knobs_that_sweep_nothing_rejected(self, kwargs, name):
+        # a search over no start would return None, which reads as "no product vector"
+        basis = planted_basis(0, (3, 3))
+        with pytest.raises(ValueError, match=name):
+            find_product_vector(basis, **kwargs)
 
 
 class TestSearchCost:
@@ -363,6 +375,25 @@ class TestBipartiteKernelVectors:
     def test_bad_cut_rejected(self):
         with pytest.raises(NotApplicable):
             bipartite_kernel_product_vectors_2x2x2(divincenzo_state(), 4)
+
+
+class TestCutDecomposition:
+    @pytest.mark.parametrize("coherence, decomposes", [(0.0, True), (0.5, False)])
+    def test_products_that_do_not_reconstruct_are_declined(self, coherence, decomposes):
+        # the range of psi W psi^H holds exactly the two products psi; with an
+        # off-diagonal W the state is NPT and no mixture of them
+        rng = np.random.default_rng(3)
+        psi = np.column_stack([assemble_product([random_vec(rng, 2), random_vec(rng, 2)])
+                               for _ in range(2)])
+        psi /= np.linalg.norm(psi, axis=0)
+        w = np.array([[1.0, coherence], [coherence, 1.0]])
+        st_ = new_state(psi @ w @ psi.conj().T, (2, 2))
+        comp = compress_support(st_)
+        dec = oracle._cut_decomposition(comp, spectral(comp.state), 2, st_, 0)
+        assert (dec is not None) == decomposes
+        if decomposes:
+            assert np.linalg.norm(dec.reconstruct() - st_.matrix) <= 1e-8 * st_.trace
+            assert sorted(t.weight for t in dec.terms) == pytest.approx([1.0, 1.0])
 
 
 class TestGreedyDecompose:
