@@ -43,7 +43,8 @@ def from_pairs(obj):
         raise ValueError(f"expected [re, im] pairs, got an array of shape {arr.shape}")
     if arr.ndim == 1:
         return complex(arr[0], arr[1])
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view, not re + 1j * im, whose sum would turn a real part of -0.0 into 0.0
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def _compile(tp) -> tuple[typing.Callable, typing.Callable]:

@@ -17,7 +17,7 @@ from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
 from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
 from .grassmann import SubspaceBasis, pluecker
-from .oracle import Decomposition, DecompositionTerm, _cut_decomposition, greedy_decompose
+from .oracle import Decomposition, DecompositionTerm, _range_decomposition, greedy_decompose
 from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
@@ -126,15 +126,16 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
 
     On separable verdicts length bounds are attached and, with
     ``decompose``, states of rank two or more are first decomposed exactly
-    across a cut of the compressed state whose rest side has the state's
-    rank (:func:`~sep4.oracle._cut_decomposition`, no eigensolve).  Where
-    no cut qualifies, one greedy peel pass of at most ``length_bounds[1]``
-    terms is made; the decomposition is ``None`` when that pass does not
-    close (its absence never changes the verdict).  One spectral pass,
-    kept for this call only: the reduced states are diagonalized in
-    :func:`compress_support`, the compressed state here, and each
-    representative partial transpose in :func:`is_ppt` (whose empty
-    subset repeats the compressed state's eigenvalues).
+    into the product vectors of the compressed range, found from its
+    flattening minors (:func:`~sep4.oracle._range_decomposition`, no
+    eigensolve).  Where the range holds a curve of product vectors rather
+    than as many as the rank, one greedy peel pass of at most
+    ``length_bounds[1]`` terms is made; the decomposition is ``None`` when
+    that pass does not close (its absence never changes the verdict).  One
+    spectral pass, kept for this call only: the reduced states are
+    diagonalized in :func:`compress_support`, the compressed state here,
+    and each representative partial transpose but the empty one in
+    :func:`is_ppt`, which takes the compressed state's eigenvalues from here.
     """
     base = dict(
         dims=state.dims,
@@ -184,7 +185,7 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
             bounds = _bounds_for(rank, cdims)
             dec = None
             if decompose and rank >= 2:
-                dec = _cut_decomposition(comp, sd, rank, state, seed)
+                dec = _range_decomposition(comp, sd, rank, state, seed)
             if decompose and dec is None:
                 dec = greedy_decompose(state, max_terms=bounds[1], seed=seed)
             return replace(report, decomposition=dec, length_bounds=bounds)
@@ -194,9 +195,9 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)
         if ok:
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
-        return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small))
+        return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, sd.eigenvalues))
 
-    ppt_report = is_ppt(small)
+    ppt_report = is_ppt(small, sd.eigenvalues)
     base["ppt"] = ppt_report
     if not ppt_report.is_ppt:
         return finish(ENTANGLED, RULE_NPT)

@@ -9,16 +9,18 @@ and certified by an exact SVD.  The exact counting routine for
 determinants and an FFT, eliminates one party with a sampled Sylvester
 resultant, and answers only when a coordinate change certifies six
 distinct transverse product vectors, which by Bezout are all of them.
-Where one side of a cut has the rank of the state, its range product
-vectors come from one small eigenproblem (:func:`_cut_products`), which
-decomposes separable states exactly and gives the three-qubit kernel
-vectors; the greedy peel serves the states without such a cut.
+Where the range of a state holds exactly as many product vectors as its
+rank, they come from the range's flattening minors and one small
+eigenproblem (:func:`_range_products`), which decomposes separable states
+exactly and gives the three-qubit kernel vectors; the greedy peel serves
+the states whose range holds a curve of product vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -520,88 +522,124 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
     return None
 
 
-# --- exact decomposition across a rank-matching cut ------------------------
+# --- exact decomposition from the range's quadrics -------------------------
 #
-# When the rest side of a cut p | rest has the rank r of rho, rho is a sum of
-# r product vectors across the cut and its range holds no others (Horodecki,
-# Lewenstein, Vidal & Cirac, PRA 62, 032310, 2000).  With V an orthonormal
-# range basis and A_m the party-p index-m block of V projected onto the
-# rest-side range, V c is a cut product exactly when all A_m c are parallel,
-# that is when A_g c is a common eigenvector of (sum_m h_m A_m) A_g^-1 with
-# A_g = sum_m g_m A_m, for every g and h.
+# A vector is product exactly when every 2 x 2 minor of every party flattening
+# vanishes.  On x = V c, with V an orthonormal basis of a rank-r range, each
+# minor is a quadratic form c^T Q c, that is a linear functional <Q, S> on the
+# symmetric r x r matrix S = c c^T.  When the range holds exactly r product
+# vectors V c_i and the minors cut them out in degree two, the symmetric S
+# annihilated by every minor are exactly span{c_i c_i^T} = {C D C^T}.  For two
+# generic members Z_g, Z_h of that span, Z_h Z_g^-1 = C (D_h D_g^-1) C^-1, so
+# one eigenproblem returns every c_i (De Lathauwer, SIAM J. Matrix Anal. Appl.
+# 28, 642, 2006; it extends the pencil of Horodecki, Lewenstein, Vidal &
+# Cirac, PRA 62, 032310, 2000).  A range with a curve of product vectors, as
+# in two qubits at rank 3 or 4, leaves a larger null space and is declined.
 
 _PENCIL_GAP = 1e-6
 
 
-def _cut_products(vecs, eigs, dims, p, rng):
-    """Product vectors across the cut ``p`` | rest in the range of
-    ``vecs diag(eigs) vecs^H``, with their weights, or ``None``.
+@lru_cache(maxsize=64)
+def _quadric_maps(dims: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (u, w, y, z) of every 2 x 2 flattening minor
+    x_u x_w - x_y x_z of a vector on ``dims``, one row per minor, and the
+    0/1 map from the r x r entries (a, b) to the monomials c_a c_b, a <= b.
+
+    The last party's flattening is left out: its minors lie in the span of
+    the others' (with two parties it is the first one transposed).  The
+    map's transpose sends a monomial vector back to its symmetric matrix.
+    """
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    minors = []
+    for p in range(len(dims) - 1):
+        m = np.moveaxis(grid, p, 0).reshape(dims[p], -1)
+        i, k = np.triu_indices(m.shape[0], 1)
+        j, l = np.triu_indices(m.shape[1], 1)
+        i, k = i[:, None], k[:, None]
+        minors.append(np.stack([m[i, j], m[k, l], m[i, l], m[k, j]], axis=-1).reshape(-1, 4))
+    ta, tb = np.triu_indices(r)
+    sym = np.zeros((r * r, ta.size))
+    sym[ta * r + tb, np.arange(ta.size)] = sym[tb * r + ta, np.arange(ta.size)] = 1.0
+    return (np.concatenate(minors) if minors else np.zeros((0, 4), dtype=int)), sym
+
+
+def _range_products(vecs, eigs, dims, rng):
+    """The product vectors of the range of ``vecs diag(eigs) vecs^H``, with
+    their weights, or ``None``.
 
     ``vecs`` has r orthonormal columns and ``eigs`` r positive values.
     Returns the r unit vectors as rows and the diagonal of
     C^-1 diag(eigs) C^-H, C = vecs^H psi, which is positive: the weights if
     they reconstruct the operator, which is left to the caller.  ``None``
-    when the rest side does not have rank exactly r, A_g is singular or
-    two eigenvalues of the pencil are closer than ``_PENCIL_GAP`` (relative).
+    unless the minors' null space has dimension exactly r with a singular
+    value gap of ``_PENCIL_GAP``, when Z_g is ill-conditioned (1-norm
+    condition number at least 1 / ``_PENCIL_GAP``), or when two eigenvalues
+    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).
     """
     r = vecs.shape[1]
-    blocks = np.moveaxis(vecs.reshape(tuple(dims) + (r,)), p, 0).reshape(dims[p], -1, r)
-    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-    if s.shape[0] < r or s[r - 1] <= _PENCIL_GAP * s[0] or np.any(s[r:] > _PENCIL_GAP * s[0]):
+    k = r * (r + 1) // 2 - r
+    minors, sym = _quadric_maps(tuple(dims), r)
+    if k == 0 or minors.shape[0] < k:
         return None
-    proj = u[:, :r].conj().T @ blocks
-    g, h = rng.standard_normal((2, dims[p])) + 1j * rng.standard_normal((2, dims[p]))
-    a_g = np.tensordot(g, proj, 1)
-    if np.linalg.cond(a_g) * _PENCIL_GAP >= 1.0:
+    # each minor as a row over the monomials c_a c_b, a <= b, of x = vecs @ c
+    u, w, y, z = np.moveaxis(vecs[minors], 1, 0)
+    quad = (u[:, :, None] * w[:, None, :] - y[:, :, None] * z[:, None, :]).reshape(-1, r * r) @ sym
+    try:
+        _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
+        if s[k - 1] <= _PENCIL_GAP * s[0] or np.any(s[k:] > _PENCIL_GAP * s[0]):
+            return None
+        gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+        z_g, z_h = (gh @ vh[k:].conj() @ sym.T).reshape(2, r, r)
+        z_g_inv = np.linalg.inv(z_g)
+        if np.abs(z_g).sum(0).max() * np.abs(z_g_inv).sum(0).max() * _PENCIL_GAP >= 1.0:
+            return None
+        mu, coeffs = np.linalg.eig(z_h @ z_g_inv)
+        gaps = np.abs(np.subtract.outer(mu, mu))[~np.eye(r, dtype=bool)]
+        if gaps.min() < _PENCIL_GAP * np.abs(mu).max():
+            return None
+        coeffs /= np.linalg.norm(coeffs, axis=0)
+        weights = np.abs(np.linalg.inv(coeffs)) ** 2 @ eigs
+    except np.linalg.LinAlgError:
         return None
-    a_g_inv = np.linalg.inv(a_g)
-    mu, b = np.linalg.eig(np.tensordot(h, proj, 1) @ a_g_inv)
-    gaps = np.abs(np.subtract.outer(mu, mu))[np.triu_indices(r, 1)]
-    if gaps.min() < _PENCIL_GAP * np.abs(mu).max():
-        return None
-    coeffs = a_g_inv @ b
-    coeffs /= np.linalg.norm(coeffs, axis=0)
-    return (vecs @ coeffs).T, np.abs(np.linalg.inv(coeffs)) ** 2 @ eigs
+    return (vecs @ coeffs).T, weights
 
 
-def _cut_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
+def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
     """Exact decomposition of ``state`` into ``rank`` product terms, or ``None``.
 
     ``comp`` is the :func:`compress_support` result of ``state`` and ``sd``
     the :func:`spectral` decomposition of ``comp.state``, whose rank is
-    ``rank``.  The parties of ``comp.state`` are tried in turn as the cut
-    (:func:`_cut_products`); a cut is declined when one of its vectors has
-    a flattening ratio above ``tol_product`` or when the terms, lifted
-    through the isometries, miss ``state`` by more than ``1e-8 * trace``
-    in Frobenius norm.  A dropped party's factor is its isometry's column.
+    ``rank``.  The product vectors come from :func:`_range_products`; they
+    are declined when one of them has a flattening ratio above
+    ``tol_product`` or when the terms, lifted through the isometries, miss
+    ``state`` by more than ``1e-8 * trace`` in Frobenius norm.  A dropped
+    party's factor is its isometry's column.
     """
     small = comp.state
-    vecs = sd.eigenvectors[:, :rank]
-    rng = np.random.default_rng(seed)
-    for p in range(small.n):
-        found = _cut_products(vecs, sd.eigenvalues[:rank], small.dims, p, rng)
-        if found is None:
-            continue
-        psi, weights = found
-        svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
-        if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
-            continue
-        # each party's factors are the leading left singular vectors of its flattenings
-        local = iter(u[:, :, 0] for u, _, _ in svds)
-        factors = [
-            next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (rank, w.shape[0]))
-            for w in comp.isometries
-        ]
-        lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(rank, -1), factors)
-        residual = float(np.linalg.norm(state.matrix - (lifted.T * weights) @ lifted.conj()))
-        if residual > 1e-8 * state.trace:
-            continue
-        terms = tuple(
-            DecompositionTerm(float(w), tuple(f[i] for f in factors), vector=lifted[i])
-            for i, w in enumerate(weights)
-        )
-        return Decomposition(residual=residual, length_upper_bound=rank, terms=terms)
-    return None
+    found = _range_products(
+        sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], small.dims, np.random.default_rng(seed)
+    )
+    if found is None:
+        return None
+    psi, weights = found
+    svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
+    if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
+        return None
+    # each party's factors are the leading left singular vectors of its flattenings
+    local = iter(u[:, :, 0] for u, _, _ in svds)
+    factors = [
+        next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (rank, w.shape[0]))
+        for w in comp.isometries
+    ]
+    lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(rank, -1), factors)
+    residual = float(np.linalg.norm(state.matrix - (lifted.T * weights) @ lifted.conj()))
+    if residual > 1e-8 * state.trace:
+        return None
+    terms = tuple(
+        DecompositionTerm(float(w), tuple(f[i] for f in factors), vector=lifted[i])
+        for i, w in enumerate(weights)
+    )
+    return Decomposition(residual=residual, length_upper_bound=rank, terms=terms)
 
 
 # --- exact kernel product-vector counting on 3 x 3 -------------------------
@@ -782,7 +820,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     sd = spectral(state)
     if _rank_from_eigenvalues(sd.eigenvalues, state.cfg.tol_rank) != 4:
         raise NotApplicable("state does not have rank four")
-    if not is_ppt(state).is_ppt:
+    if not is_ppt(state, sd.eigenvalues).is_ppt:
         raise NotApplicable("state is not PPT")
     meets, _ = subspace_meets_segre(
         SubspaceBasis(sd.eigenvectors[:, :4].T, state.dims), state.cfg
@@ -793,8 +831,8 @@ def bipartite_kernel_product_vectors_2x2x2(
     order = (cut - 1,) + tuple(i for i in range(3) if i != cut - 1)
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
-    found = _cut_products(
-        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), 0, np.random.default_rng(seed)
+    found = _range_products(
+        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), np.random.default_rng(seed)
     )
     if found is None:
         raise NotApplicable("could not isolate four range product vectors")

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotBipartite
-from .states import MultiState, partial_transpose, rank_of, _rank_from_eigenvalues
+from .states import MultiState, partial_transpose, rank_of, spectral, _rank_from_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,25 @@ def subset_representatives(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_ppt(state: MultiState) -> PptReport:
+def is_ppt(state: MultiState, eigenvalues: np.ndarray | None = None) -> PptReport:
     """Evaluate every representative partial transpose of ``state``.
 
     PPT holds iff each minimum eigenvalue is at least
-    ``-tol_psd * lambda_max`` of the input state.  One eigensolve per
-    subset: ``lambda_max`` comes from the empty subset, which is first.
+    ``-tol_psd * lambda_max`` of the input state.  The empty subset, which
+    is first, is the state itself: its eigenvalues are ``eigenvalues``
+    (descending) when the caller already has them from
+    :func:`~sep4.states.spectral`, and are computed by it otherwise.  One
+    eigensolve per other subset.
     """
     records = []
     worst: tuple[int, ...] = ()
     worst_val = np.inf
     for subset in subset_representatives(state.n):
-        pt = partial_transpose(state, subset)
-        eigs = np.linalg.eigvalsh(pt.matrix)
-        if not subset:
+        if subset:
+            eigs = np.linalg.eigvalsh(partial_transpose(state, subset).matrix)
+        else:
+            # ascending, as eigvalsh gives them
+            eigs = (spectral(state).eigenvalues if eigenvalues is None else eigenvalues)[::-1]
             threshold = -state.cfg.tol_psd * float(eigs[-1])
         rank = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
         mn = float(eigs[0])

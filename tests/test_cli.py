@@ -127,8 +127,8 @@ class TestBatchCommand:
         # transposes; report one of rank 3 to trip the guard
         real_is_ppt = sep4.engine.is_ppt
 
-        def lowered_ranks(state):
-            report = real_is_ppt(state)
+        def lowered_ranks(state, *args):
+            report = real_is_ppt(state, *args)
             records = tuple(dataclasses.replace(r, rank=r.rank - 1) for r in report.records)
             return dataclasses.replace(report, records=records)
 

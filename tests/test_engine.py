@@ -306,13 +306,13 @@ class TestEigensolveBudget:
         return classify_counted
 
     def test_three_qubit_chow(self, eigensolves):
-        # 3 reduced states, the compressed state, 4 partial transposes
-        # (the first is the state itself); 13 before the single pass
-        assert eigensolves(divincenzo_state()) <= 8
+        # 3 reduced states, the compressed state, 3 partial transposes (the
+        # state itself reuses its spectrum); 13 before the single pass
+        assert eigensolves(divincenzo_state()) <= 7
 
     def test_two_qutrit_chow(self, eigensolves):
-        # 2 reduced states, the compressed state, 2 partial transposes; 9 before
-        assert eigensolves(two_qutrit_ab_state(1, 1)) <= 5
+        # 2 reduced states, the compressed state, 1 partial transpose; 9 before
+        assert eigensolves(two_qutrit_ab_state(1, 1)) <= 4
 
     def test_pure_product_with_decomposition(self, eigensolves):
         # the product factors come from the compression's reduced spectra; 6 before
@@ -320,14 +320,15 @@ class TestEigensolveBudget:
         assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 2
 
     def test_exact_cut_decomposition_makes_no_eigensolve(self, eigensolves):
-        # the cut path reuses the compressed state's spectrum: SVDs and a
+        # the exact path reuses the compressed state's spectrum: SVDs and a
         # non-Hermitian eig of at most 4 x 4 only
-        state = random_separable((2, 2, 2), 4, seed=1)
-        assert eigensolves(state, decompose=True) == eigensolves(state, decompose=False)
+        for state in (random_separable((2, 2, 2), 4, seed=1), two_qutrit_ab_state(0, 1)):
+            assert eigensolves(state, decompose=True) == eigensolves(state, decompose=False)
 
 
 class TestDecompositionBudget:
-    """Peel searches per ``classify`` call: one pass, at most
+    """Peel searches per ``classify`` call: none where the range's product
+    vectors decompose the state, else one pass of at most
     ``length_bounds[1]`` searches, and no retry."""
 
     @pytest.fixture
@@ -362,8 +363,8 @@ class TestDecompositionBudget:
         assert rep.length_bounds == (4, 4)
         assert searches <= rep.length_bounds[1]
 
-    # a compressed party whose rest side has rank r(rho): exact, no peel
-    EXACT = [((2, 4), 4), ((3, 4), 2), ((3, 4), 3), ((3, 4), 4), ((2, 2, 2), 3),
+    # a range whose r product vectors its minor quadrics cut out: exact, no peel
+    EXACT = [((2, 4), 4), ((3, 3), 4), ((3, 4), 2), ((3, 4), 3), ((3, 4), 4), ((2, 2, 2), 3),
              ((2, 2, 2), 4), ((2, 2, 3), 4), ((2, 2, 2, 2), 2), ((2, 2, 2, 2), 3),
              ((2, 2, 2, 2), 4)]
 
@@ -378,25 +379,33 @@ class TestDecompositionBudget:
         assert rep.rank == k and len(rep.decomposition.terms) == k
         check_decomposition(state, rep)
 
-    def test_degenerate_cut_pencil_falls_back_to_the_peel(self, peel_searches):
+    def test_degenerate_cut_pencil_decomposes_without_the_peel(self, peel_searches):
         # every cut pencil has a doubly degenerate spectrum: across 1 | 23 the
-        # range holds the cut products |0>(x|00> + y|11>) and |1>(x|01> + y|10>)
+        # range holds the cut products |0>(x|00> + y|11>) and |1>(x|01> + y|10>);
+        # its full product vectors are only the four basis vectors
         m = np.zeros((8, 8))
         for i in (0b000, 0b011, 0b101, 0b110):
             m[i, i] = 1.0
         state = new_state(m, (2, 2, 2))
         rep, searches = peel_searches(state)
-        assert rep.verdict == "Separable" and searches >= 1
+        assert rep.verdict == "Separable" and searches == 0
+        assert len(rep.decomposition.terms) == 4
         check_decomposition(state, rep)
 
     @pytest.mark.parametrize(
-        "state",
-        [random_separable((2, 2), 3, seed=0), two_qutrit_ab_state(0, 1),
-         random_separable((3, 3), 4, seed=0)],
-        ids=["2x2-r3", "ab-0-1", "3x3-r4"],
+        "a, b", [(0, 1), (1, 0), (0, 0.7)], ids=["ab-0-1", "ab-1-0", "ab-0-0.7"]
     )
+    def test_separable_two_qutrit_family_skips_the_peel(self, peel_searches, a, b):
+        # no rest side has rank 4, but the range holds exactly four product vectors
+        state = two_qutrit_ab_state(a, b)
+        rep, searches = peel_searches(state)
+        assert rep.rule == "Chow33" and searches == 0
+        assert len(rep.decomposition.terms) == 4
+        check_decomposition(state, rep)
+
+    @pytest.mark.parametrize("state", [random_separable((2, 2), 3, seed=0)], ids=["2x2-r3"])
     def test_no_rank_matching_cut_reaches_the_peel(self, peel_searches, state):
-        # every rest side is smaller than the rank
+        # a two-qubit rank-3 range holds a conic of product vectors
         rep, searches = peel_searches(state)
         assert searches >= 1
         check_decomposition(state, rep)
@@ -454,6 +463,13 @@ class TestReportSerialization:
             assert list(payload["decomposition"]) == ["residual", "length_upper_bound", "terms"]
             for term in payload["decomposition"]["terms"]:
                 assert list(term) == ["weight", "factors"]
+
+    def test_negative_zero_survives_round_trip(self):
+        # JSON keeps a real part of -0.0 beside a nonzero imaginary part
+        from sep4.codec import from_pairs, to_pairs
+
+        blob = json.dumps(to_pairs(np.array([complex(-0.0, 7.5e-19), complex(1.0, -0.0)])))
+        assert json.dumps(to_pairs(from_pairs(json.loads(blob)))) == blob
 
     def test_rule_matches_enum_string(self):
         payload = report_to_dict(classify(divincenzo_state()))

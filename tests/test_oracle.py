@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sep4.oracle as oracle
+from sep4.engine import classify
 from sep4.errors import DegenerateConfiguration, NotApplicable, WrongDimension
 from sep4.gallery import (
     divincenzo_state,
@@ -389,11 +390,68 @@ class TestCutDecomposition:
         w = np.array([[1.0, coherence], [coherence, 1.0]])
         st_ = new_state(psi @ w @ psi.conj().T, (2, 2))
         comp = compress_support(st_)
-        dec = oracle._cut_decomposition(comp, spectral(comp.state), 2, st_, 0)
+        dec = oracle._range_decomposition(comp, spectral(comp.state), 2, st_, 0)
         assert (dec is not None) == decomposes
         if decomposes:
             assert np.linalg.norm(dec.reconstruct() - st_.matrix) <= 1e-8 * st_.trace
             assert sorted(t.weight for t in dec.terms) == pytest.approx([1.0, 1.0])
+
+
+def two_product_npt():
+    # the range holds exactly the two products psi, but the state is NPT
+    rng = np.random.default_rng(3)
+    psi = np.column_stack([assemble_product([random_vec(rng, 2), random_vec(rng, 2)])
+                           for _ in range(2)])
+    psi /= np.linalg.norm(psi, axis=0)
+    return new_state(psi @ np.array([[1.0, 0.5], [0.5, 1.0]]) @ psi.conj().T, (2, 2))
+
+
+def kernel_projector():
+    # a 5-dim range of 3 x 3 holds six product vectors
+    rows = kernel_basis(two_qutrit_ab_state(1.0, 1.0)).rows
+    return new_state(rows.T @ rows.conj(), (3, 3))
+
+
+class TestRangeProducts:
+    """Ranges the quadric kernel cannot decompose: it declines, raises
+    nothing, and ``classify`` goes on to the peel or to no decomposition."""
+
+    DECLINED = {
+        "2x2-r3": lambda: random_separable((2, 2), 3, seed=0),
+        "2x2-r4": lambda: random_separable((2, 2), 4, seed=4),
+        # compresses to dims (2,): a single party has no flattening minors
+        "one-party": lambda: new_state(
+            np.kron(np.diag([1.0, 0.0]), np.diag([0.6, 0.4, 0.0])), (2, 3)),
+        "six-in-five": kernel_projector,
+        "npt-two-products": two_product_npt,
+    }
+
+    @pytest.mark.parametrize("name", list(DECLINED))
+    def test_declined_without_raising(self, name):
+        st_ = self.DECLINED[name]()
+        comp = compress_support(st_)
+        sd = spectral(comp.state)
+        rank = rank_of(comp.state)
+        assert oracle._range_decomposition(comp, sd, rank, st_, 0) is None
+        found = oracle._range_products(
+            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims,
+            np.random.default_rng(0),
+        )
+        # the NPT range has exactly its two products; the residual check declines them
+        assert (found is None) == (name != "npt-two-products")
+        classify(st_)
+
+    def test_chow33_range_gives_its_four_vectors(self):
+        st_ = random_separable((3, 3), 4, seed=5)
+        sd = spectral(st_)
+        psi, weights = oracle._range_products(
+            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), np.random.default_rng(0)
+        )
+        assert psi.shape == (4, 9) and np.all(weights > 0)
+        for v in psi:
+            assert svd_flattening_ratio(v, (3, 3)) <= 1e-10
+        recon = (psi.T * weights) @ psi.conj()
+        assert np.linalg.norm(recon - st_.matrix) <= 1e-10 * st_.trace
 
 
 class TestGreedyDecompose:
