@@ -74,38 +74,35 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
 
-def _bounds_for(rank: int, compressed_dims: tuple[int, ...]) -> tuple[int, int]:
-    """Length bounds for a separable verdict from rank and compressed shape.
+def _bounds_for(
+    rank: int, compressed_dims: tuple[int, ...], ppt: PptReport | None = None
+) -> tuple[int, int]:
+    """Length bounds for a separable verdict: (lower, upper).
 
-    Lower bound is the rank.  Upper bounds: rank 2 -> 2; rank 3 -> 4,
-    tightened to 3 unless the support is a two-qubit one; rank 4 -> 6,
-    tightened to 5 for three or more parties with some local rank above
-    2, and to 4 when some local rank is 4 (or the support is the full
-    two-qubit space).
+    The lower bound is the rank and, with a PPT record, the largest rank of
+    a partial transpose: each partial transpose of a sum of L product
+    projectors is again a sum of L projectors.  Upper bounds from rank and
+    compressed shape: rank 2 -> 2; rank 3 -> 4, tightened to 3 unless the
+    support is a two-qubit one; rank 4 -> 6, tightened to 5 for three or
+    more parties with some local rank above 2, and to 4 when some local
+    rank is 4 (or the support is the full two-qubit space).
     """
     n = len(compressed_dims)
-    if rank <= 1:
-        return max(rank, 1), max(rank, 1)
-    if rank == 2:
-        return 2, 2
+    lo = max([rank, 1] + ([rec.rank for rec in ppt.records] if ppt else []))
     if rank == 3:
-        if n == 2 and all(r == 2 for r in compressed_dims):
-            return 3, 4
-        return 3, 3
+        return lo, 4 if n == 2 and all(r == 2 for r in compressed_dims) else 3
     if rank == 4:
         if any(r == 4 for r in compressed_dims) or compressed_dims == (2, 2):
-            return 4, 4
-        if n > 2 and max(compressed_dims) > 2:
-            return 4, 5
-        return 4, 6
-    return rank, rank
+            return lo, 4
+        return lo, 5 if n > 2 and max(compressed_dims) > 2 else 6
+    return lo, max(rank, 1)
 
 
 def length_bounds(report: ClassificationReport) -> tuple[int, int]:
     """(lower, upper) bounds on the minimal product-state length."""
     if report.verdict != SEPARABLE:
         raise NotSeparableVerdict(f"verdict is {report.verdict}")
-    return _bounds_for(report.rank, report.compressed_dims)
+    return _bounds_for(report.rank, report.compressed_dims, report.ppt)
 
 
 def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
@@ -124,15 +121,19 @@ def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
 def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> ClassificationReport:
     """Decide separable / entangled / out-of-scope for ``state``.
 
-    On separable verdicts length bounds are attached and, with
-    ``decompose``, states of rank two or more are first decomposed exactly
-    into the product vectors of the compressed range, found from its
-    flattening minors (:func:`~sep4.oracle._range_decomposition`, no
-    eigensolve).  Where the range holds a curve of product vectors rather
-    than as many as the rank, one greedy peel pass of at most
-    ``length_bounds[1]`` terms is made; the decomposition is ``None`` when
-    that pass does not close (its absence never changes the verdict).  One
-    spectral pass, kept for this call only: the reduced states are
+    On separable verdicts length bounds are attached, the lower one raised
+    to the largest partial-transpose rank; bounds that cross raise
+    :class:`InconsistentTolerances`.  With ``decompose``, states of rank two
+    or more are first decomposed exactly
+    (:func:`~sep4.oracle._range_decomposition`).  A compressed two-qubit
+    state of rank 3 or 4 gets four terms from Wootters' closed form (one
+    eigensolve of a real 2r x 2r matrix); an entangled one that the
+    tolerances let through raises :class:`InconsistentTolerances`.  Every
+    other range gives the product vectors its flattening minors cut out,
+    with no eigensolve.  Where neither applies, one greedy peel pass of at
+    most ``length_bounds[1]`` terms is made; the decomposition is ``None``
+    when that pass does not close (its absence never changes the verdict).
+    One spectral pass, kept for this call only: the reduced states are
     diagonalized in :func:`compress_support`, the compressed state here,
     and each representative partial transpose but the empty one in
     :func:`is_ppt`, which takes the compressed state's eigenvalues from here.
@@ -182,7 +183,12 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
             notes=notes,
         )
         if verdict == SEPARABLE:
-            bounds = _bounds_for(rank, cdims)
+            bounds = _bounds_for(rank, cdims, report.ppt)
+            if bounds[0] > bounds[1]:
+                raise InconsistentTolerances(
+                    f"tolerance bug: separable verdict with length bounds {bounds}: a partial "
+                    "transpose has more rank than a separable state of this rank allows"
+                )
             dec = None
             if decompose and rank >= 2:
                 dec = _range_decomposition(comp, sd, rank, state, seed)

@@ -12,8 +12,10 @@ distinct transverse product vectors, which by Bezout are all of them.
 Where the range of a state holds exactly as many product vectors as its
 rank, they come from the range's flattening minors and one small
 eigenproblem (:func:`_range_products`), which decomposes separable states
-exactly and gives the three-qubit kernel vectors; the greedy peel serves
-the states whose range holds a curve of product vectors.
+exactly and gives the three-qubit kernel vectors.  Two-qubit ranges of
+rank 3 or 4 hold a curve of product vectors instead; Wootters' closed form
+(:func:`_wootters_products`) decomposes them into four terms.  The greedy
+peel serves what neither covers.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ import numpy as np
 
 from .chow import subspace_meets_segre
 from .codec import SKIP
-from .errors import DegenerateConfiguration, NotApplicable, WrongDimension
+from .errors import (
+    DegenerateConfiguration,
+    InconsistentTolerances,
+    NotApplicable,
+    WrongDimension,
+)
 from .grassmann import SubspaceBasis
 from .ppt import is_ppt, subset_representatives
 from .states import (
@@ -534,7 +541,9 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
 # one eigenproblem returns every c_i (De Lathauwer, SIAM J. Matrix Anal. Appl.
 # 28, 642, 2006; it extends the pencil of Horodecki, Lewenstein, Vidal &
 # Cirac, PRA 62, 032310, 2000).  A range with a curve of product vectors, as
-# in two qubits at rank 3 or 4, leaves a larger null space and is declined.
+# in two qubits at rank 3 or 4, leaves a larger null space and is declined;
+# :func:`_range_decomposition` sends those two-qubit ranges to Wootters'
+# closed form (below) instead.
 
 _PENCIL_GAP = 1e-6
 
@@ -563,7 +572,17 @@ def _quadric_maps(dims: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray
     return (np.concatenate(minors) if minors else np.zeros((0, 4), dtype=int)), sym
 
 
-def _range_products(vecs, eigs, dims, rng):
+@lru_cache(maxsize=64)
+def _pencil_combinations(seed: int, r: int) -> np.ndarray:
+    """Two seeded random complex r-vectors, read-only: the same draws for
+    every call with that seed and rank, without a generator per call."""
+    rng = np.random.default_rng(seed)
+    gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+    gh.setflags(write=False)
+    return gh
+
+
+def _range_products(vecs, eigs, dims, seed: int):
     """The product vectors of the range of ``vecs diag(eigs) vecs^H``, with
     their weights, or ``None``.
 
@@ -574,7 +593,8 @@ def _range_products(vecs, eigs, dims, rng):
     unless the minors' null space has dimension exactly r with a singular
     value gap of ``_PENCIL_GAP``, when Z_g is ill-conditioned (1-norm
     condition number at least 1 / ``_PENCIL_GAP``), or when two eigenvalues
-    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).
+    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).  Z_g and Z_h
+    combine the null space by :func:`_pencil_combinations` of ``seed``.
     """
     r = vecs.shape[1]
     k = r * (r + 1) // 2 - r
@@ -588,7 +608,7 @@ def _range_products(vecs, eigs, dims, rng):
         _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
         if s[k - 1] <= _PENCIL_GAP * s[0] or np.any(s[k:] > _PENCIL_GAP * s[0]):
             return None
-        gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+        gh = _pencil_combinations(seed, r)
         z_g, z_h = (gh @ vh[k:].conj() @ sym.T).reshape(2, r, r)
         z_g_inv = np.linalg.inv(z_g)
         if np.abs(z_g).sum(0).max() * np.abs(z_g_inv).sum(0).max() * _PENCIL_GAP >= 1.0:
@@ -604,34 +624,117 @@ def _range_products(vecs, eigs, dims, rng):
     return (vecs @ coeffs).T, weights
 
 
+# --- two qubits: Wootters' closed form ------------------------------------
+#
+# A two-qubit vector psi is product exactly when psi^T S psi = 0, with
+# S = sigma_y (x) sigma_y (the form is -2 det of psi as a 2 x 2 matrix).  Write
+# rho = X X^H, X = V diag(sqrt(lambda)) over the r nonzero eigenvalues, and
+# Takagi-factor tau = X^T S X = W diag(s) W^T.  The columns of Y = X conj(W)
+# reproduce rho and have Y^T S Y = diag(s).  Given phases with
+# sum_j s_j e^{i theta_j} = 0, the columns of Y diag(e^{i theta / 2}) mixed
+# by the real 4 x 4 Hadamard matrix over 2 still reproduce rho, and each has
+# psi^T S psi = sum_j s_j e^{i theta_j} / 4 = 0 (Wootters, PRL 80, 2245,
+# 1998).  The phases close a triangle with sides s_1, s_2 and s_3 + s_4
+# (sorted descending), which exists exactly when the concurrence
+# max(0, s_1 - s_2 - s_3 - s_4) vanishes, for two qubits exactly when the
+# state is PPT.  At rank 3 or 4 the r nonzero columns of Y are independent,
+# so no mixed column vanishes.
+
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_HADAMARD_4 = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2
+
+
+def _takagi(tau: np.ndarray) -> np.ndarray:
+    """Unitary W with W^H tau conj(W) diagonal, for complex symmetric ``tau``.
+
+    The real symmetric embedding [[Re tau, Im tau], [Im tau, -Re tau]] has
+    eigenvalues +-s_j; an eigenvector (x, y) of s_j >= 0 gives the column
+    x + i y.  QR re-orthonormalizes them, which completes the columns where
+    zero singular values put +- pairs into one eigenspace.
+    """
+    r = tau.shape[0]
+    emb = np.block([[tau.real, tau.imag], [tau.imag, -tau.real]])
+    top = spectral(emb).eigenvectors[:, :r]
+    return np.linalg.qr(top[:r] + 1j * top[r:])[0]
+
+
+def _wootters_products(vecs, eigs, tol_psd: float):
+    """Four product vectors of a two-qubit range and their weights, which
+    reconstruct ``vecs diag(eigs) vecs^H`` (r = 3 or 4 columns).
+
+    Returns unit rows and positive weights, as :func:`_range_products`
+    does.  A concurrence-like excess s_1 - s_2 - s_3 - s_4 above zero means
+    no closing phases exist: within ``tol_psd * eigs[0]`` the triangle is
+    clamped flat and the rows are product only up to that excess, which
+    the caller's flattening check judges; beyond it the operator is
+    entangled and :class:`InconsistentTolerances` is raised.
+    """
+    x = vecs * np.sqrt(eigs)
+    y = np.zeros((4, 4), dtype=complex)
+    y[:, : x.shape[1]] = x @ _takagi(x.T @ _SIGMA_YY @ x).conj()
+    # y_j^T S y_j = d_j, zero on the padding
+    d = np.einsum("ij,ik,kj->j", y, _SIGMA_YY, y)
+    s = np.abs(d)
+    order = np.argsort(-s)
+    a, b, c = s[order[0]], s[order[1]], s[order[2]] + s[order[3]]
+    excess = a - b - c
+    if excess > tol_psd * eigs[0]:
+        raise InconsistentTolerances(
+            f"tolerance bug: two-qubit state called separable has concurrence excess "
+            f"{excess:.3e} above tol_psd * lambda_max = {tol_psd * eigs[0]:.3e}"
+        )
+    cos_b = np.clip((c * c - a * a - b * b) / (2 * a * b), -1.0, 1.0) if a * b > 0 else -1.0
+    turn_b = complex(cos_b, math.sqrt(1.0 - cos_b * cos_b))
+    rest = -(a + b * turn_b)
+    turn_c = rest / abs(rest) if abs(rest) > 0 else 1.0
+    turns = np.empty(4, dtype=complex)
+    turns[order] = [1.0, turn_b, turn_c, turn_c]
+    # rotate each y_j^T S y_j from d_j to s_j e^{i theta_j}, then mix
+    phi = (y * np.sqrt(turns * np.exp(-1j * np.angle(d))) @ _HADAMARD_4).T
+    weights = np.linalg.norm(phi, axis=1) ** 2
+    return phi / np.sqrt(weights)[:, None], weights
+
+
 def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
-    """Exact decomposition of ``state`` into ``rank`` product terms, or ``None``.
+    """Exact decomposition of ``state`` into product terms, or ``None``.
 
     ``comp`` is the :func:`compress_support` result of ``state`` and ``sd``
     the :func:`spectral` decomposition of ``comp.state``, whose rank is
-    ``rank``.  The product vectors come from :func:`_range_products`; they
-    are declined when one of them has a flattening ratio above
-    ``tol_product`` or when the terms, lifted through the isometries, miss
-    ``state`` by more than ``1e-8 * trace`` in Frobenius norm.  A dropped
-    party's factor is its isometry's column.
+    ``rank``.  A two-qubit range of rank 3 or 4 gives four terms by
+    :func:`_wootters_products`, which raises :class:`InconsistentTolerances`
+    on an entangled one; every other range gives ``rank`` terms by
+    :func:`_range_products`.  The product vectors are declined when one of
+    them has a flattening ratio above ``tol_product`` or when the terms,
+    lifted through the isometries, miss ``state`` by more than
+    ``1e-8 * trace`` in Frobenius norm.  A dropped party's factor is its
+    isometry's column.
     """
     small = comp.state
-    found = _range_products(
-        sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], small.dims, np.random.default_rng(seed)
-    )
+    vecs, eigs = sd.eigenvectors[:, :rank], sd.eigenvalues[:rank]
+    if small.dims == (2, 2) and rank >= 3:
+        found = _wootters_products(vecs, eigs, small.cfg.tol_psd)
+    else:
+        found = _range_products(vecs, eigs, small.dims, seed)
     if found is None:
         return None
     psi, weights = found
-    svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
+    count = len(weights)
+    # two parties' flattenings are one matrix and its transpose: one SVD
+    # serves both, the second party's factors being its leading right vectors
+    flats = _flattenings(psi, small.dims)
+    svds = [np.linalg.svd(m) for m in (flats[:1] if len(flats) == 2 else flats)]
     if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
         return None
-    # each party's factors are the leading left singular vectors of its flattenings
-    local = iter(u[:, :, 0] for u, _, _ in svds)
+    # each party's factors are the leading left singular vectors of its flattening
+    leads = [u[:, :, 0] for u, _, _ in svds]
+    if len(flats) == 2:
+        leads.append(svds[0][2][:, 0])
+    local = iter(leads)
     factors = [
-        next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (rank, w.shape[0]))
+        next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
         for w in comp.isometries
     ]
-    lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(rank, -1), factors)
+    lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(count, -1), factors)
     residual = float(np.linalg.norm(state.matrix - (lifted.T * weights) @ lifted.conj()))
     if residual > 1e-8 * state.trace:
         return None
@@ -639,7 +742,7 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
         DecompositionTerm(float(w), tuple(f[i] for f in factors), vector=lifted[i])
         for i, w in enumerate(weights)
     )
-    return Decomposition(residual=residual, length_upper_bound=rank, terms=terms)
+    return Decomposition(residual=residual, length_upper_bound=count, terms=terms)
 
 
 # --- exact kernel product-vector counting on 3 x 3 -------------------------
@@ -832,7 +935,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
     found = _range_products(
-        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), np.random.default_rng(seed)
+        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), seed
     )
     if found is None:
         raise NotApplicable("could not isolate four range product vectors")

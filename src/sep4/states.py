@@ -199,10 +199,15 @@ def reduced_state(state: MultiState, keep) -> MultiState:
     return MultiState(out, new_dims, state.cfg)
 
 
-def spectral(state: MultiState) -> SpectralData:
-    """Full Hermitian eigendecomposition, eigenvalues descending."""
+def spectral(state: MultiState | np.ndarray) -> SpectralData:
+    """Full Hermitian eigendecomposition, eigenvalues descending.
+
+    Takes a state or a bare Hermitian matrix; a real symmetric one keeps
+    real eigenvectors.
+    """
+    matrix = state.matrix if isinstance(state, MultiState) else state
     try:
-        w, v = np.linalg.eigh(state.matrix)
+        w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise EigFailure(str(exc)) from exc
     order = np.argsort(w)[::-1]

@@ -19,6 +19,8 @@ from sep4.gallery import divincenzo_state, random_separable
 assert sep4.classify(divincenzo_state()).verdict == "Entangled"
 report = sep4.classify(random_separable((2, 3), 3, seed=0))
 assert report.verdict == "Separable" and report.decomposition is not None
+report = sep4.classify(random_separable((2, 2), 5, seed=0))
+assert report.rank == 4 and len(report.decomposition.terms) == 4
 assert sep4.greedy_decompose(random_separable((2, 2, 2), 3, seed=1), max_terms=4) is not None
 print("ok")
 """

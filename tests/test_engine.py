@@ -11,13 +11,14 @@ from sep4.engine import (
     report_from_dict,
     report_to_dict,
 )
-from sep4.errors import NotSeparableVerdict
+from sep4.errors import InconsistentTolerances, NotSeparableVerdict
 from sep4.gallery import (
     conjugate_local,
     divincenzo_state,
     random_local_unitaries,
     random_ppt_rank4_33,
     random_separable,
+    two_qubit_curve_state,
     two_qutrit_ab_state,
 )
 from sep4.oracle import find_product_vector
@@ -55,6 +56,28 @@ def check_decomposition(state, report):
     assert np.linalg.norm(state.matrix - recon) <= 1e-8 * state.trace
     lo, hi = report.length_bounds
     assert lo <= len(dec.terms) <= hi
+
+
+@pytest.fixture
+def peel_searches(monkeypatch):
+    """``classify`` with its default decomposition: (report, peel searches)."""
+    import sep4.oracle
+
+    count = [0]
+    real = sep4.oracle._find_peelable_product_vector
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sep4.oracle, "_find_peelable_product_vector", counted)
+
+    def classify_counted(state):
+        count[0] = 0
+        report = classify(state)
+        return report, count[0]
+
+    return classify_counted
 
 
 def ghz_projector():
@@ -195,9 +218,8 @@ class TestLengthBounds:
         with pytest.raises(NotSeparableVerdict):
             length_bounds(rep)
 
-    # full-rank random two-qubit states: the one peel pass need not close on
-    # them, so they may carry no decomposition, but never an over-long one
-    MAY_LACK_DECOMPOSITION = {"full-2x2-4", "full-2x2-5", "full-2x2-6"}
+    # every case decomposes: two-qubit rank 3 and 4 by Wootters' closed form
+    MAY_LACK_DECOMPOSITION = set()
 
     BOUND_CASES = (
         [
@@ -209,6 +231,7 @@ class TestLengthBounds:
         + [(f"rank3-2x2-s{s}", random_separable((2, 2), 3, seed=s)) for s in range(3)]
         + [("eye-2x2", new_state(np.eye(4), (2, 2)))]
         + [(f"full-2x2-{k}", random_separable((2, 2), k, seed=k)) for k in (4, 5, 6)]
+        + [(f"curve-2x2-s{s}", two_qubit_curve_state(5, seed=s)) for s in range(3)]
     )
 
     @pytest.mark.parametrize("name, state", BOUND_CASES, ids=[n for n, _ in BOUND_CASES])
@@ -221,6 +244,31 @@ class TestLengthBounds:
             assert name in self.MAY_LACK_DECOMPOSITION
         else:
             assert lo <= len(dec.terms) <= hi
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_transpose_rank_raises_the_lower_bound(self, seed):
+        # five points of the range's product-vector conic: rank 3, but the
+        # partial transpose has rank 4, so the length is exactly 4
+        state = two_qubit_curve_state(5, seed=seed)
+        rep = classify(state)
+        assert rep.rule == "PPTRank3" and rep.rank == 3
+        assert [rec.rank for rec in rep.ppt.records] == [3, 4]
+        assert rep.length_bounds == length_bounds(rep) == (4, 4)
+        check_decomposition(state, rep)
+
+    def test_lower_bound_is_the_rank_when_transposes_agree(self):
+        # three product terms: the partial transpose also has rank 3
+        rep = classify(two_qubit_curve_state(3, seed=0))
+        assert rep.ppt.records[1].rank == 3
+        assert rep.length_bounds == (3, 4)
+
+    def test_crossing_bounds_raise(self):
+        # a Bell state plus product noise, let through as PPT by tol_psd:
+        # rank 2 but a partial transpose of rank 4, which no sum of 2 allows
+        bell = ket(1, 0, 0, 1) / np.sqrt(2)
+        m = 0.9 * np.outer(bell, bell) + 0.1 * np.diag([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(InconsistentTolerances):
+            classify(new_state(m, (2, 2), ToleranceConfig(tol_psd=1.0)), decompose=False)
 
 
 class TestEngineConsistency:
@@ -325,31 +373,17 @@ class TestEigensolveBudget:
         for state in (random_separable((2, 2, 2), 4, seed=1), two_qutrit_ab_state(0, 1)):
             assert eigensolves(state, decompose=True) == eigensolves(state, decompose=False)
 
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_two_qubit_decomposition_adds_one_eigensolve(self, eigensolves, k):
+        # Wootters' Takagi step: one eigensolve of a real 2r x 2r matrix
+        state = random_separable((2, 2), k, seed=k)
+        assert eigensolves(state, decompose=True) <= eigensolves(state, decompose=False) + 1
+
 
 class TestDecompositionBudget:
     """Peel searches per ``classify`` call: none where the range's product
     vectors decompose the state, else one pass of at most
     ``length_bounds[1]`` searches, and no retry."""
-
-    @pytest.fixture
-    def peel_searches(self, monkeypatch):
-        import sep4.oracle
-
-        count = [0]
-        real = sep4.oracle._find_peelable_product_vector
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sep4.oracle, "_find_peelable_product_vector", counted)
-
-        def classify_counted(state):
-            count[0] = 0
-            report = classify(state)
-            return report, count[0]
-
-        return classify_counted
 
     def test_forced_separable_divincenzo_searches_once(self, peel_searches):
         # its range holds no product vector, so the first search ends the pass
@@ -359,9 +393,11 @@ class TestDecompositionBudget:
         assert searches == 1
 
     def test_full_rank_two_qubit_within_upper_bound(self, peel_searches):
-        rep, searches = peel_searches(random_separable((2, 2), 4, seed=4))
+        state = random_separable((2, 2), 4, seed=4)
+        rep, searches = peel_searches(state)
         assert rep.length_bounds == (4, 4)
-        assert searches <= rep.length_bounds[1]
+        assert searches == 0 and len(rep.decomposition.terms) == 4
+        check_decomposition(state, rep)
 
     # a range whose r product vectors its minor quadrics cut out: exact, no peel
     EXACT = [((2, 4), 4), ((3, 3), 4), ((3, 4), 2), ((3, 4), 3), ((3, 4), 4), ((2, 2, 2), 3),
@@ -404,10 +440,10 @@ class TestDecompositionBudget:
         check_decomposition(state, rep)
 
     @pytest.mark.parametrize("state", [random_separable((2, 2), 3, seed=0)], ids=["2x2-r3"])
-    def test_no_rank_matching_cut_reaches_the_peel(self, peel_searches, state):
-        # a two-qubit rank-3 range holds a conic of product vectors
+    def test_two_qubit_conic_range_skips_the_peel(self, peel_searches, state):
+        # a two-qubit rank-3 range holds a conic of product vectors: Wootters
         rep, searches = peel_searches(state)
-        assert searches >= 1
+        assert searches == 0
         check_decomposition(state, rep)
 
     def test_dropped_party_lifted_to_original_dims(self, peel_searches):
@@ -419,6 +455,82 @@ class TestDecompositionBudget:
         for term in rep.decomposition.terms:
             assert [f.shape for f in term.factors] == [(2,), (2,), (3,)]
         check_decomposition(state, rep)
+
+
+class TestTwoQubitDecomposition:
+    """Compressed two-qubit states of rank 3 and 4 decompose by Wootters'
+    closed form into four product terms, with no peel search."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+    def test_random_separable(self, peel_searches, k, seed):
+        state = random_separable((2, 2), k, seed=seed)
+        rep, searches = peel_searches(state)
+        assert searches == 0
+        check_decomposition(state, rep)
+
+    def test_singular_tau(self, peel_searches):
+        # |00>, |01>, |10> weighted: tau = X^T (sigma_y x sigma_y) X pairs
+        # |01> with |10> and sends |00> to zero
+        base = new_state(np.diag([0.5, 0.3, 0.2, 0.0]), (2, 2))
+        state = conjugate_local(base, random_local_unitaries((2, 2), 3))
+        w, v = np.linalg.eigh(state.matrix)
+        x = v[:, 1:] * np.sqrt(w[1:])
+        yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+        s = np.linalg.svd(x.T @ yy @ x, compute_uv=False)
+        assert s[-1] <= 1e-12 * s[0]
+        rep, searches = peel_searches(state)
+        assert rep.rank == 3 and searches == 0
+        check_decomposition(state, rep)
+
+    def test_identity(self, peel_searches):
+        # every Takagi value equal: the triangle is degenerate (s, s, 2s)
+        state = new_state(np.eye(4), (2, 2))
+        rep, searches = peel_searches(state)
+        assert searches == 0 and len(rep.decomposition.terms) == 4
+        check_decomposition(state, rep)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_lifted_through_a_compressed_party(self, peel_searches, k):
+        # the qutrit is supported on two dimensions only
+        rng = np.random.default_rng(k)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+        w = np.kron(np.eye(2), q)
+        base = random_separable((2, 2), k, seed=k).matrix
+        state = new_state(w @ base @ w.conj().T, (2, 3))
+        rep, searches = peel_searches(state)
+        assert rep.compressed_dims == (2, 2) and searches == 0
+        check_decomposition(state, rep)
+
+    def test_lifted_through_a_dropped_party(self, peel_searches):
+        pure = np.diag([0.0, 1.0])
+        state = new_state(np.kron(pure, random_separable((2, 2), 4, seed=1).matrix), (2, 2, 2))
+        rep, searches = peel_searches(state)
+        assert rep.dropped_parties == (1,) and rep.compressed_dims == (2, 2)
+        assert searches == 0
+        for term in rep.decomposition.terms:
+            assert [f.shape for f in term.factors] == [(2,), (2,), (2,)]
+        check_decomposition(state, rep)
+
+    # Bell weight p plus product noise: concurrence above tol_psd * lambda_max,
+    # while tol_psd lets the negative partial-transpose eigenvalue pass
+    LET_THROUGH = {
+        # rank 3: p = 0.7 on |01>, |10> noise; eigenvalue -0.2, concurrence 0.4
+        "rank3": (0.7, np.diag([0.0, 1.0, 1.0, 0.0]) / 2, 0.4),
+        # rank 4: Werner p = 0.5; eigenvalue -0.125, concurrence 0.25
+        "rank4": (0.5, np.eye(4) / 4, 0.3),
+    }
+
+    @pytest.mark.parametrize("name", list(LET_THROUGH))
+    def test_entangled_state_let_through_raises(self, name):
+        p, noise, tol_psd = self.LET_THROUGH[name]
+        bell = ket(1, 0, 0, 1) / np.sqrt(2)
+        state = new_state(p * np.outer(bell, bell) + (1 - p) * noise, (2, 2),
+                          ToleranceConfig(tol_psd=tol_psd))
+        rep = classify(state, decompose=False)
+        assert rep.verdict == "Separable" and rep.rank == int(name[-1])
+        with pytest.raises(InconsistentTolerances, match="concurrence"):
+            classify(state)
 
 
 def bell_plus_noise():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_engine import check_decomposition
 
 import sep4.oracle as oracle
 from sep4.engine import classify
@@ -414,7 +415,8 @@ def kernel_projector():
 
 class TestRangeProducts:
     """Ranges the quadric kernel cannot decompose: it declines, raises
-    nothing, and ``classify`` goes on to the peel or to no decomposition."""
+    nothing, and ``classify`` goes on to Wootters' closed form (two qubits),
+    the peel or no decomposition."""
 
     DECLINED = {
         "2x2-r3": lambda: random_separable((2, 2), 3, seed=0),
@@ -432,20 +434,25 @@ class TestRangeProducts:
         comp = compress_support(st_)
         sd = spectral(comp.state)
         rank = rank_of(comp.state)
-        assert oracle._range_decomposition(comp, sd, rank, st_, 0) is None
         found = oracle._range_products(
-            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims,
-            np.random.default_rng(0),
+            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims, 0
         )
         # the NPT range has exactly its two products; the residual check declines them
         assert (found is None) == (name != "npt-two-products")
-        classify(st_)
+        rep = classify(st_)
+        dec = oracle._range_decomposition(comp, sd, rank, st_, 0)
+        if name.startswith("2x2"):
+            # two-qubit rank 3 and 4 go to Wootters' closed form instead
+            assert dec is not None
+            check_decomposition(st_, rep)
+        else:
+            assert dec is None
 
     def test_chow33_range_gives_its_four_vectors(self):
         st_ = random_separable((3, 3), 4, seed=5)
         sd = spectral(st_)
         psi, weights = oracle._range_products(
-            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), np.random.default_rng(0)
+            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), 0
         )
         assert psi.shape == (4, 9) and np.all(weights > 0)
         for v in psi:
