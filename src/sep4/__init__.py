@@ -33,7 +33,6 @@ from .gallery import (
     random_ppt_rank4_33,
     random_separable,
     three_qubit_upb,
-    two_qubit_curve_state,
     two_qutrit_ab_rows,
     two_qutrit_ab_state,
     upb_complement_state,

@@ -75,7 +75,7 @@ class ClassificationReport:
 
 
 def _bounds_for(
-    rank: int, compressed_dims: tuple[int, ...], ppt: PptReport | None = None
+    rank: int, compressed_dims: tuple[int, ...], ppt: PptReport | None
 ) -> tuple[int, int]:
     """Length bounds for a separable verdict: (lower, upper).
 

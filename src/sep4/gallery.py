@@ -151,28 +151,6 @@ def random_separable(
     return new_state(rho, dims, cfg)
 
 
-def two_qubit_curve_state(
-    terms: int, seed: int = 0, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> MultiState:
-    """Rank-3 two-qubit state: ``terms`` >= 3 weighted product vectors of one range.
-
-    A random 2 x 2 matrix K is the kernel: a (x) b is orthogonal to it
-    exactly when b is proportional to eps conj(K)^T a, eps = [[0, 1], [-1, 0]],
-    so the range's product vectors form a conic, parametrized by a.  With
-    four or more random points the partial transpose has rank 4, so the
-    length is 4 although the rank is 3.
-    """
-    rng = np.random.default_rng(seed)
-    kernel = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    rho = np.zeros((4, 4), dtype=complex)
-    for _ in range(terms):
-        a = _random_unit(rng, 2)
-        v = np.kron(a, eps @ kernel.conj().T @ a)
-        rho += (0.5 + rng.random()) * np.outer(v, v.conj()) / np.vdot(v, v).real
-    return new_state(rho, (2, 2), cfg)
-
-
 def random_local_unitaries(dims, seed: int = 0) -> list[np.ndarray]:
     """Haar-ish unitaries (QR of complex Gaussians), one per party."""
     rng = np.random.default_rng(seed)

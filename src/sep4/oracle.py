@@ -572,17 +572,7 @@ def _quadric_maps(dims: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray
     return (np.concatenate(minors) if minors else np.zeros((0, 4), dtype=int)), sym
 
 
-@lru_cache(maxsize=64)
-def _pencil_combinations(seed: int, r: int) -> np.ndarray:
-    """Two seeded random complex r-vectors, read-only: the same draws for
-    every call with that seed and rank, without a generator per call."""
-    rng = np.random.default_rng(seed)
-    gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
-    gh.setflags(write=False)
-    return gh
-
-
-def _range_products(vecs, eigs, dims, seed: int):
+def _range_products(vecs, eigs, dims, rng):
     """The product vectors of the range of ``vecs diag(eigs) vecs^H``, with
     their weights, or ``None``.
 
@@ -593,8 +583,7 @@ def _range_products(vecs, eigs, dims, seed: int):
     unless the minors' null space has dimension exactly r with a singular
     value gap of ``_PENCIL_GAP``, when Z_g is ill-conditioned (1-norm
     condition number at least 1 / ``_PENCIL_GAP``), or when two eigenvalues
-    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).  Z_g and Z_h
-    combine the null space by :func:`_pencil_combinations` of ``seed``.
+    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).
     """
     r = vecs.shape[1]
     k = r * (r + 1) // 2 - r
@@ -608,7 +597,7 @@ def _range_products(vecs, eigs, dims, seed: int):
         _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
         if s[k - 1] <= _PENCIL_GAP * s[0] or np.any(s[k:] > _PENCIL_GAP * s[0]):
             return None
-        gh = _pencil_combinations(seed, r)
+        gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
         z_g, z_h = (gh @ vh[k:].conj() @ sym.T).reshape(2, r, r)
         z_g_inv = np.linalg.inv(z_g)
         if np.abs(z_g).sum(0).max() * np.abs(z_g_inv).sum(0).max() * _PENCIL_GAP >= 1.0:
@@ -714,22 +703,16 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
     if small.dims == (2, 2) and rank >= 3:
         found = _wootters_products(vecs, eigs, small.cfg.tol_psd)
     else:
-        found = _range_products(vecs, eigs, small.dims, seed)
+        found = _range_products(vecs, eigs, small.dims, np.random.default_rng(seed))
     if found is None:
         return None
     psi, weights = found
     count = len(weights)
-    # two parties' flattenings are one matrix and its transpose: one SVD
-    # serves both, the second party's factors being its leading right vectors
-    flats = _flattenings(psi, small.dims)
-    svds = [np.linalg.svd(m) for m in (flats[:1] if len(flats) == 2 else flats)]
+    svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
     if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
         return None
-    # each party's factors are the leading left singular vectors of its flattening
-    leads = [u[:, :, 0] for u, _, _ in svds]
-    if len(flats) == 2:
-        leads.append(svds[0][2][:, 0])
-    local = iter(leads)
+    # each party's factors are the leading left singular vectors of its flattenings
+    local = iter(u[:, :, 0] for u, _, _ in svds)
     factors = [
         next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
         for w in comp.isometries
@@ -935,7 +918,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
     found = _range_products(
-        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), seed
+        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), np.random.default_rng(seed)
     )
     if found is None:
         raise NotApplicable("could not isolate four range product vectors")

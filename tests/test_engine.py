@@ -1,5 +1,4 @@
 import json
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from sep4.gallery import (
     random_local_unitaries,
     random_ppt_rank4_33,
     random_separable,
-    two_qubit_curve_state,
     two_qutrit_ab_state,
 )
 from sep4.oracle import find_product_vector
@@ -39,45 +37,24 @@ def ket(*amps):
     return np.asarray(amps, dtype=complex)
 
 
-def check_decomposition(state, report):
-    """Every term checked without the package: positive weight, product in
-    the original dims by SVD, reconstruction and term count within bounds."""
-    dec = report.decomposition
-    assert dec is not None
-    recon = np.zeros_like(state.matrix)
-    for term in dec.terms:
-        assert term.weight > 0
-        vec = reduce(np.kron, term.factors)
-        t = vec.reshape(state.dims)
-        for axis, dp in enumerate(state.dims):
-            s = np.linalg.svd(np.moveaxis(t, axis, 0).reshape(dp, -1), compute_uv=False)
-            assert s[1] <= 1e-8 * s[0]
-        recon += term.weight * np.outer(vec, vec.conj())
-    assert np.linalg.norm(state.matrix - recon) <= 1e-8 * state.trace
-    lo, hi = report.length_bounds
-    assert lo <= len(dec.terms) <= hi
+def two_qubit_curve_state(terms, seed=0):
+    """Rank-3 two-qubit state: ``terms`` >= 3 weighted product vectors of one range.
 
-
-@pytest.fixture
-def peel_searches(monkeypatch):
-    """``classify`` with its default decomposition: (report, peel searches)."""
-    import sep4.oracle
-
-    count = [0]
-    real = sep4.oracle._find_peelable_product_vector
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sep4.oracle, "_find_peelable_product_vector", counted)
-
-    def classify_counted(state):
-        count[0] = 0
-        report = classify(state)
-        return report, count[0]
-
-    return classify_counted
+    A random 2 x 2 matrix K is the kernel: a (x) b is orthogonal to it
+    exactly when b is proportional to eps conj(K)^T a, eps = [[0, 1], [-1, 0]],
+    so the range's product vectors form a conic, parametrized by a.  With
+    four or more random points the partial transpose has rank 4, so the
+    length is 4 although the rank is 3.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rho = np.zeros((4, 4), dtype=complex)
+    for _ in range(terms):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v = np.kron(a, eps @ kernel.conj().T @ a)
+        rho += (0.5 + rng.random()) * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return new_state(rho, (2, 2))
 
 
 def ghz_projector():
@@ -246,7 +223,7 @@ class TestLengthBounds:
             assert lo <= len(dec.terms) <= hi
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_transpose_rank_raises_the_lower_bound(self, seed):
+    def test_transpose_rank_raises_the_lower_bound(self, seed, check_decomposition):
         # five points of the range's product-vector conic: rank 3, but the
         # partial transpose has rank 4, so the length is exactly 4
         state = two_qubit_curve_state(5, seed=seed)
@@ -256,11 +233,22 @@ class TestLengthBounds:
         assert rep.length_bounds == length_bounds(rep) == (4, 4)
         check_decomposition(state, rep)
 
-    def test_lower_bound_is_the_rank_when_transposes_agree(self):
+    @pytest.mark.parametrize(
+        "state",
+        [two_qubit_curve_state(3, seed=0), random_separable((2, 2), 3, seed=2)],
+        ids=["curve-3", "random-3"],
+    )
+    def test_lower_bound_is_the_rank_when_transposes_agree(self, state, check_decomposition):
         # three product terms: the partial transpose also has rank 3
-        rep = classify(two_qubit_curve_state(3, seed=0))
+        rep = classify(state)
         assert rep.ppt.records[1].rank == 3
         assert rep.length_bounds == (3, 4)
+        # Wootters' closed form always gives four terms, one more than the
+        # three these states are built from: the bounds stay (3, 4) and the
+        # length 3 is not certified.  An exact three-term route would show
+        # here as a gain.
+        assert len(rep.decomposition.terms) == 4
+        check_decomposition(state, rep)
 
     def test_crossing_bounds_raise(self):
         # a Bell state plus product noise, let through as PPT by tol_psd:
@@ -392,7 +380,7 @@ class TestDecompositionBudget:
         assert rep.verdict == "Separable" and rep.decomposition is None
         assert searches == 1
 
-    def test_full_rank_two_qubit_within_upper_bound(self, peel_searches):
+    def test_full_rank_two_qubit_within_upper_bound(self, peel_searches, check_decomposition):
         state = random_separable((2, 2), 4, seed=4)
         rep, searches = peel_searches(state)
         assert rep.length_bounds == (4, 4)
@@ -408,14 +396,18 @@ class TestDecompositionBudget:
     @pytest.mark.parametrize(
         "dims, k", EXACT, ids=[f"{'x'.join(map(str, d))}-r{k}" for d, k in EXACT]
     )
-    def test_rank_matching_cut_skips_the_peel(self, peel_searches, dims, k, seed):
+    def test_rank_matching_cut_skips_the_peel(
+        self, peel_searches, dims, k, seed, check_decomposition
+    ):
         state = random_separable(dims, k, seed=seed)
         rep, searches = peel_searches(state)
         assert searches == 0
         assert rep.rank == k and len(rep.decomposition.terms) == k
         check_decomposition(state, rep)
 
-    def test_degenerate_cut_pencil_decomposes_without_the_peel(self, peel_searches):
+    def test_degenerate_cut_pencil_decomposes_without_the_peel(
+        self, peel_searches, check_decomposition
+    ):
         # every cut pencil has a doubly degenerate spectrum: across 1 | 23 the
         # range holds the cut products |0>(x|00> + y|11>) and |1>(x|01> + y|10>);
         # its full product vectors are only the four basis vectors
@@ -431,7 +423,9 @@ class TestDecompositionBudget:
     @pytest.mark.parametrize(
         "a, b", [(0, 1), (1, 0), (0, 0.7)], ids=["ab-0-1", "ab-1-0", "ab-0-0.7"]
     )
-    def test_separable_two_qutrit_family_skips_the_peel(self, peel_searches, a, b):
+    def test_separable_two_qutrit_family_skips_the_peel(
+        self, peel_searches, a, b, check_decomposition
+    ):
         # no rest side has rank 4, but the range holds exactly four product vectors
         state = two_qutrit_ab_state(a, b)
         rep, searches = peel_searches(state)
@@ -440,13 +434,13 @@ class TestDecompositionBudget:
         check_decomposition(state, rep)
 
     @pytest.mark.parametrize("state", [random_separable((2, 2), 3, seed=0)], ids=["2x2-r3"])
-    def test_two_qubit_conic_range_skips_the_peel(self, peel_searches, state):
+    def test_two_qubit_conic_range_skips_the_peel(self, peel_searches, state, check_decomposition):
         # a two-qubit rank-3 range holds a conic of product vectors: Wootters
         rep, searches = peel_searches(state)
         assert searches == 0
         check_decomposition(state, rep)
 
-    def test_dropped_party_lifted_to_original_dims(self, peel_searches):
+    def test_dropped_party_lifted_to_original_dims(self, peel_searches, check_decomposition):
         pure = np.zeros((2, 2))
         pure[0, 0] = 1.0
         state = new_state(np.kron(pure, random_separable((2, 3), 3, seed=0).matrix), (2, 2, 3))
@@ -463,13 +457,13 @@ class TestTwoQubitDecomposition:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
-    def test_random_separable(self, peel_searches, k, seed):
+    def test_random_separable(self, peel_searches, k, seed, check_decomposition):
         state = random_separable((2, 2), k, seed=seed)
         rep, searches = peel_searches(state)
         assert searches == 0
         check_decomposition(state, rep)
 
-    def test_singular_tau(self, peel_searches):
+    def test_singular_tau(self, peel_searches, check_decomposition):
         # |00>, |01>, |10> weighted: tau = X^T (sigma_y x sigma_y) X pairs
         # |01> with |10> and sends |00> to zero
         base = new_state(np.diag([0.5, 0.3, 0.2, 0.0]), (2, 2))
@@ -483,7 +477,7 @@ class TestTwoQubitDecomposition:
         assert rep.rank == 3 and searches == 0
         check_decomposition(state, rep)
 
-    def test_identity(self, peel_searches):
+    def test_identity(self, peel_searches, check_decomposition):
         # every Takagi value equal: the triangle is degenerate (s, s, 2s)
         state = new_state(np.eye(4), (2, 2))
         rep, searches = peel_searches(state)
@@ -491,7 +485,7 @@ class TestTwoQubitDecomposition:
         check_decomposition(state, rep)
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_lifted_through_a_compressed_party(self, peel_searches, k):
+    def test_lifted_through_a_compressed_party(self, peel_searches, k, check_decomposition):
         # the qutrit is supported on two dimensions only
         rng = np.random.default_rng(k)
         q, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
@@ -502,7 +496,7 @@ class TestTwoQubitDecomposition:
         assert rep.compressed_dims == (2, 2) and searches == 0
         check_decomposition(state, rep)
 
-    def test_lifted_through_a_dropped_party(self, peel_searches):
+    def test_lifted_through_a_dropped_party(self, peel_searches, check_decomposition):
         pure = np.diag([0.0, 1.0])
         state = new_state(np.kron(pure, random_separable((2, 2), 4, seed=1).matrix), (2, 2, 2))
         rep, searches = peel_searches(state)

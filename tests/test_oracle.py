@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_engine import check_decomposition
 
 import sep4.oracle as oracle
 from sep4.engine import classify
@@ -429,13 +428,14 @@ class TestRangeProducts:
     }
 
     @pytest.mark.parametrize("name", list(DECLINED))
-    def test_declined_without_raising(self, name):
+    def test_declined_without_raising(self, name, check_decomposition):
         st_ = self.DECLINED[name]()
         comp = compress_support(st_)
         sd = spectral(comp.state)
         rank = rank_of(comp.state)
         found = oracle._range_products(
-            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims, 0
+            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims,
+            np.random.default_rng(0),
         )
         # the NPT range has exactly its two products; the residual check declines them
         assert (found is None) == (name != "npt-two-products")
@@ -452,7 +452,7 @@ class TestRangeProducts:
         st_ = random_separable((3, 3), 4, seed=5)
         sd = spectral(st_)
         psi, weights = oracle._range_products(
-            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), 0
+            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), np.random.default_rng(0)
         )
         assert psi.shape == (4, 9) and np.all(weights > 0)
         for v in psi:
