@@ -14,14 +14,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NotBijective, ShapeMismatch, UnsupportedSystem, WrongDimension
-from .grassmann import PlueckerVector, SubspaceBasis, permutation_sign, pluecker
+from .grassmann import PlueckerVector, SubspaceBasis, index_tuples, permutation_sign, pluecker
 from .states import DEFAULT_TOLERANCES, ToleranceConfig
 
 # entry cell: tuple of (sign, index-tuple) terms, all linear in p
@@ -56,6 +56,16 @@ class ChowForm:
     @property
     def k(self) -> int:
         return delta1(self.dims)
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``entries`` with each index tuple replaced by its position in the
+        Plücker order of :func:`~sep4.grassmann.index_tuples`."""
+        position = {tup: q for q, tup in enumerate(index_tuples(self.d, self.k))}
+        return tuple(
+            tuple(tuple((sign, position[tup]) for sign, tup in cell) for cell in row)
+            for row in self.entries
+        )
 
 
 def delta1(dims) -> int:
@@ -175,13 +185,9 @@ def eval_chow(form: ChowForm, p: PlueckerVector, normalized: bool = True) -> com
         vec = p.normalized / np.abs(p.normalized).max()
     else:
         vec = p.raw
-    values = dict(zip(p.tuples, vec))
-    size = form.matrix_size
-    mat = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            mat[i, j] = sum(sign * values[tup] for sign, tup in form.entries[i][j])
-    return complex(np.linalg.det(mat))
+    values = vec.tolist()
+    mat = [[sum(sign * values[q] for sign, q in cell) for cell in row] for row in form._cells]
+    return complex(np.linalg.det(np.array(mat, dtype=complex)))
 
 
 def subspace_meets_segre(

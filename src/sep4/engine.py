@@ -134,9 +134,10 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     most ``length_bounds[1]`` terms is made; the decomposition is ``None``
     when that pass does not close (its absence never changes the verdict).
     One spectral pass, kept for this call only: the reduced states are
-    diagonalized in :func:`compress_support`, the compressed state here,
-    and each representative partial transpose but the empty one in
-    :func:`is_ppt`, which takes the compressed state's eigenvalues from here.
+    diagonalized in :func:`compress_support`, one stacked call per party
+    size, the compressed state here, and each representative partial
+    transpose but the empty one in :func:`is_ppt`, which takes the
+    compressed state's eigenvalues from here.
     """
     base = dict(
         dims=state.dims,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +103,15 @@ def index_tuples(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, d + 1), k))
 
 
+@lru_cache(maxsize=None)
+def _minor_columns(d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`index_tuples` and the same as a read-only 0-based (T, k) array."""
+    tuples = index_tuples(d, k)
+    idx = np.array(tuples, dtype=int) - 1
+    idx.setflags(write=False)
+    return tuples, idx
+
+
 def pluecker(basis: SubspaceBasis) -> PlueckerVector:
     """Compute all maximal minors of ``basis``.
 
@@ -111,8 +121,7 @@ def pluecker(basis: SubspaceBasis) -> PlueckerVector:
     k, d = basis.k, basis.d
     if k == 0:
         raise RankDeficientBasis("cannot take Plücker coordinates of an empty basis")
-    tuples = index_tuples(d, k)
-    idx = np.array(tuples, dtype=int) - 1          # (T, k)
+    tuples, idx = _minor_columns(d, k)
     mats = np.moveaxis(basis.rows[:, idx], 1, 0)   # (T, k, k)
     raw = np.linalg.det(mats)
     scale = np.abs(raw).max()

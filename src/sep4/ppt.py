@@ -8,7 +8,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotBipartite
-from .states import MultiState, partial_transpose, rank_of, spectral, _rank_from_eigenvalues
+from .states import (
+    MultiState, _rank_from_eigenvalues, _transposed, partial_transpose, rank_of, spectral
+)
 
 
 @dataclass(frozen=True)
@@ -45,29 +47,32 @@ def is_ppt(state: MultiState, eigenvalues: np.ndarray | None = None) -> PptRepor
     """Evaluate every representative partial transpose of ``state``.
 
     PPT holds iff each minimum eigenvalue is at least
-    ``-tol_psd * lambda_max`` of the input state.  The empty subset, which
-    is first, is the state itself: its eigenvalues are ``eigenvalues``
-    (descending) when the caller already has them from
-    :func:`~sep4.states.spectral`, and are computed by it otherwise.  One
-    eigensolve per other subset.
+    ``-tol_psd * lambda_max`` of the input state.  The worst subset is the
+    first with the lowest minimum, where a minimum within that band counts
+    as 0: a PPT state whose partial transposes are all singular reports
+    ``()``.  The empty subset, which is first, is the state itself: its
+    eigenvalues are ``eigenvalues`` (descending) when the caller already
+    has them from :func:`~sep4.states.spectral`, and are computed by it
+    otherwise.  One ``eigvalsh`` per other subset, on a permuted copy of
+    the matrix.
     """
+    m, dims, cfg = state.matrix, state.dims, state.cfg
+    first = spectral(state).eigenvalues if eigenvalues is None else eigenvalues
+    band = cfg.tol_psd * float(first[0])
     records = []
     worst: tuple[int, ...] = ()
     worst_val = np.inf
     for subset in subset_representatives(state.n):
-        if subset:
-            eigs = np.linalg.eigvalsh(partial_transpose(state, subset).matrix)
-        else:
-            # ascending, as eigvalsh gives them
-            eigs = (spectral(state).eigenvalues if eigenvalues is None else eigenvalues)[::-1]
-            threshold = -state.cfg.tol_psd * float(eigs[-1])
-        rank = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
+        # ascending, as eigvalsh gives them
+        eigs = np.linalg.eigvalsh(_transposed(m, dims, subset)) if subset else first[::-1]
         mn = float(eigs[0])
+        rank = _rank_from_eigenvalues(eigs, cfg.tol_rank)
         records.append(SubsetRecord(subset=subset, min_eigenvalue=mn, rank=rank))
-        if mn < worst_val:
-            worst_val = mn
+        val = 0.0 if abs(mn) <= band else mn
+        if val < worst_val:
+            worst_val = val
             worst = subset
-    ok = all(rec.min_eigenvalue >= threshold for rec in records)
+    ok = all(rec.min_eigenvalue >= -band for rec in records)
     return PptReport(is_ppt=ok, records=tuple(records), worst_subset=worst)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -154,6 +154,21 @@ def normalize_subset(subset, n: int) -> tuple[int, ...]:
     return tuple(s)
 
 
+@lru_cache(maxsize=None)
+def _transpose_axes(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
+    """Axes of the ``dims + dims`` tensor, each subset party's row and column swapped."""
+    perm = list(range(2 * n))
+    for p in subset:
+        perm[p - 1], perm[n + p - 1] = perm[n + p - 1], perm[p - 1]
+    return tuple(perm)
+
+
+def _transposed(matrix: np.ndarray, dims: tuple[int, ...], subset) -> np.ndarray:
+    """Partial-transpose kernel on a bare matrix; ``subset`` is normalized."""
+    d = matrix.shape[0]
+    return matrix.reshape(dims + dims).transpose(_transpose_axes(len(dims), subset)).reshape(d, d)
+
+
 def partial_transpose(state: MultiState, subset) -> MultiState:
     """Transpose the row/column indices of every party in ``subset``.
 
@@ -163,16 +178,27 @@ def partial_transpose(state: MultiState, subset) -> MultiState:
     s = normalize_subset(subset, state.n)
     if not s:
         return state
-    n = state.n
-    t = state.matrix.reshape(state.dims + state.dims)
-    perm = list(range(2 * n))
-    for p in s:
-        perm[p - 1], perm[n + p - 1] = perm[n + p - 1], perm[p - 1]
-    out = np.ascontiguousarray(t.transpose(perm)).reshape(state.d, state.d)
-    return MultiState(out, state.dims, state.cfg)
+    return MultiState(_transposed(state.matrix, state.dims, s), state.dims, state.cfg)
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+@lru_cache(maxsize=None)
+def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
+    """``einsum`` subscripts that trace an ``n``-party tensor down to ``keep``."""
+    if 2 * n > len(_LETTERS):
+        raise DimensionMismatch("too many parties for the einsum path")
+    row, col = _LETTERS[:n], _LETTERS[n:2 * n]
+    traced = "".join(col[i] if i + 1 in keep else row[i] for i in range(n))
+    kept = "".join(row[p - 1] for p in keep) + "".join(col[p - 1] for p in keep)
+    return row + traced + "->" + kept
+
+
+def _reduced(t: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial-trace kernel on the ``dims + dims`` tensor ``t``."""
+    dk = math.prod(dims[p - 1] for p in keep)
+    return np.einsum(_trace_subscripts(len(dims), keep), t).reshape(dk, dk)
 
 
 def reduced_state(state: MultiState, keep) -> MultiState:
@@ -180,38 +206,26 @@ def reduced_state(state: MultiState, keep) -> MultiState:
     k = normalize_subset(keep, state.n)
     if not k:
         raise EmptySubset("keep must name at least one party")
-    n = state.n
-    if len(k) == n:
+    if len(k) == state.n:
         return state
-    if 2 * n > len(_LETTERS):
-        raise DimensionMismatch("too many parties for the einsum path")
-    row = list(_LETTERS[:n])
-    col = list(_LETTERS[n:2 * n])
-    for p in range(1, n + 1):
-        if p not in k:
-            col[p - 1] = row[p - 1]
-    out_sub = "".join(row[p - 1] for p in k) + "".join(_LETTERS[n + p - 1] for p in k)
-    spec = "".join(row) + "".join(col) + "->" + out_sub
-    t = state.matrix.reshape(state.dims + state.dims)
-    dk = math.prod(state.dims[p - 1] for p in k)
-    out = np.einsum(spec, t).reshape(dk, dk)
-    new_dims = tuple(state.dims[p - 1] for p in k)
-    return MultiState(out, new_dims, state.cfg)
+    out = _reduced(state.matrix.reshape(state.dims + state.dims), state.dims, k)
+    return MultiState(out, tuple(state.dims[p - 1] for p in k), state.cfg)
 
 
 def spectral(state: MultiState | np.ndarray) -> SpectralData:
     """Full Hermitian eigendecomposition, eigenvalues descending.
 
-    Takes a state or a bare Hermitian matrix; a real symmetric one keeps
-    real eigenvectors.
+    Takes a state, a bare Hermitian matrix or a stack ``(..., d, d)`` of
+    them, diagonalized in one call; a real symmetric one keeps real
+    eigenvectors.
     """
     matrix = state.matrix if isinstance(state, MultiState) else state
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise EigFailure(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return SpectralData(eigenvalues=w[order], eigenvectors=v[:, order])
+    # eigh sorts ascending; C-contiguous copies keep later products on BLAS
+    return SpectralData(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
 def _rank_from_eigenvalues(eigs: np.ndarray, tol_rank: float) -> int:
@@ -250,23 +264,29 @@ def compress_support(state: MultiState) -> CompressionResult:
 
     Parties whose reduced state has rank one are removed entirely; rank,
     PPT status and separability are unaffected.  The isometry widths are
-    the local ranks.  Raises :class:`AllPartiesTrivial`, carrying the
-    isometries, when nothing would remain (the state is a pure product
-    state).
+    the local ranks.  Reduced states of one size are diagonalized in one
+    stacked :func:`spectral` call.  Raises :class:`AllPartiesTrivial`,
+    carrying the isometries, when nothing would remain (the state is a
+    pure product state).
     """
-    n = state.n
-    isometries = []
-    ranks = []
-    for p in range(1, n + 1):
-        sd = spectral(reduced_state(state, (p,)))
-        r = _rank_from_eigenvalues(sd.eigenvalues, state.cfg.tol_rank)
-        isometries.append(np.ascontiguousarray(sd.eigenvectors[:, :r]))
-        ranks.append(r)
+    n, dims = state.n, state.dims
+    t = state.matrix.reshape(dims + dims)
+    isometries: list = [None] * n
+    ranks = [0] * n
+    for dp in dict.fromkeys(dims):
+        parties = [p for p in range(1, n + 1) if dims[p - 1] == dp]
+        sd = spectral(np.stack([_reduced(t, dims, (p,)) for p in parties]))
+        for p, eigs, v in zip(parties, sd.eigenvalues, sd.eigenvectors):
+            r = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
+            isometries[p - 1] = np.ascontiguousarray(v[:, :r])
+            ranks[p - 1] = r
     if all(r == 1 for r in ranks):
         raise AllPartiesTrivial(
             "every single-party reduced state has rank one", tuple(isometries)
         )
-    w = reduce(np.kron, isometries)
+    # the Kronecker product of the isometries, one broadcast product per factor
+    w = reduce(lambda a, b: (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1),
+               isometries)
     m = w.conj().T @ state.matrix @ w
     m = 0.5 * (m + m.conj().T)
     kept = tuple(p for p in range(1, n + 1) if ranks[p - 1] > 1)

@@ -170,6 +170,46 @@ class TestEvalChow:
         assert v1 == pytest.approx(v2, rel=1e-9)
 
 
+class TestCompiledEvaluation:
+    """``eval_chow`` reads each form through its compiled cells; the value is
+    bit-identical to the literal cell-by-cell sum over the entries."""
+
+    @staticmethod
+    def literal(form, p, normalized):
+        vec = p.normalized / np.abs(p.normalized).max() if normalized else p.raw
+        values = dict(zip(p.tuples, vec))
+        mat = np.zeros((form.matrix_size, form.matrix_size), dtype=complex)
+        for i, row in enumerate(form.entries):
+            for j, cell in enumerate(row):
+                mat[i, j] = sum(sign * values[tup] for sign, tup in cell)
+        return complex(np.linalg.det(mat))
+
+    def check(self, form, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.vstack([random_vec(rng, form.d) for _ in range(form.k)])
+        p = pluecker(SubspaceBasis(rows, form.dims))
+        for normalized in (True, False):
+            assert eval_chow(form, p, normalized) == self.literal(form, p, normalized)
+
+    @pytest.mark.parametrize("dims", supported_systems())
+    def test_every_table(self, dims):
+        self.check(builtin_chow(dims), seed=len(dims) * 10 + dims[0])
+
+    def test_fresh_forms_never_share_cells(self):
+        # new forms of one shape, each dropped before the next is built: a
+        # cache keyed by dims or by id() would hand one form another's cells
+        for seed in range(4):
+            form = generate_chow_Mx2(5)
+            if seed % 2:
+                form = permute_form(form, np.random.default_rng(seed).permutation(10) + 1)
+            self.check(form, seed)
+
+    def test_permuted_form_after_its_original(self):
+        form = builtin_chow((3, 3))
+        self.check(form, seed=7)
+        self.check(permute_form(form, [3, 1, 2, 6, 4, 5, 9, 7, 8]), seed=7)
+
+
 class TestSubspaceMeetsSegre:
     def test_single_product_vector_span(self):
         rows = np.zeros((1, 4), dtype=complex)

@@ -70,6 +70,30 @@ class TestIsPpt:
         st = random_separable((2, 2, 2), 2, seed=1)
         assert len(is_ppt(st).records) == 4
 
+    def test_worst_subset_ignores_noise_within_tol_psd(self):
+        # both minima are rounding-size; which one reads lower must not
+        # decide the worst subset: a minimum within the band counts as 0
+        def state(p, q):
+            m = np.zeros((4, 4))
+            m[0, 0] = m[3, 3] = 0.5
+            m[1, 2] = m[2, 1] = p  # the state's minimum is -p
+            m[0, 3] = m[3, 0] = q  # the party-1 transpose's minimum is -q
+            return new_state(m, (2, 2))
+
+        reports = [is_ppt(state(1e-16, 2e-16)), is_ppt(state(2e-16, 1e-16))]
+        assert all(r.is_ppt for r in reports)
+        assert [r.worst_subset for r in reports] == [(), ()]
+
+    def test_worst_subset_beyond_the_band_is_the_lowest(self):
+        # full-rank PPT state: every minimum is positive and outside the band
+        m = np.diag([1.0, 0.5, 0.25, 1.0]).astype(complex)
+        m[0, 3] = m[3, 0] = 0.3  # moves to the 01/10 block under transpose
+        report = is_ppt(new_state(m, (2, 2)))
+        mins = [rec.min_eigenvalue for rec in report.records]
+        assert report.is_ppt
+        assert mins == pytest.approx([0.25, 0.05])
+        assert report.worst_subset == (1,)
+
 
 class TestBirank:
     def test_product_projector(self):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,53 @@ class TestCompressSupport:
         st_ = random_state((2, 3, 2), 4, seed=16)
         comp = compress_support(st_)
         assert rank_of(comp.state) == rank_of(st_)
+
+
+class TestStackedKernels:
+    """The verdict path's stacked spectra and broadcast isometries are
+    bit-identical to the public per-matrix helpers."""
+
+    def test_spectral_stack_matches_single_calls(self):
+        mats = np.stack([random_state((4,), rank, seed=rank).matrix for rank in (1, 2, 4)])
+        for stack in (mats, mats.real.copy()):
+            stacked = spectral(stack)
+            for i, m in enumerate(stack):
+                single = spectral(m)
+                assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
+                assert np.array_equal(stacked.eigenvectors[i], single.eigenvectors)
+
+    @staticmethod
+    def reference(state):
+        isometries = []
+        for p in range(1, state.n + 1):
+            reduced = reduced_state(state, (p,))
+            r = rank_of(reduced)
+            isometries.append(np.ascontiguousarray(spectral(reduced).eigenvectors[:, :r]))
+        w = reduce(np.kron, isometries)
+        m = w.conj().T @ state.matrix @ w
+        return isometries, 0.5 * (m + m.conj().T)
+
+    @pytest.mark.parametrize(
+        "dims, rank", [((2, 3), 4), ((3, 4), 2), ((2, 2, 3), 3), ((2, 2, 2, 2), 4)]
+    )
+    def test_compress_support_matches_per_party_reference(self, dims, rank):
+        state = random_state(dims, rank, seed=sum(dims) + rank)
+        self.check(state)
+
+    def test_compress_support_with_dropped_party(self):
+        sigma = random_state((2, 3), 3, seed=17)
+        state = new_state(np.kron(np.diag([0.0, 1.0]).astype(complex), sigma.matrix), (2, 2, 3))
+        assert compress_support(state).dropped == (1,)
+        self.check(state)
+
+    def check(self, state):
+        comp = compress_support(state)
+        isometries, matrix = self.reference(state)
+        assert len(comp.isometries) == len(isometries)
+        for got, want in zip(comp.isometries, isometries):
+            assert np.array_equal(got, want)
+        assert np.array_equal(comp.state.matrix, matrix)
+        assert comp.state.dims == tuple(w.shape[1] for w in isometries if w.shape[1] > 1)
 
 
 class TestIsProduct:
