@@ -47,6 +47,12 @@ class SubspaceBasis:
             )
         if rows.shape[0] > d:
             raise RankDeficientBasis(f"{rows.shape[0]} rows cannot be independent in C^{d}")
+        if not np.isfinite(rows).all():
+            bad = np.argwhere(~np.isfinite(rows))
+            raise RankDeficientBasis(
+                "basis rows hold non-finite entries at (row, column) "
+                + ", ".join(f"({i}, {j}) = {rows[i, j]}" for i, j in bad)
+            )
         if rows.shape[0] > 0:
             sv = np.linalg.svd(rows, compute_uv=False)
             if sv[0] == 0 or sv[-1] <= INDEPENDENCE_RTOL * sv[0]:

@@ -5,15 +5,15 @@ product vector exists (it is exhibited), while "none found" is evidence,
 not proof, of a completely entangled subspace.  Every hit, searched or
 counted, is finished by the one Gauss-Newton polish (:func:`_polish_hit`)
 and certified by an exact SVD.  The exact counting routine for
-5-dimensional kernels in 3 x 3 takes its polynomials from sampled
-determinants and an FFT, eliminates one party with a sampled Sylvester
-resultant, and answers only when a coordinate change certifies six
-distinct transverse product vectors, which by Bezout are all of them.
-Where the range of a state holds exactly as many product vectors as its
-rank, they come from the range's flattening minors and one small
-eigenproblem (:func:`_range_products`), which decomposes separable states
-exactly and gives the three-qubit kernel vectors.  Two-qubit ranges of
-rank 3 or 4 hold a curve of product vectors instead; Wootters' closed form
+5-dimensional kernels in 3 x 3 finds the candidates as the eigenvalues of
+one two-parameter eigenproblem (:func:`_kernel_pv_round`), and answers
+only when a coordinate change certifies six distinct transverse product
+vectors, which by Bezout are all of them.  Where the range of a state
+holds exactly as many product vectors as its rank, they come from the
+range's flattening minors and one small eigenproblem
+(:func:`_range_products`), which decomposes separable states exactly and
+gives the three-qubit kernel vectors.  Two-qubit ranges of rank 3 or 4
+hold a curve of product vectors instead; Wootters' closed form
 (:func:`_wootters_products`) decomposes them into four terms.  The greedy
 peel serves what neither covers.
 """
@@ -65,7 +65,6 @@ class ProductVectorHit:
     the party flattenings of ``vector``.
     """
 
-    coefficients: np.ndarray
     vector: np.ndarray
     factors: tuple[np.ndarray, ...]
     residual: float
@@ -222,13 +221,13 @@ def _truncated_step(jac: np.ndarray, rhs: np.ndarray, residual: float):
     return vh[keep].conj().T @ coeffs
 
 
-def _polish_hit(vec, onb, blocks, dims, coeff_rows, tol_product) -> ProductVectorHit | None:
+def _polish_hit(vec, onb, blocks, dims, tol_product) -> ProductVectorHit | None:
     """Polish ``vec`` into a certified product vector obeying ``blocks``, or ``None``.
 
     Gauss-Newton (:func:`_compatible_newton`) from the factors of ``vec``,
     then projection onto the span of the orthonormal rows ``onb``; the hit
     counts only when the exact SVD ratio of the projected vector is at
-    most ``tol_product``.  Its coefficients refer to ``coeff_rows``.
+    most ``tol_product``.
     """
     factors = _compatible_newton(product_factors(vec, dims), blocks, dims)
     if factors is None:
@@ -241,17 +240,10 @@ def _polish_hit(vec, onb, blocks, dims, coeff_rows, tol_product) -> ProductVecto
     ratio = float(_flattening_ratios(vec[None, :], dims)[0])
     if ratio > tol_product:
         return None
-    return ProductVectorHit(
-        coefficients=np.linalg.lstsq(coeff_rows.T, vec, rcond=None)[0],
-        vector=vec,
-        factors=product_factors(vec, dims),
-        residual=ratio,
-    )
+    return ProductVectorHit(vector=vec, factors=product_factors(vec, dims), residual=ratio)
 
 
-def _search_product_vector(
-    onb, blocks, dims, coeff_rows, restarts, seed, chunk_size, cutoff, tol_product
-):
+def _search_product_vector(onb, blocks, dims, restarts, seed, chunk_size, cutoff, tol_product):
     """Seeded restart search for a product vector obeying ``blocks``.
 
     ``onb`` is an orthonormal row basis of the subspace searched and
@@ -263,7 +255,7 @@ def _search_product_vector(
     """
 
     def polish(vec):
-        return _polish_hit(vec, onb, blocks, dims, coeff_rows, tol_product)
+        return _polish_hit(vec, onb, blocks, dims, tol_product)
 
     rng = np.random.default_rng(seed)
     shape = (restarts, onb.shape[0])
@@ -288,7 +280,6 @@ def find_product_vector(
     basis: SubspaceBasis,
     restarts: int = 200,
     seed: int = 0,
-    tol_product: float = DEFAULT_TOLERANCES.tol_product,
     chunk_size: int = 64,
 ) -> ProductVectorHit | None:
     """Search for a product vector in the span of ``basis``.
@@ -298,8 +289,9 @@ def find_product_vector(
     Gauss-Newton as soon as their flattening ratio bound reaches
     ``POLISH_RATIO``.  Returns the first certified hit found, in sweep
     order rather than restart order, whose residual reaches
-    ``tol_product``; ``None`` after exhausting all starts.  A ``None`` is
-    evidence, not proof, that the subspace is completely entangled.
+    ``DEFAULT_TOLERANCES.tol_product``; ``None`` after exhausting all
+    starts.  A ``None`` is evidence, not proof, that the subspace is
+    completely entangled.
     Raises ``ValueError`` when ``restarts`` is negative or ``chunk_size``
     below 1, which would sweep no start and make that ``None`` meaningless.
     """
@@ -313,18 +305,16 @@ def find_product_vector(
     _, _, vh = np.linalg.svd(basis.rows, full_matrices=True)
     blocks = [((), vh[k:])]
     return _search_product_vector(
-        vh[:k], blocks, basis.dims, basis.rows, restarts, seed, chunk_size, 0.25, tol_product
+        vh[:k], blocks, basis.dims, restarts, seed, chunk_size, 0.25, DEFAULT_TOLERANCES.tol_product
     )
 
 
-def check_general_position(
-    factor_lists, dims, rtol: float = 1e-8
-) -> bool:
+def check_general_position(factor_lists, dims) -> bool:
     """General-position test for a tuple of product vectors.
 
     For every party j and every subset of at most ``d_j`` vectors, the
     party-j factors must be linearly independent (smallest singular value
-    above ``rtol`` times the largest).
+    above 1e-8 times the largest).
     """
     dims = tuple(int(x) for x in dims)
     m = len(factor_lists)
@@ -339,7 +329,7 @@ def check_general_position(
         for pick in combinations(range(m), size):
             mat = np.column_stack([vecs[i] for i in pick])
             sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= rtol * sv[0]:
+            if sv[-1] <= 1e-8 * sv[0]:
                 return False
     return True
 
@@ -471,7 +461,7 @@ def _find_peelable_product_vector(rem_state: MultiState, subsets, spectra, seed:
     onb = np.ascontiguousarray(spectra[0].eigenvectors[:, ~kernels[0]].T)
     blocks = [(s, sd.eigenvectors[:, k].T) for s, sd, k in zip(subsets, spectra, kernels)]
     return _search_product_vector(
-        onb, blocks, rem_state.dims, onb, PEEL_RESTARTS, seed, 64, 0.3, rem_state.cfg.tol_product
+        onb, blocks, rem_state.dims, PEEL_RESTARTS, seed, 64, 0.3, rem_state.cfg.tol_product
     )
 
 
@@ -732,33 +722,20 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
 #
 # Product vectors |a, b> in a 5-dim kernel K satisfy four bilinear
 # conditions a^T M_j b = 0 built from the 4-dim orthocomplement.  A
-# nontrivial b exists iff the 4 x 3 matrix C(a) with rows a^T M_j has all
-# four 3 x 3 minors zero.  After a random projective change of
-# coordinates a = T (1, s, t), two of the four cubic minor curves are
-# eliminated by a resultant in t, giving a univariate polynomial in s of
-# degree at most 9.  Both the minors and the resultant are sampled
-# determinants on roots of unity, turned into coefficients by an FFT.
+# nontrivial b exists iff the 4 x 3 matrix C(a) with rows a^T M_j has rank
+# below 3.  After a random projective change of coordinates a = T (1, s, t),
+# C = C_0 + s C_1 + t C_2 is linear, and so are its rows 1-3,
+# A = A_0 + s A_1 + t A_2, and its rows 0, 2 and 3, B.  The two cubic curves
+# det A = 0 and det B = 0 meet in nine points: the six product vectors and
+# the three where rows 2 and 3 alone are dependent.  They are the
+# eigenvalues of the two-parameter problem A x = 0, B y = 0 (Atkinson,
+# Multiparameter Eigenvalue Problems, 1972): with the operator determinants
+# D_0 = A_1 (x) B_2 - A_2 (x) B_1, D_1 = A_2 (x) B_0 - A_0 (x) B_2 and
+# D_2 = A_0 (x) B_1 - A_1 (x) B_0, x (x) y is an eigenvector of D_0^-1 D_1
+# with eigenvalue s and of D_0^-1 D_2 with eigenvalue t.
 
-_COEFF_TRIM = 1e-9
 _CLUSTER_GAP = 1e-6
 _RANK_GAP = 1e-6
-
-
-def _unit_roots(n: int) -> np.ndarray:
-    """The ``n``-th roots of unity exp(2 pi i m / n).
-
-    At these samples the forward FFT of the values of a polynomial of
-    degree below ``n`` is ``n`` times its coefficients, lowest degree first.
-    """
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _trim_poly(c: np.ndarray) -> np.ndarray:
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return c[:1]
-    keep = np.flatnonzero(np.abs(c) > _COEFF_TRIM * scale)
-    return c[: keep[-1] + 1]
 
 
 def _transverse(a: np.ndarray, b: np.ndarray, bilinear: np.ndarray) -> bool:
@@ -781,81 +758,64 @@ def _null_factor(a: np.ndarray, bilinear: np.ndarray) -> np.ndarray | None:
     return vh[-1].conj()
 
 
-def _kernel_pv_round(complement, onb, kernel, rng, membership_tol):
+def _kernel_pv_round(complement, onb, rng):
     """One coordinate-change round: six certified hits, or ``None``.
 
-    The round certifies its answer only when the resultant's roots are
-    isolated and they yield six distinct polished hits, each a transverse
+    ``None`` when D_0 has 1-norm condition number at least
+    1 / ``_CLUSTER_GAP`` or two s-values lie closer than ``_CLUSTER_GAP``
+    (relative).  Otherwise the round certifies its answer only when the
+    nine points yield six distinct polished hits, each a transverse
     intersection; a degree-6 intersection has no room for a seventh.
     """
     bilinear = complement.conj().reshape(4, 3, 3)
     t_mat, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-
-    # the cubic minor curves dropping rows 0 and 1 of C(s, t), sampled on a
-    # 4 x 4 grid; coefficient [i, j] belongs to s^i t^j
-    z = _unit_roots(4)
-    grid = np.stack(np.broadcast_arrays(1.0, z[:, None], z[None, :]), axis=-1) @ t_mat.T
-    c_grid = np.einsum("sta,jab->stjb", grid, bilinear)
-    m1, m2 = (
-        np.fft.fft2(np.linalg.det(c_grid[..., rows, :])) / 16 for rows in ([1, 2, 3], [0, 2, 3])
+    # c[k] multiplies (1, s, t)[k] in C(T (1, s, t))
+    c = np.einsum("ak,jab->kjb", t_mat, bilinear)
+    a_k, b_k = c[:, 1:], c[:, [0, 2, 3]]
+    d0, d1, d2 = (
+        np.kron(a_k[i], b_k[j]) - np.kron(a_k[j], b_k[i]) for i, j in ((1, 2), (2, 0), (0, 1))
     )
-    scale = max(np.abs(m1).max(), np.abs(m2).max())
-    if scale == 0.0:
+    try:
+        d0_inv = np.linalg.inv(d0)
+        if np.abs(d0).sum(0).max() * np.abs(d0_inv).sum(0).max() * _CLUSTER_GAP >= 1.0:
+            return None
+        s_vals, z = np.linalg.eig(d0_inv @ d1)
+    except np.linalg.LinAlgError:
         return None
-    # t-degree drop makes the Sylvester eliminant unreliable
-    if abs(m1[0, 3]) < 1e-10 * np.abs(m1).max() or abs(m2[0, 3]) < 1e-10 * np.abs(m2).max():
+    gaps = np.abs(np.subtract.outer(s_vals, s_vals))[np.triu_indices(9, 1)]
+    if gaps.min() < _CLUSTER_GAP * np.abs(s_vals).max():
         return None
-
-    # Sylvester resultant in t of degree at most 9 in s, sampled at 16 points
-    powers = _unit_roots(16)[:, None] ** np.arange(4)
-    syl = np.zeros((16, 6, 6), dtype=complex)
-    for r in range(3):
-        syl[:, r, r : r + 4] = (powers @ m1)[:, ::-1]
-        syl[:, 3 + r, r : r + 4] = (powers @ m2)[:, ::-1]
-    res = _trim_poly(np.fft.fft(np.linalg.det(syl)) / 16)
-    if np.abs(res).max() < 1e-12 or res.shape[0] < 2:
-        return None
-    s_roots = np.roots(res[::-1])
-    gaps = np.abs(np.subtract.outer(s_roots, s_roots))[np.triu_indices(len(s_roots), 1)]
-    if np.any(gaps < _CLUSTER_GAP):
-        return None
+    # eig returns unit eigenvectors, so each Rayleigh quotient is z^H D_0^-1 D_2 z
+    t_vals = np.sum(z.conj() * (d0_inv @ d2 @ z), axis=0)
 
     blocks = [((), complement)]
     hits: list[ProductVectorHit] = []
-    for s0 in s_roots:
-        s_pow = s0 ** np.arange(4)
-        tc = _trim_poly(s_pow @ m1)
-        if tc.shape[0] < 2:
+    for s0, t0 in zip(s_vals, t_vals):
+        a = t_mat @ np.array([1.0, s0, t0])
+        a /= np.linalg.norm(a)
+        b = _null_factor(a, bilinear)
+        if b is None:
             continue
-        for t0 in np.roots(tc[::-1]):
-            bound = 1e-4 * scale * max(1.0, abs(s0), abs(t0)) ** 3
-            if abs(s_pow @ m2 @ t0 ** np.arange(4)) > bound:
-                continue
-            a = t_mat @ np.array([1.0, s0, t0])
-            a /= np.linalg.norm(a)
-            b = _null_factor(a, bilinear)
-            if b is None:
-                continue
-            hit = _polish_hit(np.kron(a, b), onb, blocks, kernel.dims, kernel.rows, membership_tol)
-            if hit is not None and all(
-                abs(np.vdot(h.vector, hit.vector)) <= DEDUP_OVERLAP for h in hits
-            ):
-                hits.append(hit)
+        hit = _polish_hit(np.kron(a, b), onb, blocks, (3, 3), 1e-8)
+        if hit is not None and all(
+            abs(np.vdot(h.vector, hit.vector)) <= DEDUP_OVERLAP for h in hits
+        ):
+            hits.append(hit)
     if len(hits) != 6 or not all(_transverse(*h.factors, bilinear) for h in hits):
         return None
     return hits
 
 
 def count_kernel_product_vectors_3x3(
-    kernel: SubspaceBasis, seed: int = 0, membership_tol: float = 1e-8
+    kernel: SubspaceBasis, seed: int = 0
 ) -> list[ProductVectorHit]:
     """All product vectors in a 5-dimensional kernel of a 3 x 3 system.
 
     Returns the six vectors of the first of at most three random
-    coordinate changes whose round certifies them: isolated resultant
-    roots, six distinct hits polished by Gauss-Newton to a flattening ratio
-    at most ``membership_tol``, each a transverse intersection.  By Bezout
-    these are all of them, since the Segre variety P2 x P2 has degree 6.
+    coordinate changes whose round certifies them: isolated eigenvalues,
+    six distinct hits polished by Gauss-Newton to a flattening ratio at
+    most 1e-8, each a transverse intersection.  By Bezout these are all
+    of them, since the Segre variety P2 x P2 has degree 6.
     :class:`DegenerateConfiguration` is raised when no round certifies,
     as on kernels whose product vectors are not isolated.
     """
@@ -866,7 +826,7 @@ def count_kernel_product_vectors_3x3(
     _, _, vh = np.linalg.svd(kernel.rows)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        hits = _kernel_pv_round(vh[5:], vh[:5], kernel, rng, membership_tol)
+        hits = _kernel_pv_round(vh[5:], vh[:5], rng)
         if hits is not None:
             return sorted(
                 hits,

@@ -93,6 +93,17 @@ class TestChowCommand:
         assert main(["chow", "--system", "3x3", "--eval", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: StateFormatError")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_basis_is_rejected(self, tmp_path, capsys, bad):
+        rows = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(9)] for i in range(4)]
+        rows[2][5] = [bad, 0.0]
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"dims": [3, 3], "rows": rows}))
+        assert main(["chow", "--system", "3x3", "--eval", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: RankDeficientBasis")
+        assert "non-finite entries at (row, column) (2, 5)" in err
+
     def test_generated_mx2(self, capsys):
         assert main(["chow", "--system", "Mx2:5", "--print"]) == 0
         blob = json.loads(capsys.readouterr().out)

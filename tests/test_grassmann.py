@@ -33,6 +33,14 @@ class TestSubspaceBasis:
         with pytest.raises(RankDeficientBasis):
             SubspaceBasis(np.eye(3), (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rows_rejected(self, bad):
+        # rejected before the SVD, which would raise numpy's LinAlgError
+        rows = np.eye(2, 4, dtype=complex)
+        rows[1, 2] = bad
+        with pytest.raises(RankDeficientBasis, match=r"non-finite entries .*\(1, 2\)"):
+            SubspaceBasis(rows, (2, 2))
+
 
 class TestPluecker:
     def test_coordinate_subspace(self):

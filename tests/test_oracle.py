@@ -269,13 +269,36 @@ class TestKernelCounting:
         hits = count_kernel_product_vectors_3x3(kernel_basis(two_qutrit_ab_state(1.0, 1.0)))
         assert check_general_position([h.factors for h in hits], (3, 3))
 
-    def test_planted_product_recovered(self):
-        rng = np.random.default_rng(11)
-        target = assemble_product([ket(1, 0, 0), ket(1, 0, 0)])
-        rows = np.vstack([target] + [random_vec(rng, 9) for _ in range(4)])
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_planted_product_recovered(self, count, seed):
+        # Bezout forces a sixth product vector even beside five planted ones
+        rng = np.random.default_rng(seed)
+        planted = [assemble_product([random_vec(rng, 3) for _ in range(2)]) for _ in range(count)]
+        rows = np.vstack(planted + [random_vec(rng, 9) for _ in range(5 - count)])
         hits = count_kernel_product_vectors_3x3(SubspaceBasis(rows, (3, 3)))
-        overlaps = [abs(np.vdot(h.vector, target)) / np.linalg.norm(target) for h in hits]
-        assert max(overlaps) >= 1 - 1e-8
+        assert len(hits) == 6
+        for target in planted:
+            overlaps = [abs(np.vdot(h.vector, target)) / np.linalg.norm(target) for h in hits]
+            assert max(overlaps) >= 1 - 1e-8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_perturbed_line_kernel_has_six(self, seed):
+        # the line e0 (x) span(e0, e1) moved off the kernel by 1e-4 leaves
+        # six isolated product vectors, close to degenerate but certifiable
+        rng = np.random.default_rng(seed)
+        e = np.eye(3)
+        rows = np.vstack(
+            [np.kron(e[0], e[j]) + 1e-4 * random_vec(rng, 9) for j in (0, 1)]
+            + [random_vec(rng, 9) for _ in range(3)]
+        )
+        kernel = SubspaceBasis(rows, (3, 3))
+        hits = count_kernel_product_vectors_3x3(kernel)
+        assert len(hits) == 6
+        q, _ = np.linalg.qr(kernel.rows.T)
+        for hit in hits:
+            assert svd_flattening_ratio(hit.vector, (3, 3)) <= 1e-8
+            assert np.linalg.norm(hit.vector - q @ (q.conj().T @ hit.vector)) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["separable", "random"])
     @pytest.mark.parametrize("seed", range(10))

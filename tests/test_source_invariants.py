@@ -2,7 +2,9 @@
 
 README "Numerical conventions": every eigendecomposition goes through
 ``states.spectral``, and only ``new_state``'s PSD check and ``is_ppt``'s
-partial transposes ask for eigenvalues alone.
+partial transposes ask for eigenvalues alone.  The two finite
+product-vector sets come from small non-Hermitian eigenproblems, the only
+``eig`` calls, and no polynomial is built or rooted.
 """
 
 import ast
@@ -14,6 +16,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sep4"
 ALLOWED = {
     "eigh": {"states.spectral"},
     "eigvalsh": {"states.new_state", "ppt.is_ppt"},
+    "eig": {"oracle._range_products", "oracle._kernel_pv_round"},
 }
 
 
@@ -46,6 +49,11 @@ def test_eigensolvers_called_only_where_documented():
     found = uses(set(ALLOWED))
     for name, allowed in ALLOWED.items():
         assert found[name] == allowed, f"{name} referenced in {sorted(found[name])}"
+
+
+def test_no_polynomial_roots_or_fft():
+    found = uses({"roots", "fft"})
+    assert not found, f"referenced in {dict(found)}"
 
 
 def test_scan_sees_every_module():
