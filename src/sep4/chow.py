@@ -58,14 +58,24 @@ class ChowForm:
         return delta1(self.dims)
 
     @cached_property
-    def _cells(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """``entries`` with each index tuple replaced by its position in the
-        Plücker order of :func:`~sep4.grassmann.index_tuples`."""
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """``entries`` as two (cells, width) tables, cells in row-major order:
+        the signs, as complex numbers, and the positions of the index tuples
+        in the Plücker order of :func:`~sep4.grassmann.index_tuples`.  A cell
+        with fewer terms is padded with sign 1 at position C(d, k), one past
+        the last coordinate, where :func:`eval_chow` puts a zero."""
         position = {tup: q for q, tup in enumerate(index_tuples(self.d, self.k))}
-        return tuple(
-            tuple(tuple((sign, position[tup]) for sign, tup in cell) for cell in row)
-            for row in self.entries
-        )
+        cells = [cell for row in self.entries for cell in row]
+        width = max(len(cell) for cell in cells)
+        signs = np.ones((len(cells), width), dtype=complex)
+        positions = np.full((len(cells), width), len(position))
+        for i, cell in enumerate(cells):
+            for j, (sign, tup) in enumerate(cell):
+                signs[i, j] = sign
+                positions[i, j] = position[tup]
+        signs.setflags(write=False)
+        positions.setflags(write=False)
+        return signs, positions
 
 
 def delta1(dims) -> int:
@@ -185,9 +195,13 @@ def eval_chow(form: ChowForm, p: PlueckerVector, normalized: bool = True) -> com
         vec = p.normalized / np.abs(p.normalized).max()
     else:
         vec = p.raw
-    values = vec.tolist()
-    mat = [[sum(sign * values[q] for sign, q in cell) for cell in row] for row in form._cells]
-    return complex(np.linalg.det(np.array(mat, dtype=complex)))
+    signs, positions = form._gather
+    terms = signs * np.append(vec, 0.0)[positions]
+    # column by column, so each entry adds its terms in the order of its cell
+    mat = np.zeros(len(terms), dtype=complex)
+    for column in terms.T:
+        mat += column
+    return complex(np.linalg.det(mat.reshape(form.matrix_size, form.matrix_size)))
 
 
 def subspace_meets_segre(

@@ -9,15 +9,28 @@ decision scope and reported as such, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
-from .errors import AllPartiesTrivial, InconsistentTolerances, NotSeparableVerdict
+from .errors import (
+    AllPartiesTrivial,
+    DimensionMismatch,
+    InconsistentTolerances,
+    NotPositive,
+    NotSeparableVerdict,
+)
 from .grassmann import SubspaceBasis, pluecker
-from .oracle import Decomposition, DecompositionTerm, _range_decomposition, greedy_decompose
+from .oracle import (
+    Decomposition,
+    DecompositionTerm,
+    _frobenius,
+    _range_decomposition,
+    greedy_decompose,
+)
 from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
@@ -110,7 +123,7 @@ def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
     vec = assemble_product(factors)
     weight = state.trace
     recon = weight * np.outer(vec, vec.conj())
-    residual = float(np.linalg.norm(state.matrix - recon))
+    residual = _frobenius(state.matrix - recon, weight)
     return Decomposition(
         terms=(DecompositionTerm(weight=weight, factors=factors, vector=vec),),
         residual=residual,
@@ -137,8 +150,17 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     diagonalized in :func:`compress_support`, one stacked call per party
     size, the compressed state here, and each representative partial
     transpose but the empty one in :func:`is_ppt`, which takes the
-    compressed state's eigenvalues from here.
+    compressed state's eigenvalues from here.  A matrix that is zero or
+    holds NaN or Inf is rejected first, with the errors of
+    :func:`~sep4.states.new_state`.
     """
+    # a MultiState built directly is not validated; entry by entry on the
+    # real view, so that no modulus can overflow
+    scale = float(np.abs(state.matrix.view(float)).max())
+    if scale == 0.0:
+        raise NotPositive("zero matrix is not a state")
+    if not math.isfinite(scale):
+        raise DimensionMismatch("matrix contains non-finite entries")
     base = dict(
         dims=state.dims,
         ppt=None,
@@ -153,7 +175,11 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     try:
         comp = compress_support(state)
     except AllPartiesTrivial as exc:
-        report = ClassificationReport(
+        base.update(
+            decomposition=_pure_product_decomposition(state, exc.isometries) if decompose else None,
+            length_bounds=(1, 1),
+        )
+        return ClassificationReport(
             verdict=SEPARABLE,
             rule=RULE_RANK1_PRODUCT,
             compressed_dims=(),
@@ -163,8 +189,6 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
             notes=(_RULE_NOTES[RULE_RANK1_PRODUCT],),
             **base,
         )
-        dec = _pure_product_decomposition(state, exc.isometries) if decompose else None
-        return replace(report, decomposition=dec, length_bounds=(1, 1))
 
     base["local_ranks"] = tuple(w.shape[1] for w in comp.isometries)
     small = comp.state
@@ -173,18 +197,9 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     rank = _rank_from_eigenvalues(sd.eigenvalues, small.cfg.tol_rank)
 
     def finish(verdict, rule, **extra):
-        notes = (_RULE_NOTES[rule],)
-        report = ClassificationReport(
-            verdict=verdict,
-            rule=rule,
-            compressed_dims=cdims,
-            dropped_parties=comp.dropped,
-            rank=rank,
-            **{**base, **extra},
-            notes=notes,
-        )
+        fields = {**base, **extra}
         if verdict == SEPARABLE:
-            bounds = _bounds_for(rank, cdims, report.ppt)
+            bounds = _bounds_for(rank, cdims, fields["ppt"])
             if bounds[0] > bounds[1]:
                 raise InconsistentTolerances(
                     f"tolerance bug: separable verdict with length bounds {bounds}: a partial "
@@ -195,8 +210,16 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
                 dec = _range_decomposition(comp, sd, rank, state, seed)
             if decompose and dec is None:
                 dec = greedy_decompose(state, max_terms=bounds[1], seed=seed)
-            return replace(report, decomposition=dec, length_bounds=bounds)
-        return report
+            fields.update(decomposition=dec, length_bounds=bounds)
+        return ClassificationReport(
+            verdict=verdict,
+            rule=rule,
+            compressed_dims=cdims,
+            dropped_parties=comp.dropped,
+            rank=rank,
+            notes=(_RULE_NOTES[rule],),
+            **fields,
+        )
 
     if rank == 1:
         ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)

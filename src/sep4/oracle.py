@@ -562,7 +562,17 @@ def _quadric_maps(dims: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray
     return (np.concatenate(minors) if minors else np.zeros((0, 4), dtype=int)), sym
 
 
-def _range_products(vecs, eigs, dims, rng):
+@lru_cache(maxsize=64)
+def _pencil_mix(seed: int, r: int) -> np.ndarray:
+    """The 2 x r complex Gaussian rows that mix two members of the pencil:
+    the first draw of ``np.random.default_rng(seed)``, built once."""
+    rng = np.random.default_rng(seed)
+    gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+    gh.setflags(write=False)
+    return gh
+
+
+def _range_products(vecs, eigs, dims, seed: int):
     """The product vectors of the range of ``vecs diag(eigs) vecs^H``, with
     their weights, or ``None``.
 
@@ -573,7 +583,8 @@ def _range_products(vecs, eigs, dims, rng):
     unless the minors' null space has dimension exactly r with a singular
     value gap of ``_PENCIL_GAP``, when Z_g is ill-conditioned (1-norm
     condition number at least 1 / ``_PENCIL_GAP``), or when two eigenvalues
-    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).
+    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).  Z_g and Z_h
+    are mixed from the null space by :func:`_pencil_mix` of ``seed``.
     """
     r = vecs.shape[1]
     k = r * (r + 1) // 2 - r
@@ -587,8 +598,7 @@ def _range_products(vecs, eigs, dims, rng):
         _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
         if s[k - 1] <= _PENCIL_GAP * s[0] or np.any(s[k:] > _PENCIL_GAP * s[0]):
             return None
-        gh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
-        z_g, z_h = (gh @ vh[k:].conj() @ sym.T).reshape(2, r, r)
+        z_g, z_h = (_pencil_mix(seed, r) @ vh[k:].conj() @ sym.T).reshape(2, r, r)
         z_g_inv = np.linalg.inv(z_g)
         if np.abs(z_g).sum(0).max() * np.abs(z_g_inv).sum(0).max() * _PENCIL_GAP >= 1.0:
             return None
@@ -662,7 +672,12 @@ def _wootters_products(vecs, eigs, tol_psd: float):
             f"tolerance bug: two-qubit state called separable has concurrence excess "
             f"{excess:.3e} above tol_psd * lambda_max = {tol_psd * eigs[0]:.3e}"
         )
-    cos_b = np.clip((c * c - a * a - b * b) / (2 * a * b), -1.0, 1.0) if a * b > 0 else -1.0
+    # the angle is scale-free: taken at a's binary exponent, a * b and c * c
+    # neither overflow nor underflow, and the exact rescaling moves no bit
+    ua, ub, uc = (math.ldexp(v, -math.frexp(a)[1]) for v in (a, b, c))
+    cos_b = -1.0
+    if ua * ub > 0:
+        cos_b = np.clip((uc * uc - ua * ua - ub * ub) / (2 * ua * ub), -1.0, 1.0)
     turn_b = complex(cos_b, math.sqrt(1.0 - cos_b * cos_b))
     rest = -(a + b * turn_b)
     turn_c = rest / abs(rest) if abs(rest) > 0 else 1.0
@@ -674,12 +689,24 @@ def _wootters_products(vecs, eigs, tol_psd: float):
     return phi / np.sqrt(weights)[:, None], weights
 
 
+def _frobenius(m: np.ndarray, scale: float) -> float:
+    """Frobenius norm of ``m``, taken at the binary exponent of ``scale``.
+
+    Dividing by that power of two keeps the squares of entries near
+    ``scale`` = 1e+-200 from overflowing or underflowing, and is exact, so
+    it moves no bit of the norm of any other input.
+    """
+    k = math.frexp(scale)[1]
+    return math.ldexp(float(np.linalg.norm(m * math.ldexp(1.0, -k))), k)
+
+
 def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
     """Exact decomposition of ``state`` into product terms, or ``None``.
 
     ``comp`` is the :func:`compress_support` result of ``state`` and ``sd``
     the :func:`spectral` decomposition of ``comp.state``, whose rank is
-    ``rank``.  A two-qubit range of rank 3 or 4 gives four terms by
+    ``rank``.  A single compressed party gives its spectral decomposition.
+    A two-qubit range of rank 3 or 4 gives four terms by
     :func:`_wootters_products`, which raises :class:`InconsistentTolerances`
     on an entangled one; every other range gives ``rank`` terms by
     :func:`_range_products`.  The product vectors are declined when one of
@@ -690,25 +717,36 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
     """
     small = comp.state
     vecs, eigs = sd.eigenvectors[:, :rank], sd.eigenvalues[:rank]
-    if small.dims == (2, 2) and rank >= 3:
-        found = _wootters_products(vecs, eigs, small.cfg.tol_psd)
+    if len(small.dims) == 1:
+        # every vector of one party is a product vector
+        weights, local = eigs, [vecs.T]
     else:
-        found = _range_products(vecs, eigs, small.dims, np.random.default_rng(seed))
-    if found is None:
-        return None
-    psi, weights = found
+        if small.dims == (2, 2) and rank >= 3:
+            found = _wootters_products(vecs, eigs, small.cfg.tol_psd)
+        else:
+            found = _range_products(vecs, eigs, small.dims, seed)
+        if found is None:
+            return None
+        psi, weights = found
+        # each party's factors are the leading left singular vectors of its
+        # flattenings, one SVD call per party size
+        flats = _flattenings(psi, small.dims)
+        local = [None] * len(flats)
+        for dp in dict.fromkeys(small.dims):
+            parties = [i for i, x in enumerate(small.dims) if x == dp]
+            u, s, _ = np.linalg.svd(np.stack([flats[i] for i in parties]))
+            if np.any(s[..., 1] > small.cfg.tol_product * s[..., 0]):
+                return None
+            for i, ui in zip(parties, u):
+                local[i] = ui[:, :, 0]
     count = len(weights)
-    svds = [np.linalg.svd(m) for m in _flattenings(psi, small.dims)]
-    if any(np.any(s[:, 1] > small.cfg.tol_product * s[:, 0]) for _, s, _ in svds):
-        return None
-    # each party's factors are the leading left singular vectors of its flattenings
-    local = iter(u[:, :, 0] for u, _, _ in svds)
+    local = iter(local)
     factors = [
         next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
         for w in comp.isometries
     ]
     lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(count, -1), factors)
-    residual = float(np.linalg.norm(state.matrix - (lifted.T * weights) @ lifted.conj()))
+    residual = _frobenius(state.matrix - (lifted.T * weights) @ lifted.conj(), state.trace)
     if residual > 1e-8 * state.trace:
         return None
     terms = tuple(
@@ -877,9 +915,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     order = (cut - 1,) + tuple(i for i in range(3) if i != cut - 1)
     perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
     matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
-    found = _range_products(
-        sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), np.random.default_rng(seed)
-    )
+    found = _range_products(sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), seed)
     if found is None:
         raise NotApplicable("could not isolate four range product vectors")
     # weights that reconstruct the state certify the decomposition

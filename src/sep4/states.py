@@ -229,10 +229,16 @@ def spectral(state: MultiState | np.ndarray) -> SpectralData:
 
 
 def _rank_from_eigenvalues(eigs: np.ndarray, tol_rank: float) -> int:
-    scale = np.abs(eigs).max() if eigs.size else 0.0
-    if scale == 0.0:
+    """Count of ``|eigs|`` above ``tol_rank`` times the largest; 0 when every
+    value is zero or one is NaN or infinite.  In Python floats: the spectra
+    hold at most a few dozen values, where numpy's per-call cost outweighs
+    the work."""
+    mags = [abs(x) for x in eigs.tolist()]
+    total = sum(mags)
+    if total == 0.0 or total != total:
         return 0
-    return int(np.count_nonzero(np.abs(eigs) > tol_rank * scale))
+    cutoff = tol_rank * max(mags)
+    return len([m for m in mags if m > cutoff])
 
 
 def rank_of(state: MultiState) -> int:
@@ -275,7 +281,10 @@ def compress_support(state: MultiState) -> CompressionResult:
     ranks = [0] * n
     for dp in dict.fromkeys(dims):
         parties = [p for p in range(1, n + 1) if dims[p - 1] == dp]
-        sd = spectral(np.stack([_reduced(t, dims, (p,)) for p in parties]))
+        stack = np.empty((len(parties), dp, dp), dtype=complex)
+        for out, p in zip(stack, parties):
+            np.einsum(_trace_subscripts(n, (p,)), t, out=out)
+        sd = spectral(stack)
         for p, eigs, v in zip(parties, sd.eigenvalues, sd.eigenvectors):
             r = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
             isometries[p - 1] = np.ascontiguousarray(v[:, :r])

@@ -19,9 +19,9 @@ from sep4.errors import (
     UnsupportedSystem,
     WrongDimension,
 )
-from sep4.gallery import two_qutrit_ab_rows
+from sep4.gallery import divincenzo_state, two_qutrit_ab_rows, two_qutrit_ab_state
 from sep4.grassmann import SubspaceBasis, pluecker
-from sep4.states import assemble_product
+from sep4.states import assemble_product, range_basis
 
 
 def normalized_cells(form):
@@ -171,8 +171,9 @@ class TestEvalChow:
 
 
 class TestCompiledEvaluation:
-    """``eval_chow`` reads each form through its compiled cells; the value is
-    bit-identical to the literal cell-by-cell sum over the entries."""
+    """``eval_chow`` gathers each form's terms from its compiled tables; the
+    value is bit-identical to the literal cell-by-cell sum over the entries,
+    signs of zero included."""
 
     @staticmethod
     def literal(form, p, normalized):
@@ -187,9 +188,30 @@ class TestCompiledEvaluation:
     def check(self, form, seed):
         rng = np.random.default_rng(seed)
         rows = np.vstack([random_vec(rng, form.d) for _ in range(form.k)])
+        self.check_rows(form, rows)
+
+    def check_rows(self, form, rows):
         p = pluecker(SubspaceBasis(rows, form.dims))
         for normalized in (True, False):
-            assert eval_chow(form, p, normalized) == self.literal(form, p, normalized)
+            assert repr(eval_chow(form, p, normalized)) == repr(self.literal(form, p, normalized))
+
+    @pytest.mark.parametrize("dims", supported_systems())
+    def test_coordinate_subspaces(self, dims):
+        # one nonzero Plücker coordinate, every other an exact zero
+        form = builtin_chow(dims)
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(8):
+            pick = rng.choice(form.d, size=form.k, replace=False)
+            self.check_rows(form, np.eye(form.d, dtype=complex)[pick])
+
+    @pytest.mark.parametrize("name", ["divincenzo", "ab-1-1", "ab-2-0.5", "ab-1-0", "ab-0-1"])
+    def test_unrotated_gallery_ranges(self, name):
+        if name == "divincenzo":
+            form, rows = builtin_chow((2, 2, 2)), range_basis(divincenzo_state()).rows
+        else:
+            a, b = (float(x) for x in name.split("-")[1:])
+            form, rows = builtin_chow((3, 3)), range_basis(two_qutrit_ab_state(a, b)).rows
+        self.check_rows(form, rows)
 
     @pytest.mark.parametrize("dims", supported_systems())
     def test_every_table(self, dims):

@@ -10,7 +10,12 @@ from sep4.engine import (
     report_from_dict,
     report_to_dict,
 )
-from sep4.errors import InconsistentTolerances, NotSeparableVerdict
+from sep4.errors import (
+    DimensionMismatch,
+    InconsistentTolerances,
+    NotPositive,
+    NotSeparableVerdict,
+)
 from sep4.gallery import (
     conjugate_local,
     divincenzo_state,
@@ -22,6 +27,7 @@ from sep4.gallery import (
 from sep4.oracle import find_product_vector
 from sep4.ppt import is_ppt
 from sep4.states import (
+    MultiState,
     ToleranceConfig,
     assemble_product,
     compress_support,
@@ -597,3 +603,65 @@ class TestBorderlineFlag:
         rep = classify(shifted, decompose=False)
         assert rep.verdict == "Entangled"
         assert rep.low_confidence
+
+
+class TestUnvalidatedInput:
+    """A MultiState built directly skips ``new_state``; ``classify`` rejects
+    what it would have rejected, before any eigensolve."""
+
+    @pytest.mark.parametrize("entry, error", [
+        (0.0, NotPositive),
+        (np.nan, DimensionMismatch),
+        (np.inf, DimensionMismatch),
+        (-np.inf, DimensionMismatch),
+        (complex(1.0, np.nan), DimensionMismatch),
+    ])
+    def test_rejected_with_a_package_error(self, entry, error, monkeypatch):
+        m = np.zeros((4, 4), dtype=complex)
+        if entry != 0.0:
+            m[0, 0], m[1, 1], m[0, 3] = 1.0, 1.0, entry
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the input check")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, no_eigensolve)
+        with pytest.raises(error):
+            classify(MultiState(m, (2, 2)))
+
+    def test_non_finite_entry_outside_every_reduced_state(self):
+        # |00><11| appears in no single-party reduced state
+        m = np.eye(4, dtype=complex)
+        m[0, 3] = m[3, 0] = np.nan
+        with pytest.raises(DimensionMismatch):
+            classify(MultiState(m, (2, 2)), decompose=False)
+
+
+class TestScale:
+    """A scale factor s moves the weights by exactly s: the triangle of
+    Wootters' closed form and the residual are taken at the binary exponent
+    of the input, so neither overflows nor underflows."""
+
+    STATES = {
+        "2x2-r3": lambda: two_qubit_curve_state(5, seed=0),
+        "2x2-r4": lambda: random_separable((2, 2), 4, seed=0),
+        "3x3-r4": lambda: random_separable((3, 3), 4, seed=0),
+        "2x2x2-r4": lambda: random_separable((2, 2, 2), 4, seed=0),
+        "2x3-r2": lambda: random_separable((2, 3), 2, seed=0),
+        "2x2-r2": lambda: random_separable((2, 2), 2, seed=0),
+        "2x3-r1": lambda: random_separable((2, 3), 1, seed=0),
+    }
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_weights_scale_exactly(self, name, scale, check_decomposition):
+        base = self.STATES[name]()
+        ref = classify(base)
+        state = new_state(scale * base.matrix, base.dims)
+        rep = classify(state)
+        assert (rep.verdict, rep.rule) == (ref.verdict, ref.rule)
+        assert rep.decomposition is not None
+        assert rep.decomposition.residual <= 1e-8 * state.trace
+        weights = np.sort([t.weight for t in rep.decomposition.terms])
+        want = np.sort([t.weight for t in ref.decomposition.terms])
+        np.testing.assert_allclose(weights, scale * want, rtol=1e-12)

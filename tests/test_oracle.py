@@ -438,7 +438,7 @@ def kernel_projector():
 class TestRangeProducts:
     """Ranges the quadric kernel cannot decompose: it declines, raises
     nothing, and ``classify`` goes on to Wootters' closed form (two qubits),
-    the peel or no decomposition."""
+    the spectral decomposition (one party), the peel or no decomposition."""
 
     DECLINED = {
         "2x2-r3": lambda: random_separable((2, 2), 3, seed=0),
@@ -457,15 +457,15 @@ class TestRangeProducts:
         sd = spectral(comp.state)
         rank = rank_of(comp.state)
         found = oracle._range_products(
-            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims,
-            np.random.default_rng(0),
+            sd.eigenvectors[:, :rank], sd.eigenvalues[:rank], comp.state.dims, 0
         )
         # the NPT range has exactly its two products; the residual check declines them
         assert (found is None) == (name != "npt-two-products")
         rep = classify(st_)
         dec = oracle._range_decomposition(comp, sd, rank, st_, 0)
-        if name.startswith("2x2"):
-            # two-qubit rank 3 and 4 go to Wootters' closed form instead
+        if name.startswith("2x2") or name == "one-party":
+            # two-qubit rank 3 and 4 go to Wootters' closed form instead, and
+            # one party's spectral decomposition is a product one
             assert dec is not None
             check_decomposition(st_, rep)
         else:
@@ -474,14 +474,58 @@ class TestRangeProducts:
     def test_chow33_range_gives_its_four_vectors(self):
         st_ = random_separable((3, 3), 4, seed=5)
         sd = spectral(st_)
-        psi, weights = oracle._range_products(
-            sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), np.random.default_rng(0)
-        )
+        psi, weights = oracle._range_products(sd.eigenvectors[:, :4], sd.eigenvalues[:4], (3, 3), 0)
         assert psi.shape == (4, 9) and np.all(weights > 0)
         for v in psi:
             assert svd_flattening_ratio(v, (3, 3)) <= 1e-10
         recon = (psi.T * weights) @ psi.conj()
         assert np.linalg.norm(recon - st_.matrix) <= 1e-10 * st_.trace
+
+
+class TestRangeDecompositionKernels:
+    """The cached pencil mix and the stacked flattening SVD give the bits of
+    the per-call formulas they replace, kept here as references."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_pencil_mix_is_a_fresh_draw(self, seed, r):
+        rng = np.random.default_rng(seed)
+        fresh = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+        for _ in range(2):  # built once, then served from the cache
+            mix = oracle._pencil_mix(seed, r)
+            assert np.array_equal(mix, fresh)
+            assert not mix.flags.writeable
+
+    @staticmethod
+    def per_party_factors(comp, psi):
+        """The leading left singular vectors from one SVD per party, lifted."""
+        svds = [np.linalg.svd(m) for m in oracle._flattenings(psi, comp.state.dims)]
+        local = iter(u[:, :, 0] for u, _, _ in svds)
+        return [
+            next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (len(psi), len(w)))
+            for w in comp.isometries
+        ]
+
+    @pytest.mark.parametrize("dims, rank, seed", [
+        ((3, 3), 4, 5), ((2, 2, 2), 4, 1), ((2, 2, 3), 3, 2), ((2, 3), 2, 3),
+        ((2, 2), 4, 4), ((2, 2, 2, 2), 3, 6), ((3, 2, 2), 2, 7),
+    ])
+    def test_stacked_svd_matches_one_per_party(self, dims, rank, seed):
+        st_ = random_separable(dims, rank, seed=seed)
+        comp = compress_support(st_)
+        sd = spectral(comp.state)
+        r = rank_of(comp.state)
+        vecs, eigs = sd.eigenvectors[:, :r], sd.eigenvalues[:r]
+        if comp.state.dims == (2, 2) and r >= 3:
+            psi, _ = oracle._wootters_products(vecs, eigs, comp.state.cfg.tol_psd)
+        else:
+            psi, _ = oracle._range_products(vecs, eigs, comp.state.dims, 0)
+        dec = oracle._range_decomposition(comp, sd, r, st_, 0)
+        assert dec is not None
+        want = self.per_party_factors(comp, psi)
+        for i, term in enumerate(dec.terms):
+            for got, factor in zip(term.factors, want):
+                assert np.array_equal(got, factor[i])
 
 
 class TestGreedyDecompose:

@@ -15,6 +15,7 @@ from sep4.errors import (
 )
 from sep4.states import (
     MultiState,
+    _rank_from_eigenvalues,
     ToleranceConfig,
     assemble_product,
     compress_support,
@@ -255,6 +256,47 @@ class TestRanks:
         st_ = random_state((3, 3), 2, seed=12)
         small = new_state(st_.matrix * 1e-6, st_.dims)
         assert rank_of(small) == rank_of(st_) == 2
+
+
+class TestRankFromEigenvalues:
+    """The Python-float count agrees with the numpy formula it replaced."""
+
+    @staticmethod
+    def reference(eigs, tol_rank):
+        scale = np.abs(eigs).max() if eigs.size else 0.0
+        if scale == 0.0:
+            return 0
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            return int(np.count_nonzero(np.abs(eigs) > tol_rank * scale))
+
+    def check(self, eigs, tols=(0.0, 1e-9, 0.5)):
+        eigs = np.asarray(eigs, dtype=float)
+        for tol in tols:
+            got = _rank_from_eigenvalues(eigs, tol)
+            assert type(got) is int
+            assert got == self.reference(eigs, tol), (eigs, tol)
+
+    @given(st.integers(0, 10_000), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_random_spectra(self, seed, size):
+        rng = np.random.default_rng(seed)
+        eigs = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        eigs[rng.random(size) < 0.3] = 0.0
+        self.check(eigs)
+
+    @pytest.mark.parametrize("eigs", [
+        [], [0.0], [0.0, -0.0, 0.0], [-1.0, -2.0, 0.0], [3.0, -3.0, 1e-12],
+        [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf], [np.nan], [1.0, np.nan, 2.0],
+        [np.nan, np.inf], [5e-324, 0.0], [1e308, 1e308, -1e308],
+    ])
+    def test_special_spectra(self, eigs):
+        self.check(eigs)
+
+    def test_ties_at_the_cutoff(self):
+        # exactly tol * lambda_max is not above the cutoff; the next float is
+        cut = 1e-9 * 2.0
+        self.check([2.0, cut, -cut, np.nextafter(cut, 1.0), 0.0])
+        self.check([2.0, 1.0, 1.0, -2.0], tols=(0.5, np.nextafter(0.5, 0.0)))
 
 
 class TestCompressSupport:
