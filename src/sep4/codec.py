@@ -2,9 +2,8 @@
 
 :func:`to_dict` / :func:`from_dict` follow each field's annotation, in
 declaration order: ``complex`` and ``np.ndarray`` become (nested) pairs,
-``tuple[...]`` a list, ``X | None`` keeps ``None``, a nested dataclass an
-object, and a field with :data:`SKIP` metadata is left out (it needs a
-default).  Each class's encoder and decoder are built once and cached.
+``tuple[...]`` a list, ``X | None`` keeps ``None`` and a nested dataclass
+an object.  Each class's encoder and decoder are built once and cached.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ import types
 import typing
 
 import numpy as np
-
-_SKIP_KEY = "sep4.codec.skip"
-SKIP = types.MappingProxyType({_SKIP_KEY: True})
-"""Field metadata that leaves the field out of the JSON form."""
 
 _SCALARS = (bool, int, float, str)
 
@@ -76,11 +71,7 @@ def _compile(tp) -> tuple[typing.Callable, typing.Callable]:
 @functools.cache
 def _codec(cls) -> tuple[typing.Callable, typing.Callable]:
     hints = typing.get_type_hints(cls)
-    fields = [
-        (f.name, *_compile(hints[f.name]))
-        for f in dataclasses.fields(cls)
-        if not f.metadata.get(_SKIP_KEY)
-    ]
+    fields = [(f.name, *_compile(hints[f.name])) for f in dataclasses.fields(cls)]
 
     def encode(obj) -> dict:
         return {name: enc(getattr(obj, name)) for name, enc, _ in fields}

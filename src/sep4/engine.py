@@ -125,7 +125,7 @@ def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
     recon = weight * np.outer(vec, vec.conj())
     residual = _frobenius(state.matrix - recon, weight)
     return Decomposition(
-        terms=(DecompositionTerm(weight=weight, factors=factors, vector=vec),),
+        terms=(DecompositionTerm(weight=weight, factors=factors),),
         residual=residual,
         length_upper_bound=1,
     )

@@ -4,31 +4,32 @@ The searches here are numerical and one-sided: a hit certifies that a
 product vector exists (it is exhibited), while "none found" is evidence,
 not proof, of a completely entangled subspace.  Every hit, searched or
 counted, is finished by the one Gauss-Newton polish (:func:`_polish_hit`)
-and certified by an exact SVD.  The exact counting routine for
-5-dimensional kernels in 3 x 3 finds the candidates as the eigenvalues of
-one two-parameter eigenproblem (:func:`_kernel_pv_round`), and answers
-only when a coordinate change certifies six distinct transverse product
-vectors, which by Bezout are all of them.  Where the range of a state
-holds exactly as many product vectors as its rank, they come from the
-range's flattening minors and one small eigenproblem
-(:func:`_range_products`), which decomposes separable states exactly and
-gives the three-qubit kernel vectors.  Two-qubit ranges of rank 3 or 4
-hold a curve of product vectors instead; Wootters' closed form
-(:func:`_wootters_products`) decomposes them into four terms.  The greedy
-peel serves what neither covers.
+and certified by an exact SVD.  Every finite product-vector set comes
+from one guarded non-Hermitian eigenproblem (:func:`_isolated_eig`).  The
+exact counting routine for 5-dimensional kernels in 3 x 3 finds the
+candidates as the eigenvalues of a two-parameter eigenproblem
+(:func:`_kernel_pv_round`), and answers only when a coordinate change
+certifies six distinct transverse product vectors, which by Bezout are
+all of them.  Where the range of a state holds exactly as many product
+vectors as its rank, they come from the range's flattening minors and a
+quadric pencil (:func:`_range_products`), which decomposes separable
+states exactly and gives the three-qubit kernel vectors.  Two-qubit
+ranges of rank 3 or 4 hold a curve of product vectors instead; Wootters'
+closed form (:func:`_wootters_products`) decomposes them into four terms.
+The greedy peel serves what neither covers.  A decomposition term is
+its weight and factors alone; its vector is their product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .chow import subspace_meets_segre
-from .codec import SKIP
 from .errors import (
     DegenerateConfiguration,
     InconsistentTolerances,
@@ -47,6 +48,7 @@ from .states import (
     spectral,
     _flattenings,
     _rank_from_eigenvalues,
+    _row_kron,
 )
 
 MAX_SWEEPS = 200
@@ -72,16 +74,14 @@ class ProductVectorHit:
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """``vector`` is kept as found, which need not be bit-equal to the
-    product of ``factors``; JSON leaves it out and it is rebuilt."""
+    """``weight`` times the projector onto the product of ``factors``."""
 
     weight: float
     factors: tuple[np.ndarray, ...]
-    vector: np.ndarray = field(default=None, metadata=SKIP)
 
-    def __post_init__(self):
-        if self.vector is None:
-            object.__setattr__(self, "vector", assemble_product(self.factors))
+    @property
+    def vector(self) -> np.ndarray:
+        return assemble_product(self.factors)
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ class Decomposition:
     terms: tuple[DecompositionTerm, ...]
 
     def reconstruct(self) -> np.ndarray:
-        d = self.terms[0].vector.shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for term in self.terms:
-            out += term.weight * np.outer(term.vector, term.vector.conj())
+        vecs = [term.vector for term in self.terms]
+        out = np.zeros((vecs[0].size,) * 2, dtype=complex)
+        for term, vec in zip(self.terms, vecs):
+            out += term.weight * np.outer(vec, vec.conj())
         return out
 
 
@@ -189,8 +189,7 @@ def _alternate_to_product(
         if active.size == 0:
             break
         leads = [lead[moving] for lead in leads]
-        y = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1), leads)
-        c = y @ onb_proj
+        c = _row_kron(leads) @ onb_proj
         norms = np.linalg.norm(c, axis=1)
         stuck = norms < 1e-12
         if np.any(stuck):
@@ -493,30 +492,49 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
         hit = _find_peelable_product_vector(rem_state, subsets, spectra, seed + 101 * step)
         if hit is None:
             return None
-        weight = np.inf
-        for subset, sd in zip(subsets, spectra):
-            target_vec = hit.vector if not subset else _subset_conjugate(hit.factors, subset)
-            nrm = np.linalg.norm(target_vec)
-            if nrm == 0.0:
-                weight = 0.0
-                break
-            target_vec = target_vec / nrm
-            bound = _peel_weight(sd, target_vec, tol_rank)
-            weight = min(weight, bound)
-            if weight == 0.0:
-                break
+        weight = min(
+            _peel_weight(sd, _subset_conjugate(hit.factors, subset), tol_rank)
+            for subset, sd in zip(subsets, spectra)
+        )
         if not np.isfinite(weight) or weight <= 0.0:
             return None
-        phi = hit.vector
+        terms.append(DecompositionTerm(weight=weight, factors=hit.factors))
+        phi = terms[-1].vector
         remainder = remainder - weight * np.outer(phi, phi.conj())
         remainder = 0.5 * (remainder + remainder.conj().T)
-        terms.append(DecompositionTerm(weight=weight, factors=hit.factors, vector=phi))
     residual = float(np.linalg.norm(remainder))
     if terms and residual <= target:
         return Decomposition(
             terms=tuple(terms), residual=residual, length_upper_bound=len(terms)
         )
     return None
+
+
+# --- the finite product-vector sets: one guarded eigenproblem --------------
+
+_GAP = 1e-6
+
+
+def _isolated_eig(a: np.ndarray, b: np.ndarray):
+    """Eigenvalues, unit eigenvectors and a^-1 of b a^-1, or ``None``.
+
+    ``None`` when a's 1-norm condition number reaches 1 / ``_GAP``, when
+    two eigenvalues lie within ``_GAP`` of each other relative to the
+    largest, or when LAPACK raises: the eigenvectors are then not
+    isolated well enough to name one point each.
+    """
+    try:
+        a_inv = np.linalg.inv(a)
+        if np.abs(a).sum(0).max() * np.abs(a_inv).sum(0).max() * _GAP >= 1.0:
+            return None
+        vals, vecs = np.linalg.eig(b @ a_inv)
+    except np.linalg.LinAlgError:
+        return None
+    gaps = np.abs(np.subtract.outer(vals, vals))[~np.eye(vals.size, dtype=bool)]
+    if gaps.min() < _GAP * np.abs(vals).max():
+        return None
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return vals, vecs, a_inv
 
 
 # --- exact decomposition from the range's quadrics -------------------------
@@ -534,8 +552,6 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
 # in two qubits at rank 3 or 4, leaves a larger null space and is declined;
 # :func:`_range_decomposition` sends those two-qubit ranges to Wootters'
 # closed form (below) instead.
-
-_PENCIL_GAP = 1e-6
 
 
 @lru_cache(maxsize=64)
@@ -581,10 +597,8 @@ def _range_products(vecs, eigs, dims, seed: int):
     C^-1 diag(eigs) C^-H, C = vecs^H psi, which is positive: the weights if
     they reconstruct the operator, which is left to the caller.  ``None``
     unless the minors' null space has dimension exactly r with a singular
-    value gap of ``_PENCIL_GAP``, when Z_g is ill-conditioned (1-norm
-    condition number at least 1 / ``_PENCIL_GAP``), or when two eigenvalues
-    of Z_h Z_g^-1 are closer than ``_PENCIL_GAP`` (relative).  Z_g and Z_h
-    are mixed from the null space by :func:`_pencil_mix` of ``seed``.
+    value gap of ``_GAP`` and :func:`_isolated_eig` accepts (Z_g, Z_h),
+    which are mixed from the null space by :func:`_pencil_mix` of ``seed``.
     """
     r = vecs.shape[1]
     k = r * (r + 1) // 2 - r
@@ -596,17 +610,12 @@ def _range_products(vecs, eigs, dims, seed: int):
     quad = (u[:, :, None] * w[:, None, :] - y[:, :, None] * z[:, None, :]).reshape(-1, r * r) @ sym
     try:
         _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
-        if s[k - 1] <= _PENCIL_GAP * s[0] or np.any(s[k:] > _PENCIL_GAP * s[0]):
+        if s[k - 1] <= _GAP * s[0] or np.any(s[k:] > _GAP * s[0]):
             return None
-        z_g, z_h = (_pencil_mix(seed, r) @ vh[k:].conj() @ sym.T).reshape(2, r, r)
-        z_g_inv = np.linalg.inv(z_g)
-        if np.abs(z_g).sum(0).max() * np.abs(z_g_inv).sum(0).max() * _PENCIL_GAP >= 1.0:
+        found = _isolated_eig(*(_pencil_mix(seed, r) @ vh[k:].conj() @ sym.T).reshape(2, r, r))
+        if found is None:
             return None
-        mu, coeffs = np.linalg.eig(z_h @ z_g_inv)
-        gaps = np.abs(np.subtract.outer(mu, mu))[~np.eye(r, dtype=bool)]
-        if gaps.min() < _PENCIL_GAP * np.abs(mu).max():
-            return None
-        coeffs /= np.linalg.norm(coeffs, axis=0)
+        coeffs = found[1]
         weights = np.abs(np.linalg.inv(coeffs)) ** 2 @ eigs
     except np.linalg.LinAlgError:
         return None
@@ -745,13 +754,12 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
         next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
         for w in comp.isometries
     ]
-    lifted = reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(count, -1), factors)
+    lifted = _row_kron(factors)
     residual = _frobenius(state.matrix - (lifted.T * weights) @ lifted.conj(), state.trace)
     if residual > 1e-8 * state.trace:
         return None
     terms = tuple(
-        DecompositionTerm(float(w), tuple(f[i] for f in factors), vector=lifted[i])
-        for i, w in enumerate(weights)
+        DecompositionTerm(float(w), tuple(f[i] for f in factors)) for i, w in enumerate(weights)
     )
     return Decomposition(residual=residual, length_upper_bound=count, terms=terms)
 
@@ -770,10 +778,8 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
 # Multiparameter Eigenvalue Problems, 1972): with the operator determinants
 # D_0 = A_1 (x) B_2 - A_2 (x) B_1, D_1 = A_2 (x) B_0 - A_0 (x) B_2 and
 # D_2 = A_0 (x) B_1 - A_1 (x) B_0, x (x) y is an eigenvector of D_0^-1 D_1
-# with eigenvalue s and of D_0^-1 D_2 with eigenvalue t.
-
-_CLUSTER_GAP = 1e-6
-_RANK_GAP = 1e-6
+# with eigenvalue s and of D_0^-1 D_2 with eigenvalue t, so w = D_0 (x (x) y)
+# is one of D_1 D_0^-1 with eigenvalue s and of D_2 D_0^-1 with eigenvalue t.
 
 
 def _transverse(a: np.ndarray, b: np.ndarray, bilinear: np.ndarray) -> bool:
@@ -784,14 +790,14 @@ def _transverse(a: np.ndarray, b: np.ndarray, bilinear: np.ndarray) -> bool:
     conditions M_j have rank 4 on it (the 4 x 6 matrix [M_j b | a^T M_j]).
     """
     sv = np.linalg.svd(np.hstack([bilinear @ b, a @ bilinear]), compute_uv=False)
-    return sv[3] > _RANK_GAP * sv[0]
+    return sv[3] > _GAP * sv[0]
 
 
 def _null_factor(a: np.ndarray, bilinear: np.ndarray) -> np.ndarray | None:
     """Unit b with a^T M_j b = 0 for every condition M_j, or ``None`` if the
     conditions have full rank at ``a``."""
     _, sv, vh = np.linalg.svd(a @ bilinear)
-    if sv[-1] > _RANK_GAP * sv[0]:
+    if sv[-1] > _GAP * sv[0]:
         return None
     return vh[-1].conj()
 
@@ -799,11 +805,10 @@ def _null_factor(a: np.ndarray, bilinear: np.ndarray) -> np.ndarray | None:
 def _kernel_pv_round(complement, onb, rng):
     """One coordinate-change round: six certified hits, or ``None``.
 
-    ``None`` when D_0 has 1-norm condition number at least
-    1 / ``_CLUSTER_GAP`` or two s-values lie closer than ``_CLUSTER_GAP``
-    (relative).  Otherwise the round certifies its answer only when the
-    nine points yield six distinct polished hits, each a transverse
-    intersection; a degree-6 intersection has no room for a seventh.
+    ``None`` when :func:`_isolated_eig` declines (D_0, D_1).  Otherwise the
+    round certifies its answer only when the nine points yield six distinct
+    polished hits, each a transverse intersection; a degree-6 intersection
+    has no room for a seventh.
     """
     bilinear = complement.conj().reshape(4, 3, 3)
     t_mat, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -813,18 +818,12 @@ def _kernel_pv_round(complement, onb, rng):
     d0, d1, d2 = (
         np.kron(a_k[i], b_k[j]) - np.kron(a_k[j], b_k[i]) for i, j in ((1, 2), (2, 0), (0, 1))
     )
-    try:
-        d0_inv = np.linalg.inv(d0)
-        if np.abs(d0).sum(0).max() * np.abs(d0_inv).sum(0).max() * _CLUSTER_GAP >= 1.0:
-            return None
-        s_vals, z = np.linalg.eig(d0_inv @ d1)
-    except np.linalg.LinAlgError:
+    found = _isolated_eig(d0, d1)
+    if found is None:
         return None
-    gaps = np.abs(np.subtract.outer(s_vals, s_vals))[np.triu_indices(9, 1)]
-    if gaps.min() < _CLUSTER_GAP * np.abs(s_vals).max():
-        return None
-    # eig returns unit eigenvectors, so each Rayleigh quotient is z^H D_0^-1 D_2 z
-    t_vals = np.sum(z.conj() * (d0_inv @ d2 @ z), axis=0)
+    s_vals, w, d0_inv = found
+    # each t is the Rayleigh quotient w^H D_2 D_0^-1 w of a unit w
+    t_vals = np.sum(w.conj() * (d2 @ d0_inv @ w), axis=0)
 
     blocks = [((), complement)]
     hits: list[ProductVectorHit] = []

@@ -318,6 +318,12 @@ def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
     ]
 
 
+def _row_kron(factors) -> np.ndarray:
+    """Row-wise tensor products of per-party factor rows, each (rows, dp):
+    the inverse of :func:`_flattenings` on product rows."""
+    return reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1), factors)
+
+
 def product_factors(v: np.ndarray, dims) -> tuple[np.ndarray, ...]:
     """Per-party factors via sequential leading-singular-vector extraction.
 
@@ -360,7 +366,7 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
 
 def assemble_product(factors) -> np.ndarray:
     """Tensor product of per-party factor vectors."""
-    return reduce(np.kron, [np.asarray(f, dtype=complex).ravel() for f in factors])
+    return _row_kron([np.asarray(f, dtype=complex).reshape(1, -1) for f in factors])[0]
 
 
 # --- state JSON -----------------------------------------------------------

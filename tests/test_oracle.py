@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,6 +528,111 @@ class TestRangeDecompositionKernels:
         for i, term in enumerate(dec.terms):
             for got, factor in zip(term.factors, want):
                 assert np.array_equal(got, factor[i])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_row_kron_matches_kron_and_outer(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=rng.integers(1, 5)))
+        rows = [rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)) for d in dims]
+        got = oracle._row_kron(rows)
+        for i in range(3):
+            parts = [f[i] for f in rows]
+            assert np.array_equal(got[i], functools.reduce(np.kron, parts))
+            assert np.array_equal(got[i], functools.reduce(lambda u, v: np.outer(u, v).ravel(), parts))
+            assert np.array_equal(got[i], assemble_product(parts))
+
+
+def old_inline_guard(a, b):
+    """The guard each caller spelled out before :func:`oracle._isolated_eig`."""
+    try:
+        a_inv = np.linalg.inv(a)
+        if np.abs(a).sum(0).max() * np.abs(a_inv).sum(0).max() * 1e-6 >= 1.0:
+            return None
+        mu, coeffs = np.linalg.eig(b @ a_inv)
+        gaps = np.abs(np.subtract.outer(mu, mu))[~np.eye(len(mu), dtype=bool)]
+        if gaps.min() < 1e-6 * np.abs(mu).max():
+            return None
+        coeffs /= np.linalg.norm(coeffs, axis=0)
+    except np.linalg.LinAlgError:
+        return None
+    return mu, coeffs, a_inv
+
+
+class TestIsolatedEig:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("r", range(2, 10))
+    def test_random_pencils_match_the_inline_guard(self, r, seed):
+        rng = np.random.default_rng([r, seed])
+        a, b = (rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r)))
+        want = old_inline_guard(a, b)
+        got = oracle._isolated_eig(a, b)
+        assert want is not None and got is not None
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    @staticmethod
+    def unitary(rng, r):
+        return np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+
+    def test_ill_conditioned_a_is_declined(self):
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal((3, 3))
+        # 1-norm condition number exactly 1e6, then 1e9 behind a rotation
+        edge = np.diag([1.0, 1e-6, 1.0])
+        q = self.unitary(rng, 3)
+        worse = q @ np.diag([1.0, 1e-9, 0.5]) @ q.conj().T
+        for a in (edge, worse):
+            assert oracle._isolated_eig(a, b) is None
+            assert old_inline_guard(a, b) is None
+
+    def test_clustered_pair_is_declined(self):
+        rng = np.random.default_rng(2)
+        a = self.unitary(rng, 4)
+        p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = p @ np.diag([1.0, 1.0 + 1e-9, 2.0, -3.0]) @ np.linalg.inv(p) @ a
+        assert oracle._isolated_eig(a, b) is None
+        assert old_inline_guard(a, b) is None
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_a_is_declined_without_raising(self, a):
+        b = np.eye(a.shape[0])
+        assert oracle._isolated_eig(a, b) is None
+        assert old_inline_guard(a, b) is None
+
+
+def single_product_state():
+    rng = np.random.default_rng(9)
+    vec = assemble_product([random_vec(rng, 2), random_vec(rng, 3)])
+    return new_state(np.outer(vec, vec.conj()), (2, 3))
+
+
+class TestDecompositionTerms:
+    """Every decomposer's terms are their weight and factors: the vector is
+    the factors' product, and JSON, which carries no vector, rebuilds the
+    same operator."""
+
+    DECOMPOSERS = {
+        "pure-product": single_product_state,
+        "one-party": TestRangeProducts.DECLINED["one-party"],
+        "wootters": lambda: random_separable((2, 2), 4, seed=4),
+        "quadric": lambda: random_separable((3, 3), 4, seed=5),
+        "peel": lambda: random_separable((2, 3), 4, seed=1),
+    }
+
+    @pytest.mark.parametrize("name", list(DECOMPOSERS))
+    def test_term_is_its_factors(self, name, check_decomposition):
+        import json
+
+        from sep4.engine import report_from_dict, report_to_dict
+
+        st_ = self.DECOMPOSERS[name]()
+        rep = classify(st_)
+        check_decomposition(st_, rep)
+        dec = rep.decomposition
+        for term in dec.terms:
+            assert np.array_equal(term.vector, assemble_product(term.factors))
+        back = report_from_dict(json.loads(json.dumps(report_to_dict(rep))))
+        assert np.array_equal(back.decomposition.reconstruct(), dec.reconstruct())
 
 
 class TestGreedyDecompose:

@@ -2,9 +2,9 @@
 
 README "Numerical conventions": every eigendecomposition goes through
 ``states.spectral``, and only ``new_state``'s PSD check and ``is_ppt``'s
-partial transposes ask for eigenvalues alone.  The two finite
-product-vector sets come from small non-Hermitian eigenproblems, the only
-``eig`` calls, and no polynomial is built or rooted.
+partial transposes ask for eigenvalues alone.  Every finite
+product-vector set comes from one guarded non-Hermitian eigenproblem,
+the only ``eig`` call, and no polynomial is built or rooted.
 """
 
 import ast
@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sep4"
 ALLOWED = {
     "eigh": {"states.spectral"},
     "eigvalsh": {"states.new_state", "ppt.is_ppt"},
-    "eig": {"oracle._range_products", "oracle._kernel_pv_round"},
+    "eig": {"oracle._isolated_eig"},
 }
 
 
