@@ -201,14 +201,17 @@ def _cmd_chow(args) -> int:
     return 0
 
 
-def _classify_file(path: str, cfg_values: dict, seed: int) -> dict:
+def _classify_file(path: str, cfg_values: dict, seed: int) -> tuple[str, str]:
+    """The ``sep4 batch`` output line for one file, without its newline, and
+    the key it counts under: the verdict, or ``"error"``."""
     cfg = ToleranceConfig(**cfg_values)
+    name = Path(path).name
     try:
         state = _load_state(path, cfg)
-        report = classify(state, seed=seed)
-        return {"file": Path(path).name, "report": report_to_dict(report)}
+        report = report_to_dict(classify(state, seed=seed))
     except (Sep4Error, json.JSONDecodeError, OSError, ValueError) as exc:
-        return {"file": Path(path).name, "error": f"{type(exc).__name__}: {exc}"}
+        return json.dumps({"file": name, "error": f"{type(exc).__name__}: {exc}"}), "error"
+    return json.dumps({"file": name, "report": report}), report["verdict"]
 
 
 def _usable_cpus() -> int:
@@ -236,11 +239,11 @@ def _cmd_batch(args) -> int:
             ))
     else:
         results = [_classify_file(path, cfg_values, args.seed) for path in files]
+    # the workers serialize; here each line is only written and counted
     counts: dict[str, int] = {}
     with open(args.out, "w") as fh:
-        for line in results:
-            fh.write(json.dumps(line) + "\n")
-            key = line["report"]["verdict"] if "report" in line else "error"
+        for line, key in results:
+            fh.write(line + "\n")
             counts[key] = counts.get(key, 0) + 1
     total = len(results)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) or "nothing to do"

@@ -23,7 +23,7 @@ from .errors import (
     NotPositive,
     NotSeparableVerdict,
 )
-from .grassmann import SubspaceBasis, pluecker
+from .grassmann import _pluecker_rows
 from .oracle import (
     Decomposition,
     DecompositionTerm,
@@ -148,11 +148,11 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     when that pass does not close (its absence never changes the verdict).
     One spectral pass, kept for this call only: the reduced states are
     diagonalized in :func:`compress_support`, one stacked call per party
-    size, the compressed state here, and each representative partial
-    transpose but the empty one in :func:`is_ppt`, which takes the
-    compressed state's eigenvalues from here.  A matrix that is zero or
-    holds NaN or Inf is rejected first, with the errors of
-    :func:`~sep4.states.new_state`.
+    size, the compressed state here, and the representative partial
+    transposes but the empty one in :func:`is_ppt` (one stacked call on
+    small operators), which takes the compressed state's eigenvalues from
+    here.  A matrix that is zero or holds NaN or Inf is rejected first,
+    with the errors of :func:`~sep4.states.new_state`.
     """
     # a MultiState built directly is not validated; entry by entry on the
     # real view, so that no modulus can overflow
@@ -241,8 +241,9 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         if cdims in ((3, 3), (2, 2, 2)):
             rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
             form = builtin_chow(cdims)
-            basis = SubspaceBasis(sd.eigenvectors[:, :rank].T, cdims)
-            value = eval_chow(form, pluecker(basis), normalized=True)
+            # eigh's columns are orthonormal, so the range rows need no
+            # independence check
+            value = eval_chow(form, _pluecker_rows(sd.eigenvectors[:, :rank].T), normalized=True)
             mag = abs(value)
             tol = small.cfg.tol_chow
             extra = dict(

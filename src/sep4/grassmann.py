@@ -3,7 +3,8 @@
 A k-dimensional subspace of C^d is handed around as a k x d coordinate
 matrix whose rows span it.  Its Plücker coordinates are the k x k minors
 indexed by strictly increasing 1-based column tuples; they determine the
-subspace up to one common scalar.
+subspace up to one common scalar.  All of them are built together as the
+wedge product of the rows, one row at a time, with no determinant.
 """
 
 from __future__ import annotations
@@ -104,39 +105,62 @@ class PlueckerVector:
         return dict(zip(self.tuples, self.normalized))
 
 
+@lru_cache(maxsize=None)
 def index_tuples(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Strictly increasing 1-based k-tuples over [d], lexicographic order."""
     return tuple(combinations(range(1, d + 1), k))
 
 
 @lru_cache(maxsize=None)
-def _minor_columns(d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """:func:`index_tuples` and the same as a read-only 0-based (T, k) array."""
-    tuples = index_tuples(d, k)
-    idx = np.array(tuples, dtype=int) - 1
-    idx.setflags(write=False)
-    return tuples, idx
+def _wedge_tables(d: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables that wedge row j onto the j x j minors, as read-only arrays.
 
-
-def pluecker(basis: SubspaceBasis) -> PlueckerVector:
-    """Compute all maximal minors of ``basis``.
-
-    Each entry is the k x k determinant of the basis columns named by the
-    tuple.  Raises :class:`RankDeficientBasis` when every minor vanishes.
+    For each (j+1)-subset I of the d columns, in the order of
+    :func:`index_tuples`: the position of I minus its t-th column among
+    the j-subsets (T, j+1), that column itself (T, j+1), and the Laplace
+    signs (-1)^(j+t) of the expansion along the last row (j+1,).
     """
-    k, d = basis.k, basis.d
+    position = {tup: q for q, tup in enumerate(index_tuples(d, j))}
+    subsets = index_tuples(d, j + 1)
+    drop = np.array([[position[tup[:t] + tup[t + 1:]] for t in range(j + 1)] for tup in subsets])
+    cols = np.array(subsets) - 1
+    signs = np.array([(-1.0) ** (j + t) for t in range(j + 1)], dtype=complex)
+    for arr in (drop, cols, signs):
+        arr.setflags(write=False)
+    return drop, cols, signs
+
+
+def _pluecker_rows(rows: np.ndarray) -> PlueckerVector:
+    """:func:`pluecker` on a bare k x d array of independent rows.
+
+    The minors are built as r_0 ^ r_1 ^ ..., one row at a time: each
+    (j+1) x (j+1) minor is the Laplace expansion along row j of the j x j
+    minors already built, one gather, multiply and sum per row.
+    """
+    k, d = rows.shape
     if k == 0:
         raise RankDeficientBasis("cannot take Plücker coordinates of an empty basis")
-    tuples, idx = _minor_columns(d, k)
-    mats = np.moveaxis(basis.rows[:, idx], 1, 0)   # (T, k, k)
-    raw = np.linalg.det(mats)
+    raw = rows[0].astype(complex)
+    for j in range(1, k):
+        drop, cols, signs = _wedge_tables(d, j)
+        raw = (raw[drop] * rows[j][cols]) @ signs
     scale = np.abs(raw).max()
     if scale == 0:
         raise RankDeficientBasis("all maximal minors vanish")
     lead = int(np.flatnonzero(np.abs(raw) > _LEAD_RTOL * scale)[0])
     phase = raw[lead] / abs(raw[lead])
     normalized = raw / (np.linalg.norm(raw) * phase)
-    return PlueckerVector(k=k, d=d, tuples=tuples, raw=raw, normalized=normalized)
+    return PlueckerVector(k=k, d=d, tuples=index_tuples(d, k), raw=raw, normalized=normalized)
+
+
+def pluecker(basis: SubspaceBasis) -> PlueckerVector:
+    """Compute all maximal minors of ``basis``.
+
+    Each entry is the k x k determinant of the basis columns named by the
+    tuple, built by wedge products of the rows (:func:`_pluecker_rows`).
+    Raises :class:`RankDeficientBasis` when every minor vanishes.
+    """
+    return _pluecker_rows(basis.rows)
 
 
 def pluecker_relations_residual(p: PlueckerVector) -> float:

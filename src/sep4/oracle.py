@@ -843,6 +843,15 @@ def _kernel_pv_round(complement, onb, rng):
     return hits
 
 
+def _phase_free_key(v: np.ndarray) -> tuple[float, ...]:
+    """Rounded real and imaginary coordinates of ``v`` turned so that its
+    largest entry is real and positive: a sort key that the phase of ``v``,
+    which a near-null singular vector takes from LAPACK, does not move."""
+    lead = v[np.argmax(np.abs(v))]
+    u = v * (abs(lead) / lead)
+    return tuple(np.round(np.concatenate([u.real, u.imag]), 6))
+
+
 def count_kernel_product_vectors_3x3(
     kernel: SubspaceBasis, seed: int = 0
 ) -> list[ProductVectorHit]:
@@ -865,10 +874,7 @@ def count_kernel_product_vectors_3x3(
     for _ in range(3):
         hits = _kernel_pv_round(vh[5:], vh[:5], rng)
         if hits is not None:
-            return sorted(
-                hits,
-                key=lambda h: tuple(np.round(np.concatenate([h.vector.real, h.vector.imag]), 6)),
-            )
+            return sorted(hits, key=lambda h: _phase_free_key(h.vector))
     raise DegenerateConfiguration(
         "no coordinate change certified six distinct transverse product vectors"
     )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -11,6 +13,12 @@ from .errors import NotBipartite
 from .states import (
     MultiState, _rank_from_eigenvalues, _transposed, partial_transpose, rank_of, spectral
 )
+
+
+# Largest stack of partial transposes, in matrix entries, diagonalized in
+# one eigvalsh call; above it each subset gets a call of its own, so that
+# no stack or index table grows with the square of the dimension.
+_STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,17 @@ def subset_representatives(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=32)
+def _transpose_gather(dims: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of every nonempty representative partial transpose of a
+    ``dims`` operator, stacked (S, d, d) in representative order and read-only."""
+    d = math.prod(dims)
+    flat = np.arange(d * d).reshape(d, d)
+    table = np.stack([_transposed(flat, dims, s) for s in subset_representatives(len(dims))[1:]])
+    table.setflags(write=False)
+    return table
+
+
 def is_ppt(state: MultiState, eigenvalues: np.ndarray | None = None) -> PptReport:
     """Evaluate every representative partial transpose of ``state``.
 
@@ -53,18 +72,26 @@ def is_ppt(state: MultiState, eigenvalues: np.ndarray | None = None) -> PptRepor
     ``()``.  The empty subset, which is first, is the state itself: its
     eigenvalues are ``eigenvalues`` (descending) when the caller already
     has them from :func:`~sep4.states.spectral`, and are computed by it
-    otherwise.  One ``eigvalsh`` per other subset, on a permuted copy of
-    the matrix.
+    otherwise.  The other subsets' partial transposes are gathered into
+    one stack and diagonalized by one ``eigvalsh`` call while the stack
+    holds at most 2^16 entries; larger operators get one call per subset,
+    on a permuted copy of the matrix.  A one-party state makes no call.
     """
     m, dims, cfg = state.matrix, state.dims, state.cfg
     first = spectral(state).eigenvalues if eigenvalues is None else eigenvalues
     band = cfg.tol_psd * float(first[0])
+    subsets = subset_representatives(state.n)
+    if len(subsets) == 1:
+        spectra = []
+    elif (len(subsets) - 1) * m.size <= _STACK_ENTRIES:
+        spectra = np.linalg.eigvalsh(m.ravel()[_transpose_gather(dims)])
+    else:
+        spectra = (np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subsets[1:])
     records = []
     worst: tuple[int, ...] = ()
     worst_val = np.inf
-    for subset in subset_representatives(state.n):
-        # ascending, as eigvalsh gives them
-        eigs = np.linalg.eigvalsh(_transposed(m, dims, subset)) if subset else first[::-1]
+    # ascending, as eigvalsh gives them
+    for subset, eigs in zip(subsets, chain([first[::-1]], spectra)):
         mn = float(eigs[0])
         rank = _rank_from_eigenvalues(eigs, cfg.tol_rank)
         records.append(SubsetRecord(subset=subset, min_eigenvalue=mn, rank=rank))

@@ -88,6 +88,30 @@ class TestPluecker:
         assert np.sum(np.abs(p.raw) ** 2) == pytest.approx(abs(np.linalg.det(gram)))
 
 
+def lu_minors(rows):
+    """The maximal minors as one LAPACK determinant per gathered k x k block."""
+    k, d = rows.shape
+    idx = np.array(index_tuples(d, k)) - 1
+    return np.linalg.det(np.moveaxis(rows[:, idx], 1, 0))
+
+
+class TestWedgeMinors:
+    """Minors built row by row by wedge products, against determinants."""
+
+    @pytest.mark.parametrize("orthonormal", [False, True], ids=["generic", "orthonormal"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_match_determinants(self, k, orthonormal):
+        rng = np.random.default_rng(k)
+        for d in range(k, 11):
+            for _ in range(3):
+                rows = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+                if orthonormal:
+                    rows = np.linalg.qr(rows.T)[0].T
+                got = pluecker(SubspaceBasis(rows, (d,))).raw
+                bound = 1e-13 * np.prod(np.linalg.norm(rows, axis=1))
+                assert np.abs(got - lu_minors(rows)).max() <= bound
+
+
 class TestRelationsResidual:
     @given(st.integers(0, 300))
     @settings(max_examples=15, deadline=None)

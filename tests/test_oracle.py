@@ -319,6 +319,19 @@ class TestKernelCounting:
             assert svd_flattening_ratio(hit.vector, (3, 3)) <= 1e-8
             assert np.linalg.norm(hit.vector - q @ (q.conj().T @ hit.vector)) <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_order_survives_a_change_of_kernel_basis(self, seed):
+        # the phase of each hit comes from LAPACK and moves with the basis;
+        # the order, taken with each largest entry turned real positive,
+        # must not
+        kernel = kernel_basis(random_separable((3, 3), 4, seed=seed))
+        rng = np.random.default_rng(seed)
+        mix, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        hits = count_kernel_product_vectors_3x3(kernel)
+        mixed = count_kernel_product_vectors_3x3(SubspaceBasis(mix @ kernel.rows, (3, 3)))
+        for a, b in zip(hits, mixed):
+            assert abs(np.vdot(a.vector, b.vector)) >= 1 - 1e-8
+
     @pytest.mark.parametrize("planted", [
         [(0, 0), (0, 1), (0, 2)],  # the plane e0 (x) C^3
         [(0, 0), (0, 1)],  # the line e0 (x) span(e0, e1)

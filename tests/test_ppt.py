@@ -5,7 +5,9 @@ from sep4 import from_dict, to_dict
 from sep4.errors import NotBipartite
 from sep4.gallery import divincenzo_state, random_separable, two_qutrit_ab_state
 from sep4.ppt import PptReport, birank, is_ppt, subset_representatives
-from sep4.states import MultiState, new_state, partial_transpose, rank_of
+from sep4.states import (
+    MultiState, _rank_from_eigenvalues, new_state, partial_transpose, rank_of, spectral
+)
 
 
 def ghz_projector():
@@ -93,6 +95,55 @@ class TestIsPpt:
         assert report.is_ppt
         assert mins == pytest.approx([0.25, 0.05])
         assert report.worst_subset == (1,)
+
+
+class TestStackedSpectra:
+    """Stacked partial transposes give the records of one call per subset."""
+
+    # each state with the shapes of the eigvalsh calls is_ppt makes on it
+    STATES = {
+        "2x2x2": (lambda: random_separable((2, 2, 2), 4, seed=3), [(3, 8, 8)]),
+        "2x2x3": (lambda: random_separable((2, 2, 3), 4, seed=3), [(3, 12, 12)]),
+        "2x2x2x2": (lambda: random_separable((2, 2, 2, 2), 4, seed=3), [(7, 16, 16)]),
+        # a stack of the 63 transposes would hold 2^20 entries
+        "2^7": (lambda: random_separable((2,) * 7, 3, seed=3), [(128, 128)] * 63),
+        "one-party": (lambda: random_separable((5,), 2, seed=3), []),
+        "ghz-npt": (ghz_projector, [(3, 8, 8)]),
+    }
+
+    @staticmethod
+    def reference(state):
+        records = []
+        for subset in subset_representatives(state.n):
+            if subset:
+                eigs = np.linalg.eigvalsh(partial_transpose(state, subset).matrix)
+            else:
+                eigs = spectral(state).eigenvalues[::-1]
+            rank = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
+            records.append((subset, float(eigs[0]), rank))
+        return records
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_records_bit_equal_to_one_call_per_subset(self, name):
+        state = self.STATES[name][0]()
+        got = [(r.subset, r.min_eigenvalue, r.rank) for r in is_ppt(state).records]
+        assert got == self.reference(state)
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_one_call_while_the_stack_is_small(self, name, monkeypatch):
+        make, shapes = self.STATES[name]
+        state = make()
+        eigenvalues = spectral(state).eigenvalues
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            seen.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        is_ppt(state, eigenvalues)
+        assert seen == shapes
 
 
 class TestBirank:

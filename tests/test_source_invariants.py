@@ -4,7 +4,9 @@ README "Numerical conventions": every eigendecomposition goes through
 ``states.spectral``, and only ``new_state``'s PSD check and ``is_ppt``'s
 partial transposes ask for eigenvalues alone.  Every finite
 product-vector set comes from one guarded non-Hermitian eigenproblem,
-the only ``eig`` call, and no polynomial is built or rooted.
+the only ``eig`` call, and no polynomial is built or rooted.  Plücker
+minors are wedge products of the rows, so the Chow matrix is the only
+determinant.
 """
 
 import ast
@@ -17,6 +19,7 @@ ALLOWED = {
     "eigh": {"states.spectral"},
     "eigvalsh": {"states.new_state", "ppt.is_ppt"},
     "eig": {"oracle._isolated_eig"},
+    "det": {"chow.eval_chow"},
 }
 
 
