@@ -24,18 +24,11 @@ from .errors import (
     NotSeparableVerdict,
 )
 from .grassmann import _pluecker_rows
-from .oracle import (
-    Decomposition,
-    DecompositionTerm,
-    _frobenius,
-    _range_decomposition,
-    greedy_decompose,
-)
+from .oracle import Decomposition, _decompose
 from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
     _rank_from_eigenvalues,
-    assemble_product,
     compress_support,
     is_product,
     spectral,
@@ -118,34 +111,20 @@ def length_bounds(report: ClassificationReport) -> tuple[int, int]:
     return _bounds_for(report.rank, report.compressed_dims, report.ppt)
 
 
-def _pure_product_decomposition(state: MultiState, isometries) -> Decomposition:
-    factors = tuple(w[:, 0] for w in isometries)
-    vec = assemble_product(factors)
-    weight = state.trace
-    recon = weight * np.outer(vec, vec.conj())
-    residual = _frobenius(state.matrix - recon, weight)
-    return Decomposition(
-        terms=(DecompositionTerm(weight=weight, factors=factors),),
-        residual=residual,
-        length_upper_bound=1,
-    )
-
-
 def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> ClassificationReport:
     """Decide separable / entangled / out-of-scope for ``state``.
 
     On separable verdicts length bounds are attached, the lower one raised
     to the largest partial-transpose rank; bounds that cross raise
-    :class:`InconsistentTolerances`.  With ``decompose``, states of rank two
-    or more are first decomposed exactly
-    (:func:`~sep4.oracle._range_decomposition`).  A compressed two-qubit
-    state of rank 3 or 4 gets four terms from Wootters' closed form (one
-    eigensolve of a real 2r x 2r matrix); an entangled one that the
-    tolerances let through raises :class:`InconsistentTolerances`.  Every
-    other range gives the product vectors its flattening minors cut out,
-    with no eigensolve.  Where neither applies, one greedy peel pass of at
-    most ``length_bounds[1]`` terms is made; the decomposition is ``None``
-    when that pass does not close (its absence never changes the verdict).
+    :class:`InconsistentTolerances`.  With ``decompose``, one call of
+    :func:`~sep4.oracle._decompose` backs the verdict: the dropped
+    parties' product, one kept party's or a rank-1 range's spectrum,
+    Wootters' closed form on a two-qubit range of rank 3 or 4, the product
+    vectors the range's flattening minors cut out, or else one greedy peel
+    pass of at most ``length_bounds[1]`` terms on the compressed state.
+    The decomposition is ``None`` when its terms fail the product or
+    residual check or the peel does not close (its absence never changes
+    the verdict).
     One spectral pass, kept for this call only: the reduced states are
     diagonalized in :func:`compress_support`, one stacked call per party
     size, the compressed state here, and the representative partial
@@ -176,7 +155,8 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         comp = compress_support(state)
     except AllPartiesTrivial as exc:
         base.update(
-            decomposition=_pure_product_decomposition(state, exc.isometries) if decompose else None,
+            decomposition=_decompose(state, exc.isometries, None, None, 1, 1, seed)
+            if decompose else None,
             length_bounds=(1, 1),
         )
         return ClassificationReport(
@@ -206,10 +186,8 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
                     "transpose has more rank than a separable state of this rank allows"
                 )
             dec = None
-            if decompose and rank >= 2:
-                dec = _range_decomposition(comp, sd, rank, state, seed)
-            if decompose and dec is None:
-                dec = greedy_decompose(state, max_terms=bounds[1], seed=seed)
+            if decompose:
+                dec = _decompose(state, comp.isometries, small, sd, rank, bounds[1], seed)
             fields.update(decomposition=dec, length_bounds=bounds)
         return ClassificationReport(
             verdict=verdict,

@@ -16,8 +16,10 @@ quadric pencil (:func:`_range_products`), which decomposes separable
 states exactly and gives the three-qubit kernel vectors.  Two-qubit
 ranges of rank 3 or 4 hold a curve of product vectors instead; Wootters'
 closed form (:func:`_wootters_products`) decomposes them into four terms.
-The greedy peel serves what neither covers.  A decomposition term is
-its weight and factors alone; its vector is their product.
+The greedy peel (:func:`_peel`) serves what neither covers; one entry,
+:func:`_decompose`, picks among them and lifts and checks every result.
+A decomposition term is its weight and factors alone; its vector is
+their product.
 """
 
 from __future__ import annotations
@@ -464,7 +466,7 @@ def _find_peelable_product_vector(rem_state: MultiState, subsets, spectra, seed:
     )
 
 
-def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> Decomposition | None:
+def _peel(state: MultiState, max_terms: int, seed: int):
     """Peel pure product states off ``state`` in one pass of at most ``max_terms``.
 
     Each round finds a product vector phi in the range of the remainder
@@ -473,17 +475,17 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
     projector transposes to the projector onto the party-conjugated
     vector, so each bound is a pseudo-inverse quadratic form).  Keeping
     the remainder PPT rather than merely positive prevents the peel from
-    overshooting into entangled remainders.  The pass is not retried: it
-    returns ``None`` at the first round that finds no peelable product
-    vector or no positive weight, and when the Frobenius residual is
-    still above ``1e-8 * trace`` after ``max_terms`` rounds.  A ``None``
-    does not refute separability.
+    overshooting into entangled remainders.  The pass stops once the
+    remainder's Frobenius norm is at most ``1e-8 * trace`` and is not
+    retried.  Returns the unit rows phi and their weights, or ``None`` at
+    the first round that finds no peelable product vector or no positive
+    weight; the caller judges the residual.
     """
     target = 1e-8 * state.trace
     tol_rank = state.cfg.tol_rank
     subsets = subset_representatives(state.n)
     remainder = np.array(state.matrix)
-    terms: list[DecompositionTerm] = []
+    rows, weights = [], []
     for step in range(max_terms):
         if np.linalg.norm(remainder) <= target:
             break
@@ -498,16 +500,25 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
         )
         if not np.isfinite(weight) or weight <= 0.0:
             return None
-        terms.append(DecompositionTerm(weight=weight, factors=hit.factors))
-        phi = terms[-1].vector
+        phi = assemble_product(hit.factors)
         remainder = remainder - weight * np.outer(phi, phi.conj())
         remainder = 0.5 * (remainder + remainder.conj().T)
-    residual = float(np.linalg.norm(remainder))
-    if terms and residual <= target:
-        return Decomposition(
-            terms=tuple(terms), residual=residual, length_upper_bound=len(terms)
-        )
-    return None
+        norm = np.linalg.norm(phi)
+        rows.append(phi / norm)
+        weights.append(weight * norm**2)
+    if not rows:
+        return None
+    return np.array(rows), np.array(weights)
+
+
+def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> Decomposition | None:
+    """One peel pass (:func:`_peel`) of at most ``max_terms`` terms on
+    ``state`` itself, lifted and checked by :func:`_decompose`; ``None``
+    when the pass fails or its terms miss ``state`` by more than
+    ``1e-8 * trace``.  A ``None`` does not refute separability.
+    """
+    identity = tuple(np.eye(dp) for dp in state.dims)
+    return _decompose(state, identity, state, None, 0, max_terms, seed)
 
 
 # --- the finite product-vector sets: one guarded eigenproblem --------------
@@ -550,8 +561,8 @@ def _isolated_eig(a: np.ndarray, b: np.ndarray):
 # 28, 642, 2006; it extends the pencil of Horodecki, Lewenstein, Vidal &
 # Cirac, PRA 62, 032310, 2000).  A range with a curve of product vectors, as
 # in two qubits at rank 3 or 4, leaves a larger null space and is declined;
-# :func:`_range_decomposition` sends those two-qubit ranges to Wootters'
-# closed form (below) instead.
+# :func:`_decompose` sends those two-qubit ranges to Wootters' closed form
+# (below) instead.
 
 
 @lru_cache(maxsize=64)
@@ -681,12 +692,9 @@ def _wootters_products(vecs, eigs, tol_psd: float):
             f"tolerance bug: two-qubit state called separable has concurrence excess "
             f"{excess:.3e} above tol_psd * lambda_max = {tol_psd * eigs[0]:.3e}"
         )
-    # the angle is scale-free: taken at a's binary exponent, a * b and c * c
-    # neither overflow nor underflow, and the exact rescaling moves no bit
-    ua, ub, uc = (math.ldexp(v, -math.frexp(a)[1]) for v in (a, b, c))
     cos_b = -1.0
-    if ua * ub > 0:
-        cos_b = np.clip((uc * uc - ua * ua - ub * ub) / (2 * ua * ub), -1.0, 1.0)
+    if a * b > 0:
+        cos_b = np.clip((c * c - a * a - b * b) / (2 * a * b), -1.0, 1.0)
     turn_b = complex(cos_b, math.sqrt(1.0 - cos_b * cos_b))
     rest = -(a + b * turn_b)
     turn_c = rest / abs(rest) if abs(rest) > 0 else 1.0
@@ -698,53 +706,54 @@ def _wootters_products(vecs, eigs, tol_psd: float):
     return phi / np.sqrt(weights)[:, None], weights
 
 
-def _frobenius(m: np.ndarray, scale: float) -> float:
-    """Frobenius norm of ``m``, taken at the binary exponent of ``scale``.
+def _decompose(state, isometries, small, sd, rank, max_terms, seed) -> Decomposition | None:
+    """The one decomposition path: product rows and weights from the first
+    source that applies, factored, lifted and checked; or ``None``.
 
-    Dividing by that power of two keeps the squares of entries near
-    ``scale`` = 1e+-200 from overflowing or underflowing, and is exact, so
-    it moves no bit of the norm of any other input.
+    ``isometries`` compress ``state`` to ``small`` (``None`` when every
+    party is dropped), whose :func:`spectral` decomposition ``sd`` has rank
+    ``rank``.  The sources: the dropped parties' product; the spectrum of
+    a single kept party or of a rank-1 range; Wootters' closed form on two
+    qubits at rank 3 or 4; the range's quadrics; else, or without ``sd``,
+    one :func:`_peel` pass of at most ``max_terms`` terms on ``small``.
+    Rows from one source are not retried on another: they are the range's
+    product vectors.  A row is declined when a flattening ratio over the
+    parties of dimension above 1 exceeds ``tol_product``, the terms when
+    they miss ``state`` by more than ``1e-8 * trace`` in Frobenius norm.
+    All runs on the operators divided by 2^k, k even, near the trace:
+    exact, with sqrt(eigenvalues) scaling exactly, so no scale overflows
+    or underflows; weights and residual are scaled back at the end.
     """
-    k = math.frexp(scale)[1]
-    return math.ldexp(float(np.linalg.norm(m * math.ldexp(1.0, -k))), k)
-
-
-def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, seed: int):
-    """Exact decomposition of ``state`` into product terms, or ``None``.
-
-    ``comp`` is the :func:`compress_support` result of ``state`` and ``sd``
-    the :func:`spectral` decomposition of ``comp.state``, whose rank is
-    ``rank``.  A single compressed party gives its spectral decomposition.
-    A two-qubit range of rank 3 or 4 gives four terms by
-    :func:`_wootters_products`, which raises :class:`InconsistentTolerances`
-    on an entangled one; every other range gives ``rank`` terms by
-    :func:`_range_products`.  The product vectors are declined when one of
-    them has a flattening ratio above ``tol_product`` or when the terms,
-    lifted through the isometries, miss ``state`` by more than
-    ``1e-8 * trace`` in Frobenius norm.  A dropped party's factor is its
-    isometry's column.
-    """
-    small = comp.state
-    vecs, eigs = sd.eigenvectors[:, :rank], sd.eigenvalues[:rank]
-    if len(small.dims) == 1:
-        # every vector of one party is a product vector
-        weights, local = eigs, [vecs.T]
-    else:
-        if small.dims == (2, 2) and rank >= 3:
+    trace = state.trace
+    k = 2 * (math.frexp(trace)[1] // 2)
+    unit = math.ldexp(1.0, -k)
+    dims = () if small is None else small.dims
+    found = None
+    if small is None:
+        found = np.ones((1, 1)), np.array([trace * unit])
+    elif sd is not None:
+        vecs, eigs = sd.eigenvectors[:, :rank], sd.eigenvalues[:rank] * unit
+        if len(dims) == 1 or rank == 1:
+            found = vecs.T, eigs
+        elif dims == (2, 2) and rank >= 3:
             found = _wootters_products(vecs, eigs, small.cfg.tol_psd)
         else:
-            found = _range_products(vecs, eigs, small.dims, seed)
-        if found is None:
-            return None
-        psi, weights = found
-        # each party's factors are the leading left singular vectors of its
-        # flattenings, one SVD call per party size
-        flats = _flattenings(psi, small.dims)
-        local = [None] * len(flats)
-        for dp in dict.fromkeys(small.dims):
-            parties = [i for i, x in enumerate(small.dims) if x == dp]
+            found = _range_products(vecs, eigs, dims, seed)
+    if found is None:
+        found = _peel(MultiState(small.matrix * unit, dims, small.cfg), max_terms, seed)
+    if found is None:
+        return None
+    psi, weights = found
+    # each party's factors are the leading left singular vectors of its
+    # flattenings, one SVD call per party size; a lone party's are the rows
+    wide = tuple(dp for dp in dims if dp > 1)
+    local = [psi] if len(wide) == 1 else [None] * len(wide)
+    if len(wide) > 1:
+        flats = _flattenings(psi, wide)
+        for dp in dict.fromkeys(wide):
+            parties = [i for i, x in enumerate(wide) if x == dp]
             u, s, _ = np.linalg.svd(np.stack([flats[i] for i in parties]))
-            if np.any(s[..., 1] > small.cfg.tol_product * s[..., 0]):
+            if np.any(s[..., 1] > state.cfg.tol_product * s[..., 0]):
                 return None
             for i, ui in zip(parties, u):
                 local[i] = ui[:, :, 0]
@@ -752,16 +761,17 @@ def _range_decomposition(comp, sd: SpectralData, rank: int, state: MultiState, s
     local = iter(local)
     factors = [
         next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
-        for w in comp.isometries
+        for w in isometries
     ]
     lifted = _row_kron(factors)
-    residual = _frobenius(state.matrix - (lifted.T * weights) @ lifted.conj(), state.trace)
-    if residual > 1e-8 * state.trace:
+    residual = float(np.linalg.norm(state.matrix * unit - (lifted.T * weights) @ lifted.conj()))
+    if residual > 1e-8 * trace * unit:
         return None
     terms = tuple(
-        DecompositionTerm(float(w), tuple(f[i] for f in factors)) for i, w in enumerate(weights)
+        DecompositionTerm(math.ldexp(float(w), k), tuple(f[i] for f in factors))
+        for i, w in enumerate(weights)
     )
-    return Decomposition(residual=residual, length_upper_bound=count, terms=terms)
+    return Decomposition(residual=math.ldexp(residual, k), length_upper_bound=count, terms=terms)
 
 
 # --- exact kernel product-vector counting on 3 x 3 -------------------------

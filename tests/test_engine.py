@@ -453,6 +453,17 @@ class TestDecompositionBudget:
         assert searches == 0
         check_decomposition(state, rep)
 
+    def test_rank_one_range_makes_no_peel_search(self, peel_searches):
+        # a loose tol_product calls |00> + 1e-4 |11> product with local ranks
+        # (2, 2): its one range vector is the only candidate, and it misses
+        # the state by about 1.4e-4 * trace
+        v = ket(1, 0, 0, 1e-4)
+        v /= np.linalg.norm(v)
+        state = new_state(np.outer(v, v.conj()), (2, 2), ToleranceConfig(tol_product=1e-3))
+        rep, searches = peel_searches(state)
+        assert rep.rule == "Rank1Product" and rep.local_ranks == (2, 2)
+        assert searches == 0 and rep.decomposition is None
+
     def test_dropped_party_lifted_to_original_dims(self, peel_searches, check_decomposition):
         pure = np.zeros((2, 2))
         pure[0, 0] = 1.0
@@ -642,9 +653,9 @@ class TestUnvalidatedInput:
 
 
 class TestScale:
-    """A scale factor s moves the weights by exactly s: the triangle of
-    Wootters' closed form and the residual are taken at the binary exponent
-    of the input, so neither overflows nor underflows."""
+    """A scale factor s moves the weights by exactly s: every decomposition,
+    the peel's included, runs on the operators divided by an even power of
+    two near the trace, so nothing in it overflows or underflows."""
 
     STATES = {
         "2x2-r3": lambda: two_qubit_curve_state(5, seed=0),
@@ -654,6 +665,8 @@ class TestScale:
         "2x3-r2": lambda: random_separable((2, 3), 2, seed=0),
         "2x2-r2": lambda: random_separable((2, 2), 2, seed=0),
         "2x3-r1": lambda: random_separable((2, 3), 1, seed=0),
+        "2x3-r4-peel": lambda: random_separable((2, 3), 4, seed=4),
+        "ab-0-0-peel": lambda: two_qutrit_ab_state(0, 0),
     }
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])

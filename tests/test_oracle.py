@@ -428,7 +428,7 @@ class TestCutDecomposition:
         w = np.array([[1.0, coherence], [coherence, 1.0]])
         st_ = new_state(psi @ w @ psi.conj().T, (2, 2))
         comp = compress_support(st_)
-        dec = oracle._range_decomposition(comp, spectral(comp.state), 2, st_, 0)
+        dec = oracle._decompose(st_, comp.isometries, comp.state, spectral(comp.state), 2, 2, 0)
         assert (dec is not None) == decomposes
         if decomposes:
             assert np.linalg.norm(dec.reconstruct() - st_.matrix) <= 1e-8 * st_.trace
@@ -477,7 +477,8 @@ class TestRangeProducts:
         # the NPT range has exactly its two products; the residual check declines them
         assert (found is None) == (name != "npt-two-products")
         rep = classify(st_)
-        dec = oracle._range_decomposition(comp, sd, rank, st_, 0)
+        # no peel round: only the exact sources answer
+        dec = oracle._decompose(st_, comp.isometries, comp.state, sd, rank, 0, 0)
         if name.startswith("2x2") or name == "one-party":
             # two-qubit rank 3 and 4 go to Wootters' closed form instead, and
             # one party's spectral decomposition is a product one
@@ -535,7 +536,7 @@ class TestRangeDecompositionKernels:
             psi, _ = oracle._wootters_products(vecs, eigs, comp.state.cfg.tol_psd)
         else:
             psi, _ = oracle._range_products(vecs, eigs, comp.state.dims, 0)
-        dec = oracle._range_decomposition(comp, sd, r, st_, 0)
+        dec = oracle._decompose(st_, comp.isometries, comp.state, sd, r, 0, 0)
         assert dec is not None
         want = self.per_party_factors(comp, psi)
         for i, term in enumerate(dec.terms):
@@ -711,6 +712,13 @@ class TestGreedyDecompose:
             cur = total_rank(remainder)
             assert cur < prev
             prev = cur
+
+    def test_party_of_dimension_one(self):
+        st_ = random_separable((1, 2, 2), 2, seed=3)
+        dec = greedy_decompose(st_, max_terms=4)
+        assert dec is not None and dec.length_upper_bound == 2
+        assert [f.shape for f in dec.terms[0].factors] == [(1,), (2,), (2,)]
+        assert np.linalg.norm(dec.reconstruct() - st_.matrix) <= 1e-8 * st_.trace
 
     def test_entangled_input_fails_cleanly(self):
         dec = greedy_decompose(two_qutrit_ab_state(1.0, 1.0), max_terms=6)

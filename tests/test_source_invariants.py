@@ -6,7 +6,10 @@ partial transposes ask for eigenvalues alone.  Every finite
 product-vector set comes from one guarded non-Hermitian eigenproblem,
 the only ``eig`` call, and no polynomial is built or rooted.  Plücker
 minors are wedge products of the rows, so the Chow matrix is the only
-determinant.
+determinant.  Every decomposition takes one path,
+``oracle._decompose``: it alone rescales by a power of two and builds
+decomposition terms, and it is all ``engine`` imports from ``oracle``
+besides the ``Decomposition`` type.
 """
 
 import ast
@@ -57,6 +60,30 @@ def test_eigensolvers_called_only_where_documented():
 def test_no_polynomial_roots_or_fft():
     found = uses({"roots", "fft"})
     assert not found, f"referenced in {dict(found)}"
+
+
+DECOMPOSE = "oracle._decompose"
+
+
+def test_only_the_decomposition_entry_rescales():
+    found = uses({"frexp", "ldexp"})
+    assert found["frexp"] == found["ldexp"] == {DECOMPOSE}, dict(found)
+
+
+def test_only_the_decomposition_entry_builds_terms():
+    found = uses({"DecompositionTerm"})["DecompositionTerm"]
+    assert found == {DECOMPOSE, "oracle.Decomposition"}, sorted(found)
+
+
+def test_engine_imports_only_the_decomposition_entry_from_oracle():
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+        for alias in node.names
+    }
+    assert imported == {"_decompose", "Decomposition"}
 
 
 def test_scan_sees_every_module():
