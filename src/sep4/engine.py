@@ -28,6 +28,7 @@ from .oracle import Decomposition, _decompose
 from .ppt import PptReport, is_ppt
 from .states import (
     MultiState,
+    _check_layout,
     _rank_from_eigenvalues,
     compress_support,
     is_product,
@@ -130,11 +131,12 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     size, the compressed state here, and the representative partial
     transposes but the empty one in :func:`is_ppt` (one stacked call on
     small operators), which takes the compressed state's eigenvalues from
-    here.  A matrix that is zero or holds NaN or Inf is rejected first,
-    with the errors of :func:`~sep4.states.new_state`.
+    here.  A matrix of the wrong shape, zero, or holding NaN or Inf is
+    rejected first, with the errors of :func:`~sep4.states.new_state`.
     """
     # a MultiState built directly is not validated; entry by entry on the
     # real view, so that no modulus can overflow
+    _check_layout(state.matrix.shape, state.dims)
     scale = float(np.abs(state.matrix.view(float)).max())
     if scale == 0.0:
         raise NotPositive("zero matrix is not a state")

@@ -19,14 +19,16 @@ closed form (:func:`_wootters_products`) decomposes them into four terms.
 The greedy peel (:func:`_peel`) serves what neither covers; one entry,
 :func:`_decompose`, picks among them and lifts and checks every result.
 A decomposition term is its weight and factors alone; its vector is
-their product.
+their product.  The layout kernels of ``states`` factor every vector and
+sum every set of weighted projectors, so a decomposition's
+:meth:`~Decomposition.reconstruct` misses the state by its residual exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -46,9 +48,11 @@ from .states import (
     SpectralData,
     assemble_product,
     partial_transpose,
-    product_factors,
     spectral,
+    _factorize,
+    _fit_product,
     _flattenings,
+    _projector_sum,
     _rank_from_eigenvalues,
     _row_kron,
 )
@@ -99,11 +103,9 @@ class Decomposition:
     terms: tuple[DecompositionTerm, ...]
 
     def reconstruct(self) -> np.ndarray:
-        vecs = [term.vector for term in self.terms]
-        out = np.zeros((vecs[0].size,) * 2, dtype=complex)
-        for term, vec in zip(self.terms, vecs):
-            out += term.weight * np.outer(vec, vec.conj())
-        return out
+        """The terms' sum, ``residual`` from the decomposed state exactly."""
+        rows = np.array([term.vector for term in self.terms])
+        return _projector_sum(rows, np.array([term.weight for term in self.terms]))
 
 
 def _product_residuals(
@@ -117,7 +119,7 @@ def _product_residuals(
     unit vectors, so each flattening's squared singular values sum to 1;
     with lam = |m^H u|^2 <= s1^2, the tail mass 1 - lam bounds s2^2, and
     sqrt((1 - lam) / lam) bounds s2/s1 from above.  Enough to steer a sweep,
-    not to certify a product vector (see :func:`_flattening_ratios`).
+    not to certify a product vector (see :func:`~sep4.states._factorize`).
     """
     rows = x.shape[0]
     ratios = np.zeros(rows)
@@ -139,16 +141,6 @@ def _product_residuals(
         gap += tail
         ratios = np.maximum(ratios, np.sqrt(tail / np.maximum(lam, 1e-300)))
     return ratios, gap, new_leads
-
-
-def _flattening_ratios(x: np.ndarray, dims) -> np.ndarray:
-    """Largest second-to-first singular value ratio over the flattenings of each row, by SVD."""
-    ratios = np.zeros(x.shape[0])
-    for m in _flattenings(x, dims):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s.shape[1] > 1:
-            ratios = np.maximum(ratios, s[:, 1] / np.maximum(s[:, 0], 1e-300))
-    return ratios
 
 
 def _alternate_to_product(
@@ -200,7 +192,7 @@ def _alternate_to_product(
         x[active] = (c / norms[:, None]) @ onb
     if hit is not None:
         return x, None, tried, hit
-    return x, _flattening_ratios(x, dims), tried, hit
+    return x, _factorize(x, dims)[1], tried, hit
 
 
 def _truncated_step(jac: np.ndarray, rhs: np.ndarray, residual: float):
@@ -230,7 +222,7 @@ def _polish_hit(vec, onb, blocks, dims, tol_product) -> ProductVectorHit | None:
     counts only when the exact SVD ratio of the projected vector is at
     most ``tol_product``.
     """
-    factors = _compatible_newton(product_factors(vec, dims), blocks, dims)
+    factors = _compatible_newton([f[0] for f in _factorize(vec[None, :], dims)[0]], blocks, dims)
     if factors is None:
         return None
     vec = (assemble_product(factors) @ onb.conj().T) @ onb
@@ -238,10 +230,11 @@ def _polish_hit(vec, onb, blocks, dims, tol_product) -> ProductVectorHit | None:
     if nrm < 1e-8:
         return None
     vec = vec / nrm
-    ratio = float(_flattening_ratios(vec[None, :], dims)[0])
-    if ratio > tol_product:
+    factors, ratios = _factorize(vec[None, :], dims)
+    if ratios[0] > tol_product:
         return None
-    return ProductVectorHit(vector=vec, factors=product_factors(vec, dims), residual=ratio)
+    return ProductVectorHit(vector=vec, factors=_fit_product(factors, vec),
+                            residual=float(ratios[0]))
 
 
 def _search_product_vector(onb, blocks, dims, restarts, seed, chunk_size, cutoff, tol_product):
@@ -352,26 +345,20 @@ def _compatible_newton(factors, condition_blocks, dims):
     quadratically, so iteration stops once the residual norm has failed to
     halve over 8 iterations.  Returns unit factors or ``None``.
     """
-    factors = [np.asarray(f, dtype=complex).copy() for f in factors]
-    for i, f in enumerate(factors):
-        nrm = np.linalg.norm(f)
-        if nrm < 1e-12:
-            return None
-        factors[i] = f / nrm
+    norms = [np.linalg.norm(f) for f in factors]
+    if min(norms) < 1e-12:
+        return None
+    factors = [np.asarray(f, dtype=complex) / nrm for f, nrm in zip(factors, norms)]
     sizes = [int(d) for d in dims]
     edges = np.cumsum([0] + sizes)
-    # each annihilator as one (rows, other parties, dp) array per party
+    # each annihilator as its party flattenings, (rows, dp, other parties)
     blocks = [
-        (subset, [
-            np.moveaxis(rows.conj().reshape((-1, *sizes)), 1 + i, -1).reshape(rows.shape[0], -1, dp)
-            for i, dp in enumerate(sizes)
-        ])
+        (subset, _flattenings(rows.conj(), sizes))
         for subset, rows in condition_blocks
         if rows.shape[0]
     ]
     if not blocks:
         return tuple(factors)
-    one = np.ones(1, dtype=complex)
 
     def system(factors):
         """Residual, holomorphic and antiholomorphic Jacobians."""
@@ -381,7 +368,8 @@ def _compatible_newton(factors, condition_blocks, dims):
             h = np.zeros((mats[0].shape[0], edges[-1]), dtype=complex)
             a = np.zeros_like(h)
             for i, m in enumerate(mats):
-                part = reduce(lambda u, v: np.outer(u, v).ravel(), g[:i] + g[i + 1 :], one) @ m
+                others = g[:i] + g[i + 1 :]
+                part = m @ assemble_product(others) if others else m[:, :, 0]
                 (a if (i + 1) in subset else h)[:, edges[i] : edges[i + 1]] = part
             fvals.append(part @ g[-1])
             hol.append(h)
@@ -501,7 +489,7 @@ def _peel(state: MultiState, max_terms: int, seed: int):
         if not np.isfinite(weight) or weight <= 0.0:
             return None
         phi = assemble_product(hit.factors)
-        remainder = remainder - weight * np.outer(phi, phi.conj())
+        remainder = remainder - _projector_sum(phi[None, :], weight)
         remainder = 0.5 * (remainder + remainder.conj().T)
         norm = np.linalg.norm(phi)
         rows.append(phi / norm)
@@ -575,10 +563,9 @@ def _quadric_maps(dims: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray
     the others' (with two parties it is the first one transposed).  The
     map's transpose sends a monomial vector back to its symmetric matrix.
     """
-    grid = np.arange(math.prod(dims)).reshape(dims)
     minors = []
-    for p in range(len(dims) - 1):
-        m = np.moveaxis(grid, p, 0).reshape(dims[p], -1)
+    # the flattenings of the one row holding every flat index
+    for (m,) in _flattenings(np.arange(math.prod(dims))[None, :], dims)[:-1]:
         i, k = np.triu_indices(m.shape[0], 1)
         j, l = np.triu_indices(m.shape[1], 1)
         i, k = i[:, None], k[:, None]
@@ -617,7 +604,7 @@ def _range_products(vecs, eigs, dims, seed: int):
     if k == 0 or minors.shape[0] < k:
         return None
     # each minor as a row over the monomials c_a c_b, a <= b, of x = vecs @ c
-    u, w, y, z = np.moveaxis(vecs[minors], 1, 0)
+    u, w, y, z = vecs[minors.T]
     quad = (u[:, :, None] * w[:, None, :] - y[:, :, None] * z[:, None, :]).reshape(-1, r * r) @ sym
     try:
         _, s, vh = np.linalg.svd(quad, full_matrices=quad.shape[0] < quad.shape[1])
@@ -744,27 +731,17 @@ def _decompose(state, isometries, small, sd, rank, max_terms, seed) -> Decomposi
     if found is None:
         return None
     psi, weights = found
-    # each party's factors are the leading left singular vectors of its
-    # flattenings, one SVD call per party size; a lone party's are the rows
-    wide = tuple(dp for dp in dims if dp > 1)
-    local = [psi] if len(wide) == 1 else [None] * len(wide)
-    if len(wide) > 1:
-        flats = _flattenings(psi, wide)
-        for dp in dict.fromkeys(wide):
-            parties = [i for i, x in enumerate(wide) if x == dp]
-            u, s, _ = np.linalg.svd(np.stack([flats[i] for i in parties]))
-            if np.any(s[..., 1] > state.cfg.tol_product * s[..., 0]):
-                return None
-            for i, ui in zip(parties, u):
-                local[i] = ui[:, :, 0]
+    local, ratios = _factorize(psi, dims)
+    if np.any(ratios > state.cfg.tol_product):
+        return None
     count = len(weights)
-    local = iter(local)
+    local = iter(f for f in local if f.shape[1] > 1)
     factors = [
         next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
         for w in isometries
     ]
     lifted = _row_kron(factors)
-    residual = float(np.linalg.norm(state.matrix * unit - (lifted.T * weights) @ lifted.conj()))
+    residual = float(np.linalg.norm(state.matrix * unit - _projector_sum(lifted, weights)))
     if residual > 1e-8 * trace * unit:
         return None
     terms = tuple(
@@ -843,7 +820,7 @@ def _kernel_pv_round(complement, onb, rng):
         b = _null_factor(a, bilinear)
         if b is None:
             continue
-        hit = _polish_hit(np.kron(a, b), onb, blocks, (3, 3), 1e-8)
+        hit = _polish_hit(assemble_product((a, b)), onb, blocks, (3, 3), 1e-8)
         if hit is not None and all(
             abs(np.vdot(h.vector, hit.vector)) <= DEDUP_OVERLAP for h in hits
         ):
@@ -893,12 +870,6 @@ def count_kernel_product_vectors_3x3(
 # --- the four bipartite kernel product vectors of a 2x2x2 entangled state --
 
 
-def _permute_party_vector(vec: np.ndarray, dims, order) -> np.ndarray:
-    return np.ascontiguousarray(
-        np.asarray(vec).reshape(tuple(dims)).transpose(order)
-    ).ravel()
-
-
 def bipartite_kernel_product_vectors_2x2x2(
     state: MultiState, cut: int, seed: int = 0
 ) -> list[np.ndarray]:
@@ -927,25 +898,22 @@ def bipartite_kernel_product_vectors_2x2x2(
     if meets:
         raise NotApplicable("range contains a product vector (state is separable)")
 
-    order = (cut - 1,) + tuple(i for i in range(3) if i != cut - 1)
-    perm_idx = _permute_party_vector(np.arange(8), (2, 2, 2), order)
-    matrix = state.matrix[np.ix_(perm_idx, perm_idx)]
-    found = _range_products(sd.eigenvectors[perm_idx, :4], sd.eigenvalues[:4], (2, 4), seed)
+    # the cut party's flattening of the flat indices puts that party first
+    perm = _flattenings(np.arange(8)[None, :], state.dims)[cut - 1].ravel()
+    matrix = state.matrix[np.ix_(perm, perm)]
+    found = _range_products(sd.eigenvectors[perm, :4], sd.eigenvalues[:4], (2, 4), seed)
     if found is None:
         raise NotApplicable("could not isolate four range product vectors")
     # weights that reconstruct the state certify the decomposition
     psi, weights = found
-    if np.linalg.norm((psi.T * weights) @ psi.conj() - matrix) > 1e-7 * np.linalg.norm(matrix):
+    if np.linalg.norm(_projector_sum(psi, weights) - matrix) > 1e-7 * np.linalg.norm(matrix):
         raise NotApplicable("state is not a sum of four product states across the cut")
-    cut_factors, rest_vectors = zip(*(product_factors(v, (2, 4)) for v in psi))
+    (cut_factors, rest_vectors), _ = _factorize(psi, (2, 4))
 
-    psi_mat = np.column_stack(rest_vectors)
-    reciprocal = np.linalg.inv(psi_mat).conj().T
-    inverse_order = tuple(np.argsort(order))
+    reciprocal = np.linalg.inv(rest_vectors.T).conj()
     out = []
-    for i, a in enumerate(cut_factors):
-        a_perp = np.array([-np.conj(a[1]), np.conj(a[0])])
-        vec = np.kron(a_perp, reciprocal[:, i])
-        vec /= np.linalg.norm(vec)
-        out.append(_permute_party_vector(vec, (2, 2, 2), inverse_order))
+    for a, r in zip(cut_factors, reciprocal):
+        vec = np.empty(8, dtype=complex)
+        vec[perm] = assemble_product((np.array([-np.conj(a[1]), np.conj(a[0])]), r))
+        out.append(vec / np.linalg.norm(vec))
     return out

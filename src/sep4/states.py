@@ -2,7 +2,9 @@
 
 States live on a tensor product of finite-dimensional parties.  The
 composite index is row-major mixed-radix over ``dims`` with party 1 most
-significant; every module in the package shares that convention.
+significant; every module shares that convention, and only the kernels
+here write it out: party flattenings, row Kronecker products, the one
+product factorization and the one weighted projector sum.
 Parties are numbered 1..n and subsets of parties are passed as iterables
 of 1-based indices.  States are stored dense and are not normalized.
 """
@@ -105,6 +107,18 @@ class CompressionResult:
     dropped: tuple[int, ...]
 
 
+def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
+    """Raise :class:`DimensionMismatch` unless ``shape`` is square over ``dims``."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {shape}")
+    if not dims:
+        raise DimensionMismatch("dims must name at least one party")
+    if min(dims) < 1 or math.prod(dims) != shape[0]:
+        raise DimensionMismatch(f"dims {dims} do not multiply to matrix size {shape[0]}")
+    if shape[0] > MAX_TOTAL_DIM:
+        raise DimensionMismatch(f"total dimension {shape[0]} exceeds supported {MAX_TOTAL_DIM}")
+
+
 def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
     """Validate and build a :class:`MultiState`.
 
@@ -114,17 +128,9 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     """
     m = np.asarray(matrix, dtype=complex)
     dims = tuple(int(x) for x in dims)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
+    _check_layout(m.shape, dims)
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch("matrix contains non-finite entries")
-    d = m.shape[0]
-    if not dims:
-        raise DimensionMismatch("dims must name at least one party")
-    if any(x < 1 for x in dims) or math.prod(dims) != d:
-        raise DimensionMismatch(f"dims {dims} do not multiply to matrix size {d}")
-    if d > MAX_TOTAL_DIM:
-        raise DimensionMismatch(f"total dimension {d} exceeds supported {MAX_TOTAL_DIM}")
 
     scale = np.abs(m).max()
     if scale == 0.0:
@@ -310,11 +316,14 @@ def compress_support(state: MultiState) -> CompressionResult:
 
 
 def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:
-    """Per-party flattenings of the rows of ``x``, each (rows, dp, rest)."""
-    t = x.reshape((x.shape[0],) + tuple(dims))
+    """Per-party flattenings of the rows of ``x``, each (rows, dp, rest),
+    the other parties in order (``transpose``: ``moveaxis`` costs more)."""
+    rows = x.shape[0]
+    t = x.reshape((rows,) + tuple(dims))
+    axes = list(range(1, len(dims) + 1))
     return [
-        np.moveaxis(t, 1 + axis, 1).reshape(x.shape[0], dp, -1)
-        for axis, dp in enumerate(dims)
+        t.transpose([0, p] + axes[: p - 1] + axes[p:]).reshape(rows, dp, -1)
+        for p, dp in enumerate(dims, 1)
     ]
 
 
@@ -324,31 +333,39 @@ def _row_kron(factors) -> np.ndarray:
     return reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1), factors)
 
 
-def product_factors(v: np.ndarray, dims) -> tuple[np.ndarray, ...]:
-    """Per-party factors via sequential leading-singular-vector extraction.
+def _factorize(x: np.ndarray, dims) -> tuple[list[np.ndarray], np.ndarray]:
+    """The one product factorization of the unit rows of ``x``: each party's
+    unit factors (rows, dp), the leading left singular vectors of its
+    flattenings by one stacked SVD per party size (the factor 1 for a party
+    of dimension 1, the rows for a lone wider party), and each row's
+    largest s2/s1 over them, 0 exactly when the row is their product."""
+    factors = [x if dp > 1 else np.ones((x.shape[0], 1), dtype=complex) for dp in dims]
+    wide = [p for p, dp in enumerate(dims) if dp > 1]
+    if len(wide) < 2:
+        return factors, np.zeros(x.shape[0])
+    flats = _flattenings(x, dims)
+    ratios = []
+    for dp in dict.fromkeys(dims[p] for p in wide):
+        parties = [p for p in wide if dims[p] == dp]
+        u, s, _ = np.linalg.svd(np.stack([flats[p] for p in parties]))
+        ratios.append(s[..., 1] / s[..., 0])
+        for p, up in zip(parties, u):
+            factors[p] = up[:, :, 0]
+    return factors, np.concatenate(ratios).max(axis=0)
 
-    The tensor product of the returned factors is the best rank-one
-    approximation of ``v`` in each sequential split; it reconstructs ``v``
-    exactly when ``v`` is a product vector.
-    """
-    dims = tuple(dims)
-    cur = np.asarray(v, dtype=complex).ravel()
-    factors = []
-    for dp in dims[:-1]:
-        m = cur.reshape(dp, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        factors.append(u[:, 0])
-        cur = s[0] * vh[0]
-    factors.append(cur)
-    return tuple(factors)
+
+def _projector_sum(rows: np.ndarray, weights) -> np.ndarray:
+    """The one weighted projector sum, sum_i w_i |row_i><row_i|: a stated
+    residual and its reconstruction both take it, so they agree bit for bit."""
+    return (rows.T * weights) @ rows.conj()
 
 
 def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
     """Decide whether ``v`` factorizes across every party.
 
-    True iff for each party the flattening with that party's index as rows
-    has second singular value at most ``tol_product * ||v||``.  Factors are
-    returned on success, ``None`` otherwise.
+    True iff every party flattening has second-to-first singular value
+    ratio at most ``tol_product``.  The factors of :func:`_fit_product`
+    are returned on success, ``None`` otherwise.
     """
     dims = tuple(int(x) for x in dims)
     vec = np.asarray(v, dtype=complex).ravel()
@@ -357,16 +374,24 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ZeroVector("cannot factor the zero vector")
-    for m in _flattenings(vec[None, :], dims):
-        sv = np.linalg.svd(m[0], compute_uv=False)
-        if sv.shape[0] >= 2 and sv[1] > tol_product * norm:
-            return False, None
-    return True, product_factors(vec, dims)
+    factors, ratios = _factorize((vec / norm)[None, :], dims)
+    if ratios[0] > tol_product:
+        return False, None
+    return True, _fit_product(factors, vec)
 
 
 def assemble_product(factors) -> np.ndarray:
     """Tensor product of per-party factor vectors."""
     return _row_kron([np.asarray(f, dtype=complex).reshape(1, -1) for f in factors])[0]
+
+
+def _fit_product(factors, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The factors :func:`_factorize` gave for ``vec`` alone, the last one
+    scaled so that their product is the projection of ``vec`` on its line:
+    ``vec``, phase included, when it is product."""
+    factors = [f[0] for f in factors]
+    factors[-1] = factors[-1] * np.vdot(assemble_product(factors), vec)
+    return tuple(factors)
 
 
 # --- state JSON -----------------------------------------------------------
@@ -381,7 +406,8 @@ def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiStat
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise StateFormatError("state JSON must carry 'dims' and 'matrix'")
     dims = obj["dims"]
-    if not isinstance(dims, list) or not dims or not all(isinstance(x, int) for x in dims):
+    # JSON true and false are Python ints too
+    if not isinstance(dims, list) or not dims or not all(type(x) is int for x in dims):
         raise StateFormatError("'dims' must be a nonempty list of integers")
     try:
         m = from_pairs(obj["matrix"])

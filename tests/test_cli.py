@@ -49,6 +49,12 @@ class TestClassifyCommand:
         assert main(["classify", "--input", str(bad)]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_non_psd_file_is_a_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "npsd.json"
+        bad.write_text(json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}))
+        assert main(["classify", "--input", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: StateFormatError")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
         capsys.readouterr()

@@ -644,6 +644,16 @@ class TestUnvalidatedInput:
         with pytest.raises(error):
             classify(MultiState(m, (2, 2)))
 
+    @pytest.mark.parametrize("matrix, dims", [
+        (np.eye(4)[:2], (2, 2)),
+        (np.ones(4), (4,)),
+        (np.eye(4), (2, 3)),
+        (np.eye(4), ()),
+    ], ids=["not-square", "1-d", "dims-product", "no-dims"])
+    def test_shape_that_does_not_fit_dims(self, matrix, dims):
+        with pytest.raises(DimensionMismatch):
+            classify(MultiState(matrix, dims))
+
     def test_non_finite_entry_outside_every_reduced_state(self):
         # |00><11| appears in no single-party reduced state
         m = np.eye(4, dtype=complex)

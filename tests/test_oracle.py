@@ -85,7 +85,7 @@ def calls(monkeypatch):
     counting(np.linalg, "eigh", "eig")
     counting(np.linalg, "eigvalsh", "eig")
     counting(oracle, "_truncated_step", "newton")
-    counting(oracle, "_flattening_ratios", "batched_svd", rows_over=1)
+    counting(oracle, "_factorize", "batched_svd", rows_over=1)
     return count
 
 
@@ -186,6 +186,8 @@ class TestHitResidualsAreExact:
     def assert_exact(self, hit, dims):
         assert hit.residual <= 1e-8
         assert abs(hit.residual - svd_flattening_ratio(hit.vector, dims)) <= 1e-12
+        # the factors multiply out to the vector, phase included
+        assert np.linalg.norm(assemble_product(hit.factors) - hit.vector) <= 1e-7
 
     def test_find_product_vector(self):
         rows = np.array([[1, 0, 0, 1], [0, 1, 0, 0]], dtype=complex)
@@ -249,7 +251,7 @@ class TestPowerStepSweep:
         x = random_vec(rng, (rows, int(np.prod(dims))))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         leads = [random_vec(rng, (rows, dp)) for dp in dims]
-        exact = oracle._flattening_ratios(x, dims)
+        exact = oracle._factorize(x, dims)[1]
         for prev in (None, leads):
             ratios, _, _ = oracle._product_residuals(x, dims, prev)
             assert np.all(ratios >= exact - 1e-12)
@@ -647,6 +649,14 @@ class TestDecompositionTerms:
             assert np.array_equal(term.vector, assemble_product(term.factors))
         back = report_from_dict(json.loads(json.dumps(report_to_dict(rep))))
         assert np.array_equal(back.decomposition.reconstruct(), dec.reconstruct())
+
+    @pytest.mark.parametrize("name", list(DECOMPOSERS))
+    @pytest.mark.parametrize("scale", [1.0, 3e-7, 7e5])
+    def test_stated_residual_is_the_reconstruction_residual(self, name, scale):
+        st_ = self.DECOMPOSERS[name]()
+        st_ = new_state(st_.matrix * scale, st_.dims)
+        dec = classify(st_).decomposition
+        assert np.linalg.norm(st_.matrix - dec.reconstruct()) == dec.residual
 
 
 class TestGreedyDecompose:

@@ -9,7 +9,10 @@ minors are wedge products of the rows, so the Chow matrix is the only
 determinant.  Every decomposition takes one path,
 ``oracle._decompose``: it alone rescales by a power of two and builds
 decomposition terms, and it is all ``engine`` imports from ``oracle``
-besides the ``Decomposition`` type.
+besides the ``Decomposition`` type.  ``states.py`` owns the tensor
+layout: party flattenings, row Kronecker products, the one product
+factorization and the one weighted projector sum are its kernels, and
+only operator Kronecker products are written out elsewhere.
 """
 
 import ast
@@ -26,28 +29,38 @@ ALLOWED = {
 }
 
 
-def uses(names) -> dict[str, set[str]]:
+def top_levels(skip=()):
+    """``(module.function, node)`` of every top-level statement of the
+    package, a function or class named as such, anything else by its
+    module; the modules in ``skip`` are left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in skip:
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = path.stem
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = f"{path.stem}.{top.name}"
+            yield where, top
+
+
+def uses(names, skip=()) -> dict[str, set[str]]:
     """``module.function`` of every reference to each of ``names``: an
     attribute (``np.linalg.eigh``), a bare name or an import of it.  A
     reference inside a nested function or a method counts for the
     top-level function or class that holds it."""
     found = defaultdict(set)
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            where = path.stem
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                where = f"{path.stem}.{top.name}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute):
-                    ref = [node.attr]
-                elif isinstance(node, ast.Name):
-                    ref = [node.id]
-                elif isinstance(node, ast.ImportFrom):
-                    ref = [alias.name for alias in node.names]
-                else:
-                    continue
-                for name in set(ref) & set(names):
-                    found[name].add(where)
+    for where, top in top_levels(skip):
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                ref = [node.attr]
+            elif isinstance(node, ast.Name):
+                ref = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                ref = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in set(ref) & set(names):
+                found[name].add(where)
     return found
 
 
@@ -84,6 +97,55 @@ def test_engine_imports_only_the_decomposition_entry_from_oracle():
         for alias in node.names
     }
     assert imported == {"_decompose", "Decomposition"}
+
+
+# Party flattenings (states._flattenings, by transposes), row Kronecker
+# products and their reductions stay in states.py; the Kronecker products left elsewhere are of operators:
+# _kernel_pv_round's operator determinants and the module's _HADAMARD_4.
+# np.subtract.outer in _isolated_eig is a table of eigenvalue gaps.
+# gallery.py builds states and is not scanned.
+LAYOUT = {
+    "moveaxis": set(),
+    "reduce": {"states", "states._row_kron", "states.compress_support"},
+    "kron": {"oracle", "oracle._kernel_pv_round"},
+    "outer": {"oracle._isolated_eig"},
+}
+
+
+def test_tensor_layout_only_in_states():
+    found = uses(set(LAYOUT), skip={"gallery"})
+    for name, allowed in LAYOUT.items():
+        assert found[name] == allowed, f"{name} referenced in {sorted(found[name])}"
+
+
+def test_one_factorization():
+    # a singular value decomposition of party flattenings is a product
+    # factorization; there is one
+    found = uses({"svd", "_flattenings", "moveaxis"})
+    assert found["svd"] & (found["_flattenings"] | found["moveaxis"]) == {"states._factorize"}
+
+
+def is_projector_sum(node) -> bool:
+    """Whether ``node`` is ``(rows.T * weights) @ rows.conj()``, or the same
+    with the factors of the left product swapped."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    left, right = node.left, node.right
+    conj = (isinstance(right, ast.Call) and isinstance(right.func, ast.Attribute)
+            and right.func.attr == "conj")
+    scaled = isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult) and any(
+        isinstance(side, ast.Attribute) and side.attr == "T" for side in (left.left, left.right)
+    )
+    return conj and scaled
+
+
+def test_one_projector_sum():
+    sums = {where for where, top in top_levels() for node in ast.walk(top) if is_projector_sum(node)}
+    assert sums == {"states._projector_sum"}, sorted(sums)
+    # the stated residual, the reconstruction and the peel's remainder
+    assert uses({"_projector_sum"})["_projector_sum"] >= {
+        "oracle.Decomposition", "oracle._decompose", "oracle._peel"
+    }
 
 
 def test_scan_sees_every_module():

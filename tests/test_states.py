@@ -413,6 +413,10 @@ class TestIsProduct:
         assert ok
         assert np.linalg.norm(assemble_product(factors) - v) <= 1e-12
 
+    def test_length_must_match_dims(self):
+        with pytest.raises(DimensionMismatch):
+            is_product(np.ones(5), (2, 2))
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             is_product(np.zeros(4), (2, 2))
@@ -460,3 +464,24 @@ class TestStateJson:
     def test_rejects_ragged(self):
         with pytest.raises(StateFormatError):
             state_from_dict({"dims": [2], "matrix": [[[1, 0]], [[0, 0], [1, 0]]]})
+
+    @pytest.mark.parametrize("dims", [2, "2", [], [2.0], [True, 4], [4, True]])
+    def test_rejects_dims_that_are_not_a_list_of_integers(self, dims):
+        obj = state_to_dict(random_state((2, 2), 2, seed=19))
+        obj["dims"] = dims
+        with pytest.raises(StateFormatError, match="'dims'"):
+            state_from_dict(obj)
+
+    def test_rejects_a_non_square_grid(self):
+        with pytest.raises(StateFormatError, match="expected"):
+            state_from_dict({"dims": [2], "matrix": [[[1, 0], [0, 0]]]})
+
+    @pytest.mark.parametrize("matrix, dims, cause", [
+        ([[1, 1], [0, 1]], [2], "asymmetry"),
+        ([[1, 0], [0, -1]], [2], "eigenvalue"),
+        ([[1, 0], [0, 1]], [3], "multiply"),
+    ], ids=["not-hermitian", "not-psd", "dims-product"])
+    def test_state_errors_become_format_errors(self, matrix, dims, cause):
+        grid = [[[float(x), 0.0] for x in row] for row in matrix]
+        with pytest.raises(StateFormatError, match=cause):
+            state_from_dict({"dims": dims, "matrix": grid})
