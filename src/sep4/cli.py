@@ -201,10 +201,9 @@ def _cmd_chow(args) -> int:
     return 0
 
 
-def _classify_file(path: str, cfg_values: dict, seed: int) -> tuple[str, str]:
+def _classify_file(path: str, cfg: ToleranceConfig, seed: int) -> tuple[str, str]:
     """The ``sep4 batch`` output line for one file, without its newline, and
     the key it counts under: the verdict, or ``"error"``."""
-    cfg = ToleranceConfig(**cfg_values)
     name = Path(path).name
     try:
         state = _load_state(path, cfg)
@@ -223,8 +222,11 @@ def _usable_cpus() -> int:
 
 def _cmd_batch(args) -> int:
     cfg = _tolerances_from_args(args)
-    cfg_values = dataclasses.asdict(cfg)
-    files = sorted(str(p) for p in Path(args.input).glob("*.json"))
+    inputs = Path(args.input)
+    if not inputs.is_dir():
+        # before OUT is opened, so that a bad --input leaves it untouched
+        raise NotADirectoryError(f"--input {args.input!r} is not a directory")
+    files = sorted(str(p) for p in inputs.glob("*.json"))
     # the pool forks every worker up front, so never ask for more than
     # there are files or usable CPUs
     workers = min(args.parallel, len(files), _usable_cpus())
@@ -234,11 +236,11 @@ def _cmd_batch(args) -> int:
         chunksize = math.ceil(len(files) / (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                _classify_file, files, [cfg_values] * len(files), [args.seed] * len(files),
+                _classify_file, files, [cfg] * len(files), [args.seed] * len(files),
                 chunksize=chunksize,
             ))
     else:
-        results = [_classify_file(path, cfg_values, args.seed) for path in files]
+        results = [_classify_file(path, cfg, args.seed) for path in files]
     # the workers serialize; here each line is only written and counted
     counts: dict[str, int] = {}
     with open(args.out, "w") as fh:

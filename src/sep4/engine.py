@@ -106,10 +106,11 @@ def _bounds_for(
 
 
 def length_bounds(report: ClassificationReport) -> tuple[int, int]:
-    """(lower, upper) bounds on the minimal product-state length."""
+    """(lower, upper) bounds on the minimal product-state length: the
+    ``length_bounds`` :func:`classify` stored in ``report``."""
     if report.verdict != SEPARABLE:
         raise NotSeparableVerdict(f"verdict is {report.verdict}")
-    return _bounds_for(report.rank, report.compressed_dims, report.ppt)
+    return report.length_bounds
 
 
 def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> ClassificationReport:

@@ -16,7 +16,8 @@ quadric pencil (:func:`_range_products`), which decomposes separable
 states exactly and gives the three-qubit kernel vectors.  Two-qubit
 ranges of rank 3 or 4 hold a curve of product vectors instead; Wootters'
 closed form (:func:`_wootters_products`) decomposes them into four terms.
-The greedy peel (:func:`_peel`) serves what neither covers; one entry,
+The greedy peel (:func:`_peel`) serves what neither covers, with one
+stacked :func:`spectral` call and one range split per round; one entry,
 :func:`_decompose`, picks among them and lifts and checks every result.
 A decomposition term is its weight and factors alone; its vector is
 their product.  The layout kernels of ``states`` factor every vector and
@@ -47,7 +48,6 @@ from .states import (
     MultiState,
     SpectralData,
     assemble_product,
-    partial_transpose,
     spectral,
     _factorize,
     _fit_product,
@@ -55,6 +55,7 @@ from .states import (
     _projector_sum,
     _rank_from_eigenvalues,
     _row_kron,
+    _transposed,
 )
 
 MAX_SWEEPS = 200
@@ -331,6 +332,13 @@ def check_general_position(factor_lists, dims) -> bool:
 # --- greedy separable decomposition ---------------------------------------
 
 
+def _subset_conjugate(factors, subset) -> list:
+    """``factors`` with those of the parties in ``subset`` conjugated: the
+    factors of the vector whose projector is the partial transpose over
+    ``subset`` of the projector onto the product of ``factors``."""
+    return [np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)]
+
+
 def _compatible_newton(factors, condition_blocks, dims):
     """Gauss-Newton for product vectors obeying conjugate-membership conditions.
 
@@ -364,7 +372,7 @@ def _compatible_newton(factors, condition_blocks, dims):
         """Residual, holomorphic and antiholomorphic Jacobians."""
         fvals, hol, antihol = [], [], []
         for subset, mats in blocks:
-            g = [np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)]
+            g = _subset_conjugate(factors, subset)
             h = np.zeros((mats[0].shape[0], edges[-1]), dtype=complex)
             a = np.zeros_like(h)
             for i, m in enumerate(mats):
@@ -406,32 +414,24 @@ def _compatible_newton(factors, condition_blocks, dims):
     return tuple(factors)
 
 
-def _peel_weight(sd: SpectralData, vec: np.ndarray, tol_rank: float) -> float:
-    """Largest t with matrix - t |vec><vec| still PSD; 0 if vec leaves the range.
-
-    ``sd`` is the matrix's :func:`spectral` decomposition.
+def _peel_weight(factors, subsets, sd: SpectralData, ranks) -> float:
+    """Largest t keeping every operator of ``sd`` PSD less t times the
+    projector onto its subset-conjugate of the product of ``factors``; 0
+    once a conjugate leaves its operator's range.  Operator j is the partial
+    transpose over ``subsets[j]``, its range its first ``ranks[j]`` eigenpairs.
     """
-    eigs = sd.eigenvalues
-    scale = np.abs(eigs).max()
-    if scale == 0.0:
-        return 0.0
-    keep = eigs > tol_rank * scale
-    comp = sd.eigenvectors[:, keep].conj().T @ vec
-    outside = np.linalg.norm(vec) ** 2 - np.linalg.norm(comp) ** 2
-    if outside > 1e-12 * np.linalg.norm(vec) ** 2:
-        return 0.0
-    denom = float(np.sum(np.abs(comp) ** 2 / eigs[keep]).real)
-    if denom <= 0.0:
-        return 0.0
-    return 1.0 / denom
+    denoms = []
+    for subset, eigs, vecs, r in zip(subsets, sd.eigenvalues, sd.eigenvectors, ranks):
+        vec = assemble_product(_subset_conjugate(factors, subset))
+        comp = vecs[:, :r].conj().T @ vec
+        norm2 = np.linalg.norm(vec) ** 2
+        if norm2 - np.linalg.norm(comp) ** 2 > 1e-12 * norm2:
+            return 0.0
+        denoms.append(float(np.sum(np.abs(comp) ** 2 / eigs[:r])))
+    return 1.0 / max(denoms) if min(denoms) > 0.0 else 0.0
 
 
-def _subset_conjugate(factors, subset) -> np.ndarray:
-    pieces = [np.conj(f) if (i + 1) in subset else f for i, f in enumerate(factors)]
-    return assemble_product(pieces)
-
-
-def _find_peelable_product_vector(rem_state: MultiState, subsets, spectra, seed: int):
+def _find_peelable_product_vector(sd: SpectralData, ranks, subsets, dims, cfg, seed: int):
     """Product vector in the range whose conjugates fit every transpose range.
 
     A product vector can be subtracted without breaking the PPT property
@@ -439,23 +439,21 @@ def _find_peelable_product_vector(rem_state: MultiState, subsets, spectra, seed:
     range of the corresponding partial transpose; random members of the
     range's product-vector family generally fail this, so the alternating
     candidates are polished against the full compatibility system.
-    ``subsets`` starts with ``()``, the state itself, and ``spectra`` holds
-    the :func:`spectral` decomposition of each named partial transpose of
-    ``rem_state``.
+    ``sd`` stacks the :func:`spectral` decompositions of the partial
+    transposes over ``subsets``, which starts with ``()``, the remainder
+    itself.  The first ``ranks[j]`` eigenvectors of operator j span its
+    range; the others are its conjugate-membership block.
     """
-    tol_rank = rem_state.cfg.tol_rank
-    kernels = [np.abs(sd.eigenvalues) <= tol_rank * np.abs(sd.eigenvalues).max() for sd in spectra]
-    if np.all(kernels[0]):
+    if ranks[0] == 0:
         return None
-    onb = np.ascontiguousarray(spectra[0].eigenvectors[:, ~kernels[0]].T)
-    blocks = [(s, sd.eigenvectors[:, k].T) for s, sd, k in zip(subsets, spectra, kernels)]
-    return _search_product_vector(
-        onb, blocks, rem_state.dims, PEEL_RESTARTS, seed, 64, 0.3, rem_state.cfg.tol_product
-    )
+    vecs = sd.eigenvectors
+    onb = np.ascontiguousarray(vecs[0, :, : ranks[0]].T)
+    blocks = [(s, v[:, r:].T) for s, v, r in zip(subsets, vecs, ranks)]
+    return _search_product_vector(onb, blocks, dims, PEEL_RESTARTS, seed, 64, 0.3, cfg.tol_product)
 
 
-def _peel(state: MultiState, max_terms: int, seed: int):
-    """Peel pure product states off ``state`` in one pass of at most ``max_terms``.
+def _peel(matrix: np.ndarray, dims, cfg, max_terms: int, seed: int):
+    """Peel pure product states off ``matrix`` in one pass of at most ``max_terms``.
 
     Each round finds a product vector phi in the range of the remainder
     and subtracts it with the largest weight that keeps every partial
@@ -463,29 +461,29 @@ def _peel(state: MultiState, max_terms: int, seed: int):
     projector transposes to the projector onto the party-conjugated
     vector, so each bound is a pseudo-inverse quadratic form).  Keeping
     the remainder PPT rather than merely positive prevents the peel from
-    overshooting into entangled remainders.  The pass stops once the
-    remainder's Frobenius norm is at most ``1e-8 * trace`` and is not
-    retried.  Returns the unit rows phi and their weights, or ``None`` at
-    the first round that finds no peelable product vector or no positive
-    weight; the caller judges the residual.
+    overshooting into entangled remainders.  A round makes one stacked
+    :func:`spectral` call on the remainder and its representative partial
+    transposes; each operator's range, the eigenvalues above ``tol_rank``
+    times its largest magnitude, serves the search and the weight alike.
+    The pass stops once the remainder's Frobenius norm is at most
+    ``1e-8 * trace`` and is not retried.  Returns the unit rows phi and
+    their weights, or ``None`` at the first round that finds no peelable
+    product vector or no positive weight; the caller judges the residual.
     """
-    target = 1e-8 * state.trace
-    tol_rank = state.cfg.tol_rank
-    subsets = subset_representatives(state.n)
-    remainder = np.array(state.matrix)
+    target = 1e-8 * float(np.trace(matrix).real)
+    subsets = subset_representatives(len(dims))
+    remainder = np.array(matrix)
     rows, weights = [], []
     for step in range(max_terms):
         if np.linalg.norm(remainder) <= target:
             break
-        rem_state = MultiState(remainder, state.dims, state.cfg)
-        spectra = [spectral(partial_transpose(rem_state, subset)) for subset in subsets]
-        hit = _find_peelable_product_vector(rem_state, subsets, spectra, seed + 101 * step)
+        sd = spectral(np.stack([_transposed(remainder, dims, s) for s in subsets]))
+        cut = cfg.tol_rank * np.abs(sd.eigenvalues).max(axis=1, keepdims=True)
+        ranks = (sd.eigenvalues > cut).sum(axis=1).tolist()
+        hit = _find_peelable_product_vector(sd, ranks, subsets, dims, cfg, seed + 101 * step)
         if hit is None:
             return None
-        weight = min(
-            _peel_weight(sd, _subset_conjugate(hit.factors, subset), tol_rank)
-            for subset, sd in zip(subsets, spectra)
-        )
+        weight = _peel_weight(hit.factors, subsets, sd, ranks)
         if not np.isfinite(weight) or weight <= 0.0:
             return None
         phi = assemble_product(hit.factors)
@@ -727,7 +725,7 @@ def _decompose(state, isometries, small, sd, rank, max_terms, seed) -> Decomposi
         else:
             found = _range_products(vecs, eigs, dims, seed)
     if found is None:
-        found = _peel(MultiState(small.matrix * unit, dims, small.cfg), max_terms, seed)
+        found = _peel(small.matrix * unit, dims, small.cfg, max_terms, seed)
     if found is None:
         return None
     psi, weights = found

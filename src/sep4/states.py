@@ -103,7 +103,6 @@ class CompressionResult:
 
     state: MultiState
     isometries: tuple[np.ndarray, ...]
-    kept: tuple[int, ...]
     dropped: tuple[int, ...]
 
 
@@ -304,14 +303,10 @@ def compress_support(state: MultiState) -> CompressionResult:
                isometries)
     m = w.conj().T @ state.matrix @ w
     m = 0.5 * (m + m.conj().T)
-    kept = tuple(p for p in range(1, n + 1) if ranks[p - 1] > 1)
-    dropped = tuple(p for p in range(1, n + 1) if ranks[p - 1] == 1)
-    new_dims = tuple(ranks[p - 1] for p in kept)
     return CompressionResult(
-        state=MultiState(m, new_dims, state.cfg),
+        state=MultiState(m, tuple(r for r in ranks if r > 1), state.cfg),
         isometries=tuple(isometries),
-        kept=kept,
-        dropped=dropped,
+        dropped=tuple(p for p in range(1, n + 1) if ranks[p - 1] == 1),
     )
 
 

@@ -166,8 +166,24 @@ class TestBatchCommand:
         out_file = tmp_path / "results.jsonl"
         (tmp_path / "sub").mkdir()
         assert main(["batch", "--input", str(tmp_path / "sub"), "--out", str(out_file)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"classified 0 file(s) -> {out_file} (nothing to do)\n"
         assert out_file.read_text() == ""
+
+    def test_missing_input_fails_without_output(self, tmp_path, capsys):
+        out_file = tmp_path / "results.jsonl"
+        assert main(["batch", "--input", str(tmp_path / "gone"), "--out", str(out_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out_file.exists()
+
+    def test_file_as_input_leaves_output_untouched(self, tmp_path, capsys):
+        state_file = write_state(tmp_path / "a_prod.json", product_projector_state())
+        out_file = tmp_path / "results.jsonl"
+        out_file.write_text("earlier results\n")
+        assert main(["batch", "--input", state_file, "--out", str(out_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert out_file.read_text() == "earlier results\n"
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         for i in range(4):

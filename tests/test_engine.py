@@ -204,6 +204,10 @@ class TestLengthBounds:
         with pytest.raises(NotSeparableVerdict):
             length_bounds(rep)
 
+    def test_reads_the_bounds_classify_stored(self):
+        rep = classify(random_separable((2, 3), 3, seed=3), decompose=False)
+        assert length_bounds(rep) is rep.length_bounds
+
     # every case decomposes: two-qubit rank 3 and 4 by Wootters' closed form
     MAY_LACK_DECOMPOSITION = set()
 
@@ -472,6 +476,17 @@ class TestDecompositionBudget:
         assert rep.dropped_parties == (1,) and searches == 0
         for term in rep.decomposition.terms:
             assert [f.shape for f in term.factors] == [(2,), (2,), (3,)]
+        check_decomposition(state, rep)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qubit_qutrit_rank_four_peel_within_upper_bound(
+        self, peel_searches, seed, check_decomposition
+    ):
+        # the range holds a curve of product vectors, so only the peel answers
+        state = random_separable((2, 3), 4, seed=seed)
+        rep, searches = peel_searches(state)
+        assert rep.compressed_dims == (2, 3) and rep.rank == 4
+        assert 0 < searches <= rep.length_bounds[1]
         check_decomposition(state, rep)
 
 

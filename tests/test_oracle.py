@@ -62,9 +62,13 @@ def svd_flattening_ratio(vec, dims):
 
 
 def peel_search(state, seed=0):
+    """One peel search on ``state``: its stacked partial-transpose spectra,
+    each split at ``tol_rank`` times its largest magnitude."""
     subsets = subset_representatives(state.n)
-    spectra = [spectral(partial_transpose(state, subset)) for subset in subsets]
-    return oracle._find_peelable_product_vector(state, subsets, spectra, seed)
+    sd = spectral(np.stack([partial_transpose(state, subset).matrix for subset in subsets]))
+    cut = state.cfg.tol_rank * np.abs(sd.eigenvalues).max(axis=1, keepdims=True)
+    ranks = (sd.eigenvalues > cut).sum(axis=1).tolist()
+    return oracle._find_peelable_product_vector(sd, ranks, subsets, state.dims, state.cfg, seed)
 
 
 @pytest.fixture
@@ -238,7 +242,10 @@ class TestPowerStepSweep:
         st_ = random_separable((2, 2, 2), 4, seed=1)
         before = calls["eig"]
         assert greedy_decompose(st_, max_terms=6) is not None
-        assert calls["eig"] - before == len(subset_representatives(st_.n)) * searches[0]
+        # one stacked eigensolve per round holds the state and its three
+        # representative partial transposes
+        assert searches[0] == 4
+        assert calls["eig"] - before == searches[0]
 
     @given(
         st.integers(0, 2**32 - 1),

@@ -12,7 +12,8 @@ decomposition terms, and it is all ``engine`` imports from ``oracle``
 besides the ``Decomposition`` type.  ``states.py`` owns the tensor
 layout: party flattenings, row Kronecker products, the one product
 factorization and the one weighted projector sum are its kernels, and
-only operator Kronecker products are written out elsewhere.
+only operator Kronecker products are written out elsewhere.  The greedy
+peel works on bare operators: ``oracle`` builds no ``MultiState``.
 """
 
 import ast
@@ -145,6 +146,21 @@ def test_one_projector_sum():
     # the stated residual, the reconstruction and the peel's remainder
     assert uses({"_projector_sum"})["_projector_sum"] >= {
         "oracle.Decomposition", "oracle._decompose", "oracle._peel"
+    }
+
+
+def test_the_peel_works_on_bare_operators():
+    # oracle builds no MultiState, and one subset conjugation of product
+    # factors serves the Gauss-Newton conditions and the peel weight
+    built = {
+        where
+        for where, top in top_levels()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MultiState"
+    }
+    assert built and not {where for where in built if where.startswith("oracle")}, sorted(built)
+    assert uses({"_subset_conjugate"})["_subset_conjugate"] == {
+        "oracle._compatible_newton", "oracle._peel_weight"
     }
 
 
