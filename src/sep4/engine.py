@@ -25,7 +25,7 @@ from .errors import (
 )
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
-from .ppt import PptReport, is_ppt
+from .ppt import PptReport, _spectra, is_ppt
 from .states import (
     MultiState,
     _check_layout,
@@ -129,11 +129,16 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     the verdict).
     One spectral pass, kept for this call only: the reduced states are
     diagonalized in :func:`compress_support`, one stacked call per party
-    size, the compressed state here, and the representative partial
-    transposes but the empty one in :func:`is_ppt` (one stacked call on
-    small operators), which takes the compressed state's eigenvalues from
-    here.  A matrix of the wrong shape, zero, or holding NaN or Inf is
-    rejected first, with the errors of :func:`~sep4.states.new_state`.
+    size, and the compressed state and its representative partial
+    transposes by one eigenvalue stack (one ``eigvalsh`` call on small
+    operators), whose first row gives the rank and which :func:`is_ppt`
+    reads.  Eigenvectors of the compressed state are computed only where
+    a rule reads them: the rank-1 product check, the Chow form and the
+    decomposition.  They come first, and the stack only where a rule
+    reads it, on a one-party compressed state (no partial transpose) and
+    on one close enough to pure to have rank 1.  A matrix of the wrong
+    shape, zero, or holding NaN or Inf is rejected first, with the errors
+    of :func:`~sep4.states.new_state`.
     """
     # a MultiState built directly is not validated; entry by entry on the
     # real view, so that no modulus can overflow
@@ -176,8 +181,27 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     base["local_ranks"] = tuple(w.shape[1] for w in comp.isometries)
     small = comp.state
     cdims = small.dims
-    sd = spectral(small)
-    rank = _rank_from_eigenvalues(sd.eigenvalues, small.cfg.tol_rank)
+    m, tol_rank = small.matrix, small.cfg.tol_rank
+    trace = float(m.trace().real)
+    # Eigenvectors first where a rule is bound to read them: on a one-party
+    # state, whose eigenvalues are the whole stack, and on any state that
+    # may have rank 1, whose Frobenius norm is then this close to its trace.
+    # A square that overflows only reorders the calls (see vectors()).
+    if small.n == 1 or np.vdot(m, m).real * (1 + (small.d - 1) * tol_rank) ** 2 >= trace * trace:
+        sd = spectral(small)
+        spectra = sd.eigenvalues[None, ::-1] if small.n == 1 else None
+        rank = _rank_from_eigenvalues(sd.eigenvalues, tol_rank)
+    else:
+        sd, spectra = None, _spectra(small)
+        rank = _rank_from_eigenvalues(spectra[0], tol_rank)
+
+    def vectors():
+        """The compressed state's :func:`spectral` decomposition, made on
+        the first call."""
+        nonlocal sd
+        if sd is None:
+            sd = spectral(small)
+        return sd
 
     def finish(verdict, rule, **extra):
         fields = {**base, **extra}
@@ -190,7 +214,7 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
                 )
             dec = None
             if decompose:
-                dec = _decompose(state, comp.isometries, small, sd, rank, bounds[1], seed)
+                dec = _decompose(state, comp.isometries, small, vectors(), rank, bounds[1], seed)
             fields.update(decomposition=dec, length_bounds=bounds)
         return ClassificationReport(
             verdict=verdict,
@@ -203,12 +227,12 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         )
 
     if rank == 1:
-        ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)
+        ok, _ = is_product(vectors().eigenvectors[:, 0], cdims, small.cfg.tol_product)
         if ok:
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
-        return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, sd.eigenvalues))
+        return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, spectra))
 
-    ppt_report = is_ppt(small, sd.eigenvalues)
+    ppt_report = is_ppt(small, spectra)
     base["ppt"] = ppt_report
     if not ppt_report.is_ppt:
         return finish(ENTANGLED, RULE_NPT)
@@ -224,7 +248,8 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
             form = builtin_chow(cdims)
             # eigh's columns are orthonormal, so the range rows need no
             # independence check
-            value = eval_chow(form, _pluecker_rows(sd.eigenvectors[:, :rank].T), normalized=True)
+            rows = vectors().eigenvectors[:, :rank].T
+            value = eval_chow(form, _pluecker_rows(rows), normalized=True)
             mag = abs(value)
             tol = small.cfg.tol_chow
             extra = dict(

@@ -888,7 +888,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     sd = spectral(state)
     if _rank_from_eigenvalues(sd.eigenvalues, state.cfg.tol_rank) != 4:
         raise NotApplicable("state does not have rank four")
-    if not is_ppt(state, sd.eigenvalues).is_ppt:
+    if not is_ppt(state).is_ppt:
         raise NotApplicable("state is not PPT")
     meets, _ = subspace_meets_segre(
         SubspaceBasis(sd.eigenvectors[:, :4].T, state.dims), state.cfg

@@ -5,19 +5,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NotBipartite
-from .states import (
-    MultiState, _rank_from_eigenvalues, _transposed, partial_transpose, rank_of, spectral
-)
+from .states import MultiState, _rank_from_eigenvalues, _transposed, partial_transpose, rank_of
 
 
-# Largest stack of partial transposes, in matrix entries, diagonalized in
-# one eigvalsh call; above it each subset gets a call of its own, so that
-# no stack or index table grows with the square of the dimension.
+# Largest stack of an operator and its partial transposes, in matrix
+# entries, diagonalized in one eigvalsh call; above it each subset gets a
+# call of its own, so that no stack or index table grows with the square
+# of the dimension.
 _STACK_ENTRIES = 2 ** 16
 
 
@@ -53,45 +52,52 @@ def subset_representatives(n: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=32)
 def _transpose_gather(dims: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of every nonempty representative partial transpose of a
-    ``dims`` operator, stacked (S, d, d) in representative order and read-only."""
+    """Flat indices of a ``dims`` operator and of each of its nonempty
+    representative partial transposes, stacked (S, d, d) in representative
+    order and read-only."""
     d = math.prod(dims)
     flat = np.arange(d * d).reshape(d, d)
-    table = np.stack([_transposed(flat, dims, s) for s in subset_representatives(len(dims))[1:]])
+    table = np.stack([_transposed(flat, dims, s) for s in subset_representatives(len(dims))])
     table.setflags(write=False)
     return table
 
 
-def is_ppt(state: MultiState, eigenvalues: np.ndarray | None = None) -> PptReport:
+def _spectra(state: MultiState):
+    """Ascending eigenvalues of ``state`` and of each nonempty representative
+    partial transpose, in :func:`subset_representatives` order, the state
+    first.  The operators are gathered into one stack and diagonalized by
+    one ``eigvalsh`` call while the stack holds at most 2^16 entries;
+    larger operators get one call per subset, on a permuted copy of the
+    matrix."""
+    m, dims = state.matrix, state.dims
+    # the state and its 2^(n-1) - 1 representative partial transposes
+    if m.size * 2 ** (state.n - 1) <= _STACK_ENTRIES:
+        return np.linalg.eigvalsh(m.ravel()[_transpose_gather(dims)])
+    return [np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subset_representatives(state.n)]
+
+
+def is_ppt(state: MultiState, spectra=None) -> PptReport:
     """Evaluate every representative partial transpose of ``state``.
 
     PPT holds iff each minimum eigenvalue is at least
     ``-tol_psd * lambda_max`` of the input state.  The worst subset is the
     first with the lowest minimum, where a minimum within that band counts
     as 0: a PPT state whose partial transposes are all singular reports
-    ``()``.  The empty subset, which is first, is the state itself: its
-    eigenvalues are ``eigenvalues`` (descending) when the caller already
-    has them from :func:`~sep4.states.spectral`, and are computed by it
-    otherwise.  The other subsets' partial transposes are gathered into
-    one stack and diagonalized by one ``eigvalsh`` call while the stack
-    holds at most 2^16 entries; larger operators get one call per subset,
-    on a permuted copy of the matrix.  A one-party state makes no call.
+    ``()``.  The empty subset, which is first, is the state itself.  The
+    records read ``spectra`` when the caller already has them from
+    :func:`_spectra`, which is called otherwise: one ``eigvalsh`` call on
+    small operators, the state included, so a one-party state makes one
+    call on itself.
     """
-    m, dims, cfg = state.matrix, state.dims, state.cfg
-    first = spectral(state).eigenvalues if eigenvalues is None else eigenvalues
-    band = cfg.tol_psd * float(first[0])
-    subsets = subset_representatives(state.n)
-    if len(subsets) == 1:
-        spectra = []
-    elif (len(subsets) - 1) * m.size <= _STACK_ENTRIES:
-        spectra = np.linalg.eigvalsh(m.ravel()[_transpose_gather(dims)])
-    else:
-        spectra = (np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subsets[1:])
+    cfg = state.cfg
+    if spectra is None:
+        spectra = _spectra(state)
+    band = cfg.tol_psd * float(spectra[0][-1])
     records = []
     worst: tuple[int, ...] = ()
     worst_val = np.inf
     # ascending, as eigvalsh gives them
-    for subset, eigs in zip(subsets, chain([first[::-1]], spectra)):
+    for subset, eigs in zip(subset_representatives(state.n), spectra):
         mn = float(eigs[0])
         rank = _rank_from_eigenvalues(eigs, cfg.tol_rank)
         records.append(SubsetRecord(subset=subset, min_eigenvalue=mn, rank=rank))

@@ -128,16 +128,18 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     m = np.asarray(matrix, dtype=complex)
     dims = tuple(int(x) for x in dims)
     _check_layout(m.shape, dims)
-    if not np.all(np.isfinite(m)):
-        raise DimensionMismatch("matrix contains non-finite entries")
-
+    # the largest modulus is the NaN/Inf scan: it is finite unless an entry
+    # is, or a modulus overflows, and only then are the entries rescanned
     scale = np.abs(m).max()
+    if not math.isfinite(scale) and not np.all(np.isfinite(m)):
+        raise DimensionMismatch("matrix contains non-finite entries")
     if scale == 0.0:
         raise NotPositive("zero matrix is not a state")
-    asym = np.abs(m - m.conj().T).max()
+    adjoint = m.conj().T
+    asym = np.abs(m - adjoint).max()
     if asym > cfg.tol_herm * scale:
         raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + adjoint)
 
     eigs = np.linalg.eigvalsh(m)
     lam_max = eigs[-1]
@@ -206,6 +208,40 @@ def _reduced(t: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.
     return np.einsum(_trace_subscripts(len(dims), keep), t).reshape(dk, dk)
 
 
+# Largest gather table, in entries, that forms single-party reduced states
+# in one indexing; above it each party takes an einsum, so that no table
+# grows with the square of the dimension.
+_GATHER_ENTRIES = 2 ** 16
+
+
+@lru_cache(maxsize=32)
+def _trace_gather(dims: tuple[int, ...], parties: tuple[int, ...]) -> np.ndarray:
+    """Flat indices (parties, dp, dp, d / dp) of a ``dims`` operator for
+    parties of one dimension dp: entry [i, a, b, k] puts a and b on party
+    i and the other parties' index k on both sides, so the sum over k is
+    its reduced state.  C-ordered, so that a party's sum is the same in
+    any stack, and read-only."""
+    d = math.prod(dims)
+    rows = np.arange(d).reshape(dims)
+    axes = list(range(len(dims)))
+    flats = [rows.transpose([p - 1] + axes[: p - 1] + axes[p:]).reshape(dims[p - 1], -1)
+             for p in parties]
+    table = np.array([r[:, None] * d + r[None] for r in flats])
+    table.setflags(write=False)
+    return table
+
+
+def _reduced_states(matrix: np.ndarray, dims, parties: tuple[int, ...]) -> np.ndarray:
+    """Single-party reduced states of ``parties``, all of one dimension,
+    stacked in their order: one cached gather while its table holds at most
+    2^16 entries, one einsum per party above that."""
+    d = matrix.shape[0]
+    if len(parties) * dims[parties[0] - 1] * d <= _GATHER_ENTRIES:
+        return matrix.ravel()[_trace_gather(dims, parties)].sum(-1)
+    t = matrix.reshape(dims + dims)
+    return np.stack([_reduced(t, dims, (p,)) for p in parties])
+
+
 def reduced_state(state: MultiState, keep) -> MultiState:
     """Partial trace over the complement of ``keep``; preserves the trace."""
     k = normalize_subset(keep, state.n)
@@ -213,7 +249,10 @@ def reduced_state(state: MultiState, keep) -> MultiState:
         raise EmptySubset("keep must name at least one party")
     if len(k) == state.n:
         return state
-    out = _reduced(state.matrix.reshape(state.dims + state.dims), state.dims, k)
+    if len(k) == 1:
+        out = _reduced_states(state.matrix, state.dims, k)[0]
+    else:
+        out = _reduced(state.matrix.reshape(state.dims + state.dims), state.dims, k)
     return MultiState(out, tuple(state.dims[p - 1] for p in k), state.cfg)
 
 
@@ -265,9 +304,26 @@ def kernel_basis(state: MultiState) -> SubspaceBasis:
     return SubspaceBasis(sd.eigenvectors[:, r:].T, state.dims)
 
 
+def _local_ranges(state: MultiState) -> list[np.ndarray]:
+    """Range isometry (dp, rank) of each single-party reduced state, the
+    eigenvectors of its significant eigenvalues: one stacked
+    :func:`_reduced_states` and one stacked :func:`spectral` call per party
+    size."""
+    dims = state.dims
+    isometries: list = [None] * state.n
+    for dp in dict.fromkeys(dims):
+        parties = tuple(p for p in range(1, state.n + 1) if dims[p - 1] == dp)
+        sd = spectral(_reduced_states(state.matrix, dims, parties))
+        for p, eigs, v in zip(parties, sd.eigenvalues, sd.eigenvectors):
+            r = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
+            isometries[p - 1] = np.ascontiguousarray(v[:, :r])
+    return isometries
+
+
 def local_ranks(state: MultiState) -> list[int]:
-    """Rank of each single-party reduced state."""
-    return [rank_of(reduced_state(state, (p,))) for p in range(1, state.n + 1)]
+    """Rank of each single-party reduced state, from the spectra
+    :func:`compress_support` reads."""
+    return [w.shape[1] for w in _local_ranges(state)]
 
 
 def compress_support(state: MultiState) -> CompressionResult:
@@ -275,25 +331,15 @@ def compress_support(state: MultiState) -> CompressionResult:
 
     Parties whose reduced state has rank one are removed entirely; rank,
     PPT status and separability are unaffected.  The isometry widths are
-    the local ranks.  Reduced states of one size are diagonalized in one
-    stacked :func:`spectral` call.  Raises :class:`AllPartiesTrivial`,
+    the local ranks.  Reduced states of one size are formed by one gather
+    and diagonalized in one stacked :func:`spectral` call
+    (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial`,
     carrying the isometries, when nothing would remain (the state is a
     pure product state).
     """
-    n, dims = state.n, state.dims
-    t = state.matrix.reshape(dims + dims)
-    isometries: list = [None] * n
-    ranks = [0] * n
-    for dp in dict.fromkeys(dims):
-        parties = [p for p in range(1, n + 1) if dims[p - 1] == dp]
-        stack = np.empty((len(parties), dp, dp), dtype=complex)
-        for out, p in zip(stack, parties):
-            np.einsum(_trace_subscripts(n, (p,)), t, out=out)
-        sd = spectral(stack)
-        for p, eigs, v in zip(parties, sd.eigenvalues, sd.eigenvectors):
-            r = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
-            isometries[p - 1] = np.ascontiguousarray(v[:, :r])
-            ranks[p - 1] = r
+    n = state.n
+    isometries = _local_ranges(state)
+    ranks = [w.shape[1] for w in isometries]
     if all(r == 1 for r in ranks):
         raise AllPartiesTrivial(
             "every single-party reduced state has rank one", tuple(isometries)

@@ -336,53 +336,85 @@ class TestEigensolveBudget:
 
     @pytest.fixture
     def eigensolves(self, monkeypatch):
-        count = [0]
+        calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
-            def counted(*args, _real=real, **kwargs):
-                count[0] += 1
-                return _real(*args, **kwargs)
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
 
         def classify_counted(state, **kwargs):
-            # the state is built (and validated by one eigensolve) before this
-            count[0] = 0
+            # the state is built (and validated by one eigensolve) before
+            # this; the calls, each as (name, shape of its argument)
+            calls.clear()
             classify(state, **kwargs)
-            return count[0]
+            return list(calls)
 
         return classify_counted
 
+    # verdicts that read no eigenvector, on states with one party size: the
+    # rule and the two calls classify makes
+    NO_VECTORS = {
+        "npt": (lambda: two_qutrit_ab_state(0.0, 1 + 1j), "NPT",
+                [("eigh", (2, 3, 3)), ("eigvalsh", (2, 9, 9))]),
+        "ppt-rank2": (lambda: random_separable((2, 2), 2, seed=1), "PPTRank2",
+                      [("eigh", (2, 2, 2)), ("eigvalsh", (2, 4, 4))]),
+        "ppt-rank3": (lambda: random_separable((2, 2, 2), 3, seed=1), "PPTRank3",
+                      [("eigh", (3, 2, 2)), ("eigvalsh", (4, 8, 8))]),
+        "ppt-rank4-shape": (lambda: random_separable((2, 2, 2, 2), 4, seed=1), "PPTRank4Shape",
+                            [("eigh", (4, 2, 2)), ("eigvalsh", (8, 16, 16))]),
+        "rank-above-4": (lambda: random_separable((3, 3), 6, seed=1), "RankAbove4",
+                         [("eigh", (2, 3, 3)), ("eigvalsh", (2, 9, 9))]),
+    }
+
+    @pytest.mark.parametrize("name", list(NO_VECTORS))
+    def test_verdict_without_eigenvectors_makes_two_calls(self, eigensolves, name):
+        # the reduced states in one stacked eigh, then the compressed state
+        # and its partial transposes in one stacked eigvalsh: no eigh on the
+        # compressed state, which took a third call before the eigenvalue
+        # stack
+        make, rule, calls = self.NO_VECTORS[name]
+        state = make()
+        assert classify(state, decompose=False).rule == rule
+        assert eigensolves(state, decompose=False) == calls
+
     def test_three_qubit_chow(self, eigensolves):
-        # the 3 reduced states in one stacked call, the compressed state, the
-        # 3 partial transposes in one stacked call (the state itself reuses
-        # its spectrum); 13 before the single pass, 7 before the stacked
-        # reduced states, 5 before the stacked partial transposes
-        assert eigensolves(divincenzo_state()) <= 3
+        # the 3 reduced states in one stacked call, the compressed state and
+        # its 3 partial transposes in one stacked call, the compressed
+        # state's eigenvectors for the Chow form; 13 before the single pass,
+        # 7 before the stacked reduced states, 5 before the stacked partial
+        # transposes
+        assert len(eigensolves(divincenzo_state())) <= 3
 
     def test_two_qutrit_chow(self, eigensolves):
-        # 2 reduced states stacked, the compressed state, 1 partial
-        # transpose; 9 before the single pass, 4 before the stacked ones
-        assert eigensolves(two_qutrit_ab_state(1, 1)) <= 3
+        # 2 reduced states stacked, the compressed state with its partial
+        # transpose, its eigenvectors; 9 before the single pass, 4 before
+        # the stacked ones
+        assert len(eigensolves(two_qutrit_ab_state(1, 1))) <= 3
 
     def test_pure_product_with_decomposition(self, eigensolves):
         # the product factors come from the compression's one stacked
         # eigensolve of the reduced states; 6 before the single pass, then 2
         v = assemble_product((ket(1, 1j) / np.sqrt(2), ket(0, 1)))
-        assert eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True) <= 1
+        assert len(eigensolves(new_state(np.outer(v, v.conj()), (2, 2)), decompose=True)) <= 1
 
     def test_exact_cut_decomposition_makes_no_eigensolve(self, eigensolves):
-        # the exact path reuses the compressed state's spectrum: SVDs and a
-        # non-Hermitian eig of at most 4 x 4 only
+        # the exact path reuses the compressed state's spectrum, which the
+        # Chow form already read: SVDs and a non-Hermitian eig of at most
+        # 4 x 4 only
         for state in (random_separable((2, 2, 2), 4, seed=1), two_qutrit_ab_state(0, 1)):
             assert eigensolves(state, decompose=True) == eigensolves(state, decompose=False)
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_two_qubit_decomposition_adds_one_eigensolve(self, eigensolves, k):
-        # Wootters' Takagi step: one eigensolve of a real 2r x 2r matrix
+        # Wootters' Takagi step, one eigensolve of a real 2r x 2r matrix,
+        # on top of the reduced states, the eigenvalue stack and the
+        # compressed state's eigenvectors that the decomposition reads
         state = random_separable((2, 2), k, seed=k)
-        assert eigensolves(state, decompose=True) <= eigensolves(state, decompose=False) + 1
+        assert len(eigensolves(state, decompose=True)) == 4
 
 
 class TestDecompositionBudget:
@@ -707,6 +739,15 @@ class TestScale:
         weights = np.sort([t.weight for t in rep.decomposition.terms])
         want = np.sort([t.weight for t in ref.decomposition.terms])
         np.testing.assert_allclose(weights, scale * want, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_pure_entangled_state(self, scale):
+        # a complex rank-1 state whose squared entries overflow still reads
+        # its leading eigenvector
+        v = np.array([1, 0.3j, 0.2 - 0.1j, 1e-4])
+        v = v / np.linalg.norm(v)
+        rep = classify(new_state(scale * np.outer(v, v.conj()), (2, 2)))
+        assert (rep.verdict, rep.rule, rep.rank) == ("Entangled", "Rank1NonProduct", 1)
 
 
 class TestChowDrift:

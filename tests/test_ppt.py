@@ -6,7 +6,7 @@ from sep4.errors import NotBipartite
 from sep4.gallery import divincenzo_state, random_separable, two_qutrit_ab_state
 from sep4.ppt import PptReport, birank, is_ppt, subset_representatives
 from sep4.states import (
-    MultiState, _rank_from_eigenvalues, new_state, partial_transpose, rank_of, spectral
+    MultiState, _rank_from_eigenvalues, new_state, partial_transpose, rank_of
 )
 
 
@@ -100,25 +100,23 @@ class TestIsPpt:
 class TestStackedSpectra:
     """Stacked partial transposes give the records of one call per subset."""
 
-    # each state with the shapes of the eigvalsh calls is_ppt makes on it
+    # each state with the shapes of the eigvalsh calls is_ppt makes on it,
+    # the state itself first
     STATES = {
-        "2x2x2": (lambda: random_separable((2, 2, 2), 4, seed=3), [(3, 8, 8)]),
-        "2x2x3": (lambda: random_separable((2, 2, 3), 4, seed=3), [(3, 12, 12)]),
-        "2x2x2x2": (lambda: random_separable((2, 2, 2, 2), 4, seed=3), [(7, 16, 16)]),
-        # a stack of the 63 transposes would hold 2^20 entries
-        "2^7": (lambda: random_separable((2,) * 7, 3, seed=3), [(128, 128)] * 63),
-        "one-party": (lambda: random_separable((5,), 2, seed=3), []),
-        "ghz-npt": (ghz_projector, [(3, 8, 8)]),
+        "2x2x2": (lambda: random_separable((2, 2, 2), 4, seed=3), [(4, 8, 8)]),
+        "2x2x3": (lambda: random_separable((2, 2, 3), 4, seed=3), [(4, 12, 12)]),
+        "2x2x2x2": (lambda: random_separable((2, 2, 2, 2), 4, seed=3), [(8, 16, 16)]),
+        # a stack of the state and its 63 transposes would hold 2^20 entries
+        "2^7": (lambda: random_separable((2,) * 7, 3, seed=3), [(128, 128)] * 64),
+        "one-party": (lambda: random_separable((5,), 2, seed=3), [(1, 5, 5)]),
+        "ghz-npt": (ghz_projector, [(4, 8, 8)]),
     }
 
     @staticmethod
     def reference(state):
         records = []
         for subset in subset_representatives(state.n):
-            if subset:
-                eigs = np.linalg.eigvalsh(partial_transpose(state, subset).matrix)
-            else:
-                eigs = spectral(state).eigenvalues[::-1]
+            eigs = np.linalg.eigvalsh(partial_transpose(state, subset).matrix)
             rank = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
             records.append((subset, float(eigs[0]), rank))
         return records
@@ -133,17 +131,17 @@ class TestStackedSpectra:
     def test_one_call_while_the_stack_is_small(self, name, monkeypatch):
         make, shapes = self.STATES[name]
         state = make()
-        eigenvalues = spectral(state).eigenvalues
         seen = []
-        real = np.linalg.eigvalsh
+        for solver in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, solver)
 
-        def recorded(a, *args, **kwargs):
-            seen.append(a.shape)
-            return real(a, *args, **kwargs)
+            def recorded(a, *args, _real=real, _solver=solver, **kwargs):
+                seen.append((_solver, a.shape))
+                return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        is_ppt(state, eigenvalues)
-        assert seen == shapes
+            monkeypatch.setattr(np.linalg, solver, recorded)
+        is_ppt(state)
+        assert seen == [("eigvalsh", shape) for shape in shapes]
 
 
 class TestBirank:

@@ -1,8 +1,9 @@
 """Invariants of the package source, read from its syntax tree.
 
 README "Numerical conventions": every eigendecomposition goes through
-``states.spectral``, and only ``new_state``'s PSD check and ``is_ppt``'s
-partial transposes ask for eigenvalues alone.  Every finite
+``states.spectral``, and only ``new_state``'s PSD check and the PPT
+eigenvalue stack (``ppt._spectra``: an operator and its partial
+transposes) ask for eigenvalues alone.  Every finite
 product-vector set comes from one guarded non-Hermitian eigenproblem,
 the only ``eig`` call, and no polynomial is built or rooted.  Plücker
 minors are wedge products of the rows, so the Chow matrix is the only
@@ -24,7 +25,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sep4"
 
 ALLOWED = {
     "eigh": {"states.spectral"},
-    "eigvalsh": {"states.new_state", "ppt.is_ppt"},
+    "eigvalsh": {"states.new_state", "ppt._spectra"},
     "eig": {"oracle._isolated_eig"},
     "det": {"chow.eval_chow"},
 }
@@ -167,4 +168,5 @@ def test_the_peel_works_on_bare_operators():
 def test_scan_sees_every_module():
     # a scan that parsed nothing would pass the test above vacuously
     assert {"states", "ppt", "oracle", "engine"} <= {p.stem for p in PACKAGE.glob("*.py")}
-    assert uses({"spectral"})["spectral"] >= {"engine.classify", "ppt.is_ppt"}
+    assert uses({"spectral"})["spectral"] >= {"engine.classify", "states._local_ranges"}
+    assert uses({"_spectra"})["_spectra"] >= {"engine.classify", "ppt.is_ppt"}

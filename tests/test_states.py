@@ -16,6 +16,8 @@ from sep4.errors import (
 from sep4.states import (
     MultiState,
     _rank_from_eigenvalues,
+    _reduced,
+    _reduced_states,
     ToleranceConfig,
     assemble_product,
     compress_support,
@@ -378,6 +380,21 @@ class TestStackedKernels:
         sigma = random_state((2, 3), 3, seed=17)
         state = new_state(np.kron(np.diag([0.0, 1.0]).astype(complex), sigma.matrix), (2, 2, 3))
         assert compress_support(state).dropped == (1,)
+        self.check(state)
+
+    @pytest.mark.parametrize("bound", [2 ** 16, 0], ids=["gather", "einsum"])
+    def test_both_reduced_state_paths_match_reduced_state(self, bound, monkeypatch):
+        # the table bound picks the path; reduced_state, local_ranks and
+        # compress_support take the same one, bit for bit
+        monkeypatch.setattr("sep4.states._GATHER_ENTRIES", bound)
+        state = random_state((2, 3, 2), 3, seed=5)
+        t = state.matrix.reshape(state.dims + state.dims)
+        for parties in ((1, 3), (2,)):
+            stack = _reduced_states(state.matrix, state.dims, parties)
+            for got, p in zip(stack, parties):
+                assert np.array_equal(got, reduced_state(state, (p,)).matrix)
+                assert np.allclose(got, _reduced(t, state.dims, (p,)), rtol=0, atol=1e-12)
+        assert local_ranks(state) == [2, 3, 2]
         self.check(state)
 
     def check(self, state):
