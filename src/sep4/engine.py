@@ -134,11 +134,11 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     operators), whose first row gives the rank and which :func:`is_ppt`
     reads.  Eigenvectors of the compressed state are computed only where
     a rule reads them: the rank-1 product check, the Chow form and the
-    decomposition.  They come first, and the stack only where a rule
-    reads it, on a one-party compressed state (no partial transpose) and
-    on one close enough to pure to have rank 1.  A matrix of the wrong
-    shape, zero, or holding NaN or Inf is rejected first, with the errors
-    of :func:`~sep4.states.new_state`.
+    decomposition.  A one-party compressed state has no partial
+    transpose, so its eigenvectors come first and their eigenvalues are
+    the whole stack.  A matrix of the wrong shape, zero, or holding NaN or
+    Inf is rejected first, with the errors of
+    :func:`~sep4.states.new_state`.
     """
     # a MultiState built directly is not validated; entry by entry on the
     # real view, so that no modulus can overflow
@@ -181,19 +181,14 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     base["local_ranks"] = tuple(w.shape[1] for w in comp.isometries)
     small = comp.state
     cdims = small.dims
-    m, tol_rank = small.matrix, small.cfg.tol_rank
-    trace = float(m.trace().real)
-    # Eigenvectors first where a rule is bound to read them: on a one-party
-    # state, whose eigenvalues are the whole stack, and on any state that
-    # may have rank 1, whose Frobenius norm is then this close to its trace.
-    # A square that overflows only reorders the calls (see vectors()).
-    if small.n == 1 or np.vdot(m, m).real * (1 + (small.d - 1) * tol_rank) ** 2 >= trace * trace:
+    # a one-party state has no partial transpose: its eigenvalues are the
+    # whole stack
+    if small.n == 1:
         sd = spectral(small)
-        spectra = sd.eigenvalues[None, ::-1] if small.n == 1 else None
-        rank = _rank_from_eigenvalues(sd.eigenvalues, tol_rank)
+        spectra = sd.eigenvalues[None, ::-1]
     else:
         sd, spectra = None, _spectra(small)
-        rank = _rank_from_eigenvalues(spectra[0], tol_rank)
+    rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
 
     def vectors():
         """The compressed state's :func:`spectral` decomposition, made on

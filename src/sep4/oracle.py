@@ -42,7 +42,7 @@ from .errors import (
     WrongDimension,
 )
 from .grassmann import SubspaceBasis
-from .ppt import is_ppt, subset_representatives
+from .ppt import _spectra, is_ppt, subset_representatives
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
@@ -885,11 +885,12 @@ def bipartite_kernel_product_vectors_2x2x2(
         raise NotApplicable(f"state dims {state.dims} are not (2, 2, 2)")
     if cut not in (1, 2, 3):
         raise NotApplicable(f"cut must be 1, 2 or 3, got {cut}")
-    sd = spectral(state)
-    if _rank_from_eigenvalues(sd.eigenvalues, state.cfg.tol_rank) != 4:
+    spectra = _spectra(state)
+    if _rank_from_eigenvalues(spectra[0], state.cfg.tol_rank) != 4:
         raise NotApplicable("state does not have rank four")
-    if not is_ppt(state).is_ppt:
+    if not is_ppt(state, spectra).is_ppt:
         raise NotApplicable("state is not PPT")
+    sd = spectral(state)
     meets, _ = subspace_meets_segre(
         SubspaceBasis(sd.eigenvectors[:, :4].T, state.dims), state.cfg
     )

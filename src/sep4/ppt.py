@@ -10,14 +10,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotBipartite
-from .states import MultiState, _rank_from_eigenvalues, _transposed, partial_transpose, rank_of
-
-
-# Largest stack of an operator and its partial transposes, in matrix
-# entries, diagonalized in one eigvalsh call; above it each subset gets a
-# call of its own, so that no stack or index table grows with the square
-# of the dimension.
-_STACK_ENTRIES = 2 ** 16
+from .states import (
+    _GATHER_ENTRIES,
+    MultiState,
+    _rank_from_eigenvalues,
+    _transposed,
+    partial_transpose,
+    rank_of,
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _spectra(state: MultiState):
     matrix."""
     m, dims = state.matrix, state.dims
     # the state and its 2^(n-1) - 1 representative partial transposes
-    if m.size * 2 ** (state.n - 1) <= _STACK_ENTRIES:
+    if m.size * 2 ** (state.n - 1) <= _GATHER_ENTRIES:
         return np.linalg.eigvalsh(m.ravel()[_transpose_gather(dims)])
     return [np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subset_representatives(state.n)]
 

@@ -208,9 +208,10 @@ def _reduced(t: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.
     return np.einsum(_trace_subscripts(len(dims), keep), t).reshape(dk, dk)
 
 
-# Largest gather table, in entries, that forms single-party reduced states
-# in one indexing; above it each party takes an einsum, so that no table
-# grows with the square of the dimension.
+# Largest cached gather table, in entries: the single-party reduced states
+# here and the PPT eigenvalue stack in ``ppt`` are formed by one indexing up
+# to it and by one call per party or subset above it, so that the cached
+# tables stay small.
 _GATHER_ENTRIES = 2 ** 16
 
 

@@ -403,8 +403,8 @@ class TestBipartiteKernelVectors:
         for cut in (1, 2, 3):
             before = calls["eig"]
             assert len(bipartite_kernel_product_vectors_2x2x2(st_, cut)) == 4
-            # spectral(state) and the 4 records of is_ppt; a second eigh made 6
-            assert calls["eig"] - before <= 5
+            # the eigenvalue stack is_ppt reads and spectral(state)
+            assert calls["eig"] - before == 2
 
     def test_cut_one_vectors_are_bipartite_products(self):
         vecs = bipartite_kernel_product_vectors_2x2x2(divincenzo_state(), 1)
