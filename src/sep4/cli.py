@@ -26,7 +26,14 @@ from .chow import (
     supported_systems,
 )
 from .codec import from_pairs
-from .engine import ENTANGLED, OUT_OF_SCOPE, SEPARABLE, classify, report_to_dict
+from .engine import (
+    ENTANGLED,
+    OUT_OF_SCOPE,
+    SEPARABLE,
+    _classify_group,
+    classify,
+    report_to_dict,
+)
 from .errors import Sep4Error, StateFormatError
 from .gallery import (
     divincenzo_state,
@@ -201,16 +208,48 @@ def _cmd_chow(args) -> int:
     return 0
 
 
-def _classify_file(path: str, cfg: ToleranceConfig, seed: int) -> tuple[str, str]:
-    """The ``sep4 batch`` output line for one file, without its newline, and
-    the key it counts under: the verdict, or ``"error"``."""
-    name = Path(path).name
+# what one file's line reports as its error; anything else stops the batch
+_FILE_ERRORS = (Sep4Error, json.JSONDecodeError, OSError, ValueError)
+# most files one pool task parses and holds at once
+_CHUNK_FILES = 128
+
+
+def _classify_files(paths: list[str], cfg: ToleranceConfig, seed: int) -> list[tuple[str, str]]:
+    """The ``sep4 batch`` output line of each file, without its newline, and
+    the key it counts under: the verdict, or ``"error"``.  Every file is
+    parsed first, and the valid states are classified one group per
+    ``dims`` (:func:`~sep4.engine._classify_group`); an error fails its
+    own file alone."""
+    out: list = [None] * len(paths)
+    groups: dict = {}
+    for i, path in enumerate(paths):
+        try:
+            state = _load_state(path, cfg)
+        except _FILE_ERRORS as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(state.dims, []).append((i, state))
+    for members in groups.values():
+        results = _classify_group([state for _, state in members], seed)
+        for (i, _), result in zip(members, results):
+            out[i] = result
+    return [_file_line(Path(path).name, result) for path, result in zip(paths, out)]
+
+
+def _file_line(name: str, result) -> tuple[str, str]:
+    """One file's output line and key, from its report or error."""
     try:
-        state = _load_state(path, cfg)
-        report = report_to_dict(classify(state, seed=seed))
-    except (Sep4Error, json.JSONDecodeError, OSError, ValueError) as exc:
+        if isinstance(result, Exception):
+            raise result
+        report = report_to_dict(result)
+    except _FILE_ERRORS as exc:
         return json.dumps({"file": name, "error": f"{type(exc).__name__}: {exc}"}), "error"
     return json.dumps({"file": name, "report": report}), report["verdict"]
+
+
+def _classify_file(path: str, cfg: ToleranceConfig, seed: int) -> tuple[str, str]:
+    """The ``sep4 batch`` output line for one file and its key."""
+    return _classify_files([path], cfg, seed)[0]
 
 
 def _usable_cpus() -> int:
@@ -230,17 +269,18 @@ def _cmd_batch(args) -> int:
     # the pool forks every worker up front, so never ask for more than
     # there are files or usable CPUs
     workers = min(args.parallel, len(files), _usable_cpus())
+    # each task parses a chunk of files and classifies its states one group
+    # per dims, so that every numeric stage is one call per group: two
+    # chunks per worker, at most _CHUNK_FILES files each
+    size = max(1, min(_CHUNK_FILES, math.ceil(len(files) / (2 * max(workers, 1)))))
+    chunks = [files[i:i + size] for i in range(0, len(files), size)]
+    args_of = ([cfg] * len(chunks), [args.seed] * len(chunks))
     if workers > 1:
-        # one task per file costs about as much as a verdict; send each
-        # worker about four chunks
-        chunksize = math.ceil(len(files) / (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _classify_file, files, [cfg] * len(files), [args.seed] * len(files),
-                chunksize=chunksize,
-            ))
+            done = list(pool.map(_classify_files, chunks, *args_of))
     else:
-        results = [_classify_file(path, cfg, args.seed) for path in files]
+        done = list(map(_classify_files, chunks, *args_of))
+    results = [line for lines in done for line in lines]
     # the workers serialize; here each line is only written and counted
     counts: dict[str, int] = {}
     with open(args.out, "w") as fh:

@@ -22,15 +22,21 @@ from .errors import (
     InconsistentTolerances,
     NotPositive,
     NotSeparableVerdict,
+    Sep4Error,
 )
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
 from .ppt import PptReport, _spectra, is_ppt
 from .states import (
+    CompressionResult,
     MultiState,
+    SpectralData,
     _check_layout,
+    _compress_group,
+    _members,
+    _only,
     _rank_from_eigenvalues,
-    compress_support,
+    _stacked,
     is_product,
     spectral,
 )
@@ -48,6 +54,9 @@ RULE_PPT_RANK4_SHAPE = "PPTRank4Shape"
 RULE_CHOW_33 = "Chow33"
 RULE_CHOW_222 = "Chow222"
 RULE_RANK_ABOVE_4 = "RankAbove4"
+
+# compressed shapes whose rank-4 PPT states the Chow form decides
+_CHOW_SHAPES = ((3, 3), (2, 2, 2))
 
 _RULE_NOTES = {
     RULE_NPT: "a partial transpose has a negative eigenvalue",
@@ -127,19 +136,47 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     The decomposition is ``None`` when its terms fail the product or
     residual check or the peel does not close (its absence never changes
     the verdict).
-    One spectral pass, kept for this call only: the reduced states are
-    diagonalized in :func:`compress_support`, one stacked call per party
-    size, and the compressed state and its representative partial
-    transposes by one eigenvalue stack (one ``eigvalsh`` call on small
-    operators), whose first row gives the rank and which :func:`is_ppt`
-    reads.  Eigenvectors of the compressed state are computed only where
-    a rule reads them: the rank-1 product check, the Chow form and the
-    decomposition.  A one-party compressed state has no partial
-    transpose, so its eigenvectors come first and their eigenvalues are
-    the whole stack.  A matrix of the wrong shape, zero, or holding NaN or
-    Inf is rejected first, with the errors of
-    :func:`~sep4.states.new_state`.
+    This is :func:`_classify_group` on a group of one, which hands each
+    numeric stage the lone matrix unstacked: one spectral pass, kept for
+    this call only.  The reduced states are diagonalized by the support
+    compression, one stacked call per party size, and the compressed state
+    and its representative partial transposes by one eigenvalue stack (one
+    ``eigvalsh`` call on small operators), whose first row gives the rank
+    and which :func:`is_ppt` reads.  Eigenvectors of the compressed state
+    are computed only where a rule reads them: the rank-1 product check,
+    the Chow form and the decomposition.  A one-party compressed state has
+    no partial transpose, so its eigenvectors come first and their
+    eigenvalues are the whole stack.  A matrix of the wrong shape, zero, or
+    holding NaN or Inf is rejected first, with the errors of
+    :func:`~sep4.states.new_state`, and one with a zero reduced state
+    raises :class:`NotPositive`.
     """
+    return _only(_classify_group([state], seed, decompose))
+
+
+def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = True) -> list:
+    """:func:`classify` over states of one ``dims`` and ``ToleranceConfig``:
+    per state its report, or the error it raises alone, in order.
+
+    Each numeric stage runs once over the group: the reduced states and
+    their ``eigh`` per party size, then per set of local ranks, whose
+    states share one compressed shape, the compression products
+    (:func:`~sep4.states._compress_group`), the eigenvalue stack and one
+    ``eigh`` for the states whose rules read eigenvectors.  A stacked call gives each matrix the
+    bits one call on it alone gives, so a report does not depend on its
+    group.  The rules and the decomposition run one state at a time, and an
+    error there fails that state alone.  When a stacked call fails, the
+    group is rerun one state at a time.
+    """
+    try:
+        return _classify_stacked(states, seed, decompose)
+    except Exception as exc:
+        if len(states) == 1:
+            return [exc]
+        return [_classify_group([state], seed, decompose)[0] for state in states]
+
+
+def _check_input(state: MultiState) -> None:
     # a MultiState built directly is not validated; entry by entry on the
     # real view, so that no modulus can overflow
     _check_layout(state.matrix.shape, state.dims)
@@ -148,47 +185,123 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         raise NotPositive("zero matrix is not a state")
     if not math.isfinite(scale):
         raise DimensionMismatch("matrix contains non-finite entries")
-    base = dict(
+
+
+def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> bool:
+    """Whether the rules read the compressed state's eigenvectors: the
+    rank-1 product check, the Chow form, and a decomposition of a
+    separable verdict."""
+    if rank == 1:
+        return True
+    if not ppt.is_ppt or not 2 <= rank <= 4:
+        return False
+    return decompose or (rank == 4 and cdims in _CHOW_SHAPES)
+
+
+def _classify_stacked(states, seed, decompose) -> list:
+    """:func:`_classify_group`'s stages; an error out of a stacked call
+    propagates."""
+    out: list = [None] * len(states)
+    for i, state in enumerate(states):
+        try:
+            _check_input(state)
+        except Sep4Error as exc:
+            out[i] = exc
+    if any(out):
+        # the valid states alone, each result into its empty slot
+        valid = [state for state, error in zip(states, out) if error is None]
+        done = iter(_classify_stacked(valid, seed, decompose) if valid else ())
+        return [next(done) if error is None else error for error in out]
+    comps, groups = _compress_group(states)
+    for i, comp in enumerate(comps):
+        if type(comp) is AllPartiesTrivial:
+            try:
+                out[i] = _pure_product(states[i], comp.isometries, seed, decompose)
+            except Exception as exc:
+                out[i] = exc
+        elif type(comp) is not CompressionResult:
+            out[i] = comp
+    # the states that share their local ranks share a compressed shape
+    for members, matrices in groups:
+        g = len(members)
+        cdims = comps[members[0]].state.dims
+        if len(cdims) == 1:
+            # a one-party state has no partial transpose: its eigenvalues
+            # are the whole stack
+            sds = _split(spectral(matrices), g)
+            stacks = [sd.eigenvalues[None, ::-1] for sd in sds]
+        else:
+            sds = [None] * g
+            stacks = _members(_spectra(matrices, cdims), g)
+        rows, need = [], []
+        for j, i in enumerate(members):
+            small, spectra = comps[i].state, stacks[j]
+            rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
+            ppt = None if rank == 1 else is_ppt(small, spectra)
+            if sds[j] is None and _reads_vectors(rank, ppt, cdims, decompose):
+                need.append(j)
+            rows.append((i, spectra, rank, ppt))
+        # the eigenvectors the rules read, one stacked call
+        if need:
+            wanted = _stacked([comps[members[j]].state.matrix for j in need])
+            for j, sd in zip(need, _split(spectral(wanted), len(need))):
+                sds[j] = sd
+        for (i, spectra, rank, ppt), sd in zip(rows, sds):
+            try:
+                out[i] = _verdict(states[i], comps[i], spectra, rank, ppt, sd, seed, decompose)
+            except Exception as exc:
+                out[i] = exc
+    return out
+
+
+def _split(sd: SpectralData, g: int) -> list[SpectralData]:
+    """One :class:`SpectralData` per member of a :func:`_stacked` group."""
+    if g == 1:
+        return [sd]
+    return [SpectralData(w, v) for w, v in zip(sd.eigenvalues, sd.eigenvectors)]
+
+
+_UNDECIDED = dict(
+    ppt=None,
+    chow_system=None,
+    chow_value=None,
+    chow_abs=None,
+    low_confidence=False,
+    decomposition=None,
+    length_bounds=None,
+)
+
+
+def _pure_product(state, isometries, seed, decompose) -> ClassificationReport:
+    """The report of a state whose every reduced state has rank one."""
+    fields = dict(_UNDECIDED, length_bounds=(1, 1))
+    if decompose:
+        fields["decomposition"] = _decompose(state, isometries, None, None, 1, 1, seed)
+    return ClassificationReport(
+        verdict=SEPARABLE,
+        rule=RULE_RANK1_PRODUCT,
         dims=state.dims,
-        ppt=None,
-        chow_system=None,
-        chow_value=None,
-        chow_abs=None,
-        low_confidence=False,
-        decomposition=None,
-        length_bounds=None,
+        compressed_dims=(),
+        dropped_parties=tuple(range(1, state.n + 1)),
+        rank=1,
+        local_ranks=(1,) * state.n,
+        notes=(_RULE_NOTES[RULE_RANK1_PRODUCT],),
+        **fields,
     )
 
-    try:
-        comp = compress_support(state)
-    except AllPartiesTrivial as exc:
-        base.update(
-            decomposition=_decompose(state, exc.isometries, None, None, 1, 1, seed)
-            if decompose else None,
-            length_bounds=(1, 1),
-        )
-        return ClassificationReport(
-            verdict=SEPARABLE,
-            rule=RULE_RANK1_PRODUCT,
-            compressed_dims=(),
-            dropped_parties=tuple(range(1, state.n + 1)),
-            rank=1,
-            local_ranks=(1,) * state.n,
-            notes=(_RULE_NOTES[RULE_RANK1_PRODUCT],),
-            **base,
-        )
 
-    base["local_ranks"] = tuple(w.shape[1] for w in comp.isometries)
+def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> ClassificationReport:
+    """The rules on one compressed state, from its eigenvalue stack, rank,
+    PPT record (``None`` at rank 1) and eigenvectors (``None`` where
+    :func:`_reads_vectors` says no rule reads them)."""
     small = comp.state
     cdims = small.dims
-    # a one-party state has no partial transpose: its eigenvalues are the
-    # whole stack
-    if small.n == 1:
-        sd = spectral(small)
-        spectra = sd.eigenvalues[None, ::-1]
-    else:
-        sd, spectra = None, _spectra(small)
-    rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
+    base = dict(
+        _UNDECIDED,
+        dims=state.dims,
+        ppt=ppt_report,
+        local_ranks=tuple([w.shape[1] for w in comp.isometries]),
+    )
 
     def vectors():
         """The compressed state's :func:`spectral` decomposition, made on
@@ -227,8 +340,6 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
         return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, spectra))
 
-    ppt_report = is_ppt(small, spectra)
-    base["ppt"] = ppt_report
     if not ppt_report.is_ppt:
         return finish(ENTANGLED, RULE_NPT)
 
@@ -238,7 +349,7 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
         return finish(SEPARABLE, RULE_PPT_RANK3)
 
     if rank == 4:
-        if cdims in ((3, 3), (2, 2, 2)):
+        if cdims in _CHOW_SHAPES:
             rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
             form = builtin_chow(cdims)
             # eigh's columns are orthonormal, so the range rows need no

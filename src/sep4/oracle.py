@@ -885,7 +885,7 @@ def bipartite_kernel_product_vectors_2x2x2(
         raise NotApplicable(f"state dims {state.dims} are not (2, 2, 2)")
     if cut not in (1, 2, 3):
         raise NotApplicable(f"cut must be 1, 2 or 3, got {cut}")
-    spectra = _spectra(state)
+    spectra = _spectra(state.matrix, state.dims)
     if _rank_from_eigenvalues(spectra[0], state.cfg.tol_rank) != 4:
         raise NotApplicable("state does not have rank four")
     if not is_ppt(state, spectra).is_ppt:

@@ -44,10 +44,13 @@ def subset_representatives(n: int) -> list[tuple[int, ...]]:
     set (the state itself) is included.  Ordered by size then
     lexicographically.
     """
-    out: list[tuple[int, ...]] = []
-    for size in range(0, n):
-        out.extend(combinations(range(1, n), size))
-    return out
+    return list(_representatives(n))
+
+
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`subset_representatives`, cached."""
+    return tuple(s for size in range(0, n) for s in combinations(range(1, n), size))
 
 
 @lru_cache(maxsize=32)
@@ -57,23 +60,29 @@ def _transpose_gather(dims: tuple[int, ...]) -> np.ndarray:
     order and read-only."""
     d = math.prod(dims)
     flat = np.arange(d * d).reshape(d, d)
-    table = np.stack([_transposed(flat, dims, s) for s in subset_representatives(len(dims))])
+    table = np.stack([_transposed(flat, dims, s) for s in _representatives(len(dims))])
     table.setflags(write=False)
     return table
 
 
-def _spectra(state: MultiState):
-    """Ascending eigenvalues of ``state`` and of each nonempty representative
-    partial transpose, in :func:`subset_representatives` order, the state
-    first.  The operators are gathered into one stack and diagonalized by
-    one ``eigvalsh`` call while the stack holds at most 2^16 entries;
-    larger operators get one call per subset, on a permuted copy of the
-    matrix."""
-    m, dims = state.matrix, state.dims
-    # the state and its 2^(n-1) - 1 representative partial transposes
-    if m.size * 2 ** (state.n - 1) <= _GATHER_ENTRIES:
-        return np.linalg.eigvalsh(m.ravel()[_transpose_gather(dims)])
-    return [np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subset_representatives(state.n)]
+def _spectra(matrix: np.ndarray, dims: tuple[int, ...]):
+    """Ascending eigenvalues of the operator ``matrix`` on ``dims`` and of
+    each of its nonempty representative partial transposes, in
+    :func:`subset_representatives` order, the operator first; for a stack
+    (g, d, d) of operators, one such row set per operator.  The operators
+    are gathered into one stack and diagonalized by one ``eigvalsh`` call
+    while an operator's stack holds at most 2^16 entries; larger operators
+    get one call per operator and subset, on a permuted copy."""
+    # the operator and its 2^(n-1) - 1 representative partial transposes
+    if matrix.shape[-1] ** 2 * 2 ** (len(dims) - 1) <= _GATHER_ENTRIES:
+        table = _transpose_gather(dims)
+        if matrix.ndim == 2:
+            return np.linalg.eigvalsh(matrix.ravel()[table])
+        return np.linalg.eigvalsh(matrix.reshape(len(matrix), -1)[:, table])
+    if matrix.ndim > 2:
+        return np.array([_spectra(m, dims) for m in matrix])
+    return np.array([np.linalg.eigvalsh(_transposed(matrix, dims, s))
+                     for s in _representatives(len(dims))])
 
 
 def is_ppt(state: MultiState, spectra=None) -> PptReport:
@@ -91,21 +100,23 @@ def is_ppt(state: MultiState, spectra=None) -> PptReport:
     """
     cfg = state.cfg
     if spectra is None:
-        spectra = _spectra(state)
-    band = cfg.tol_psd * float(spectra[0][-1])
+        spectra = _spectra(state.matrix, state.dims)
+    # in Python floats, one conversion for the whole stack
+    rows = spectra.tolist()
+    band = cfg.tol_psd * rows[0][-1]
     records = []
+    ok = True
     worst: tuple[int, ...] = ()
-    worst_val = np.inf
+    worst_val = math.inf
     # ascending, as eigvalsh gives them
-    for subset, eigs in zip(subset_representatives(state.n), spectra):
-        mn = float(eigs[0])
-        rank = _rank_from_eigenvalues(eigs, cfg.tol_rank)
-        records.append(SubsetRecord(subset=subset, min_eigenvalue=mn, rank=rank))
+    for subset, eigs in zip(_representatives(state.n), rows):
+        mn = eigs[0]
+        records.append(SubsetRecord(subset, mn, _rank_from_eigenvalues(eigs, cfg.tol_rank)))
+        ok = ok and mn >= -band
         val = 0.0 if abs(mn) <= band else mn
         if val < worst_val:
             worst_val = val
             worst = subset
-    ok = all(rec.min_eigenvalue >= -band for rec in records)
     return PptReport(is_ppt=ok, records=tuple(records), worst_subset=worst)
 
 

@@ -74,7 +74,7 @@ class MultiState:
         m = np.ascontiguousarray(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
     @property
     def d(self) -> int:
@@ -217,30 +217,57 @@ _GATHER_ENTRIES = 2 ** 16
 
 @lru_cache(maxsize=32)
 def _trace_gather(dims: tuple[int, ...], parties: tuple[int, ...]) -> np.ndarray:
-    """Flat indices (parties, dp, dp, d / dp) of a ``dims`` operator for
-    parties of one dimension dp: entry [i, a, b, k] puts a and b on party
+    """Flat indices (d / dp, parties, dp, dp) of a ``dims`` operator for
+    parties of one dimension dp: entry [k, i, a, b] puts a and b on party
     i and the other parties' index k on both sides, so the sum over k is
-    its reduced state.  C-ordered, so that a party's sum is the same in
-    any stack, and read-only."""
+    its reduced state.  The traced index leads, so that the sum adds whole
+    slices in index order, the same in any stack; read-only."""
     d = math.prod(dims)
     rows = np.arange(d).reshape(dims)
     axes = list(range(len(dims)))
     flats = [rows.transpose([p - 1] + axes[: p - 1] + axes[p:]).reshape(dims[p - 1], -1)
              for p in parties]
-    table = np.array([r[:, None] * d + r[None] for r in flats])
+    table = np.array([r[:, None] * d + r[None] for r in flats]).transpose(3, 0, 1, 2)
+    table = np.ascontiguousarray(table)
     table.setflags(write=False)
     return table
 
 
 def _reduced_states(matrix: np.ndarray, dims, parties: tuple[int, ...]) -> np.ndarray:
-    """Single-party reduced states of ``parties``, all of one dimension,
-    stacked in their order: one cached gather while its table holds at most
-    2^16 entries, one einsum per party above that."""
-    d = matrix.shape[0]
+    """Single-party reduced states of ``parties``, all of one dimension dp,
+    of an operator or of each of a stack (g, d, d) of them, as (parties,
+    dp, dp) or (g, parties, dp, dp): one cached gather while its table holds
+    at most 2^16 entries, one einsum per operator and party above that.
+    Either way an operator's reduced states have the same bits alone and in
+    a stack."""
+    d = matrix.shape[-1]
     if len(parties) * dims[parties[0] - 1] * d <= _GATHER_ENTRIES:
-        return matrix.ravel()[_trace_gather(dims, parties)].sum(-1)
-    t = matrix.reshape(dims + dims)
-    return np.stack([_reduced(t, dims, (p,)) for p in parties])
+        table = _trace_gather(dims, parties)
+        if matrix.ndim == 2:
+            return matrix.ravel()[table].sum(0)
+        return matrix.reshape(len(matrix), -1)[:, table].sum(1)
+    out = np.array([[_reduced(t, dims, (p,)) for p in parties]
+                    for t in matrix.reshape((-1,) + dims + dims)])
+    return out.reshape(matrix.shape[:-2] + out.shape[1:])
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays of a group as one stack, or the lone array of a group of
+    one as it is, so that a group of one makes the calls one state makes."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _members(x, g: int):
+    """A result on :func:`_stacked` arrays of ``g`` members, one item each."""
+    return [x] if g == 1 else x
+
+
+def _only(results: list):
+    """The result of a group of one, raised when it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def reduced_state(state: MultiState, keep) -> MultiState:
@@ -273,17 +300,17 @@ def spectral(state: MultiState | np.ndarray) -> SpectralData:
     return SpectralData(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
-def _rank_from_eigenvalues(eigs: np.ndarray, tol_rank: float) -> int:
+def _rank_from_eigenvalues(eigs, tol_rank: float) -> int:
     """Count of ``|eigs|`` above ``tol_rank`` times the largest; 0 when every
-    value is zero or one is NaN or infinite.  In Python floats: the spectra
-    hold at most a few dozen values, where numpy's per-call cost outweighs
-    the work."""
-    mags = [abs(x) for x in eigs.tolist()]
+    value is zero or one is NaN or infinite.  In Python floats, from an
+    array or a list of them: the spectra hold at most a few dozen values,
+    where numpy's per-call cost outweighs the work."""
+    mags = list(map(abs, eigs.tolist() if isinstance(eigs, np.ndarray) else eigs))
     total = sum(mags)
     if total == 0.0 or total != total:
         return 0
-    cutoff = tol_rank * max(mags)
-    return len([m for m in mags if m > cutoff])
+    # the count of magnitudes above the cutoff, without a Python-level loop
+    return sum(map(float(tol_rank * max(mags)).__lt__, mags))
 
 
 def rank_of(state: MultiState) -> int:
@@ -305,26 +332,36 @@ def kernel_basis(state: MultiState) -> SubspaceBasis:
     return SubspaceBasis(sd.eigenvectors[:, r:].T, state.dims)
 
 
-def _local_ranges(state: MultiState) -> list[np.ndarray]:
-    """Range isometry (dp, rank) of each single-party reduced state, the
-    eigenvectors of its significant eigenvalues: one stacked
-    :func:`_reduced_states` and one stacked :func:`spectral` call per party
-    size."""
-    dims = state.dims
-    isometries: list = [None] * state.n
-    for dp in dict.fromkeys(dims):
-        parties = tuple(p for p in range(1, state.n + 1) if dims[p - 1] == dp)
-        sd = spectral(_reduced_states(state.matrix, dims, parties))
-        for p, eigs, v in zip(parties, sd.eigenvalues, sd.eigenvectors):
-            r = _rank_from_eigenvalues(eigs, state.cfg.tol_rank)
-            isometries[p - 1] = np.ascontiguousarray(v[:, :r])
-    return isometries
+@lru_cache(maxsize=None)
+def _party_sizes(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The parties of ``dims``, one tuple per party dimension, in order of
+    first appearance."""
+    return tuple(tuple(p for p in range(1, len(dims) + 1) if dims[p - 1] == dp)
+                 for dp in dict.fromkeys(dims))
+
+
+def _local_ranges(states: list[MultiState]) -> list[list[np.ndarray]]:
+    """Per state of a group of one ``dims``, the range isometry (dp, rank)
+    of each single-party reduced state, the eigenvectors of its significant
+    eigenvalues: one :func:`_reduced_states` gather and one stacked
+    :func:`spectral` call per party size for the whole group."""
+    dims, g = states[0].dims, len(states)
+    matrices = _stacked([s.matrix for s in states])
+    ranges = [[None] * len(dims) for _ in states]
+    for parties in _party_sizes(dims):
+        sd = spectral(_reduced_states(matrices, dims, parties))
+        eigs = _members(sd.eigenvalues.tolist(), g)
+        for state, out, es, vs in zip(states, ranges, eigs, _members(sd.eigenvectors, g)):
+            tol = state.cfg.tol_rank
+            for p, e, v in zip(parties, es, vs):
+                out[p - 1] = np.ascontiguousarray(v[:, :_rank_from_eigenvalues(e, tol)])
+    return ranges
 
 
 def local_ranks(state: MultiState) -> list[int]:
     """Rank of each single-party reduced state, from the spectra
     :func:`compress_support` reads."""
-    return [w.shape[1] for w in _local_ranges(state)]
+    return [w.shape[1] for w in _local_ranges([state])[0]]
 
 
 def compress_support(state: MultiState) -> CompressionResult:
@@ -336,25 +373,66 @@ def compress_support(state: MultiState) -> CompressionResult:
     and diagonalized in one stacked :func:`spectral` call
     (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial`,
     carrying the isometries, when nothing would remain (the state is a
-    pure product state).
+    pure product state), and :class:`NotPositive` when a reduced state is
+    zero, which no nonzero PSD state has.
     """
-    n = state.n
-    isometries = _local_ranges(state)
-    ranks = [w.shape[1] for w in isometries]
-    if all(r == 1 for r in ranks):
-        raise AllPartiesTrivial(
-            "every single-party reduced state has rank one", tuple(isometries)
-        )
-    # the Kronecker product of the isometries, one broadcast product per factor
-    w = reduce(lambda a, b: (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1),
-               isometries)
-    m = w.conj().T @ state.matrix @ w
-    m = 0.5 * (m + m.conj().T)
-    return CompressionResult(
-        state=MultiState(m, tuple(r for r in ranks if r > 1), state.cfg),
-        isometries=tuple(isometries),
-        dropped=tuple(p for p in range(1, n + 1) if ranks[p - 1] == 1),
-    )
+    return _only(_compress_group([state])[0])
+
+
+def _compress_group(states: list[MultiState]) -> tuple[list, list]:
+    """:func:`compress_support` over a group of states of one ``dims``: the
+    local ranges by :func:`_local_ranges`, then, for the states that share
+    their local ranks, one broadcast Kronecker product of the isometries
+    and one stacked pair of products.  Per state its
+    :class:`CompressionResult` or the error it raises alone, and per set of
+    local ranks its members and their compressed matrices, as
+    :func:`_stacked` gives them."""
+    out: list = [None] * len(states)
+    stacks = []
+    ranges = _local_ranges(states)
+    by_ranks: dict = {}
+    for i, isometries in enumerate(ranges):
+        ranks = tuple([w.shape[1] for w in isometries])
+        if min(ranks) == 0:
+            out[i] = NotPositive(f"the reduced state of party {ranks.index(0) + 1} is zero")
+        elif max(ranks) == 1:
+            out[i] = AllPartiesTrivial(
+                "every single-party reduced state has rank one", tuple(isometries)
+            )
+        else:
+            by_ranks.setdefault(ranks, []).append(i)
+    for ranks, members in by_ranks.items():
+        g = len(members)
+        # the Kronecker product of the isometries, one broadcast product per
+        # factor, stacked by party over the group
+        factors = [ranges[i] for i in members]
+        factors = map(np.stack, zip(*factors)) if g > 1 else factors[0]
+        w = reduce(_kron_columns, factors)
+        m = _adjoint(w) @ _stacked([states[i].matrix for i in members]) @ w
+        m += _adjoint(m)
+        m *= 0.5
+        cdims = tuple(r for r in ranks if r > 1)
+        dropped = tuple(p for p, r in enumerate(ranks, 1) if r == 1)
+        for i, small in zip(members, _members(m, g)):
+            out[i] = CompressionResult(
+                MultiState(small, cdims, states[i].cfg), tuple(ranges[i]), dropped
+            )
+        stacks.append((members, m))
+    return out, stacks
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().T if x.ndim == 2 else x.conj().swapaxes(-1, -2)
+
+
+def _kron_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two isometries, or of each pair of two
+    stacks (g, rows, columns) of them, by one broadcast product."""
+    if a.ndim == 2:
+        return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
+    return (a[:, :, None, :, None] * b[:, None, :, None]).reshape(
+        len(a), a.shape[1] * b.shape[1], -1)
 
 
 def _flattenings(x: np.ndarray, dims) -> list[np.ndarray]:

@@ -226,6 +226,34 @@ class TestBatchCommand:
         assert sum("error" in json.loads(line) for line in lines) == 1
         assert serial.read_text() == parallel.read_text()
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_group_writes_what_single_file_runs_write(self, tmp_path, capsys, parallel):
+        # one group of two-qutrit states: an error, an NPT and a Chow file
+        indefinite = [[[(i == j) * (1 - 2 * (i == 8)), 0] for j in range(9)] for i in range(9)]
+        files = {
+            "a_bad.json": json.dumps({"dims": [3, 3], "matrix": indefinite}),
+            "b_npt.json": json.dumps(state_to_dict(two_qutrit_ab_state(0.0, 1 + 1j))),
+            "c_chow.json": json.dumps(state_to_dict(two_qutrit_ab_state(1.0, 1.0))),
+        }
+        both = tmp_path / "both"
+        both.mkdir()
+        lines = []
+        for name, text in files.items():
+            (both / name).write_text(text)
+            alone = tmp_path / name.split(".")[0]
+            alone.mkdir()
+            (alone / name).write_text(text)
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["batch", "--input", str(alone), "--out", str(out)]) == 0
+            lines.append(out.read_text())
+        out = tmp_path / "both.jsonl"
+        assert main(["batch", "--input", str(both), "--out", str(out), "--parallel", parallel]) == 0
+        assert capsys.readouterr().out.endswith("(Entangled: 2, error: 1)\n")
+        assert out.read_text() == "".join(lines)
+        got = [json.loads(line) for line in lines]
+        assert got[0]["error"].startswith("StateFormatError: ")
+        assert [line["report"]["rule"] for line in got[1:]] == ["NPT", "Chow33"]
+
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch):
         calls = []
 
@@ -241,9 +269,9 @@ class TestBatchCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables, chunksize=1):
-                calls[-1]["chunksize"] = chunksize
-                return map(fn, *iterables)
+            def map(self, fn, chunks, *iterables):
+                calls[-1]["chunks"] = [len(chunk) for chunk in chunks]
+                return map(fn, chunks, *iterables)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -253,12 +281,17 @@ class TestBatchCommand:
         serial = tmp_path / "serial.jsonl"
         assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
         assert calls == []
-        for parallel, workers, chunksize in [("5000", 8, 1), ("3", 3, 2), ("1", None, None)]:
+        # two chunks per worker, each of at most _CHUNK_FILES files
+        for parallel, workers, chunks, cap in [
+            ("5000", 8, [2] * 10, 128), ("3", 3, [4] * 5, 128), ("2", 2, [3] * 6 + [2], 3),
+            ("1", None, None, 128),
+        ]:
+            monkeypatch.setattr(cli, "_CHUNK_FILES", cap)
             out = tmp_path / f"p{parallel}.jsonl"
             argv = ["batch", "--input", str(inputs), "--out", str(out), "--parallel", parallel]
             assert main(argv) == 0
             if workers is not None:
-                assert calls.pop() == {"max_workers": workers, "chunksize": chunksize}
+                assert calls.pop() == {"max_workers": workers, "chunks": chunks}
             assert calls == []
             assert out.read_text() == serial.read_text()
         two = tmp_path / "two"
@@ -270,7 +303,7 @@ class TestBatchCommand:
              "--parallel", "5000"]
         ) == 0
         capsys.readouterr()
-        assert calls == [{"max_workers": 2, "chunksize": 1}]
+        assert calls == [{"max_workers": 2, "chunks": [1, 1]}]
 
 
 class TestGalleryCommand:

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sep4.chow import builtin_chow, eval_chow
+import sep4.engine
 from sep4.engine import (
     ClassificationReport,
+    _classify_group,
     classify,
     length_bounds,
     report_from_dict,
@@ -13,6 +16,7 @@ from sep4.engine import (
 )
 from sep4.errors import (
     DimensionMismatch,
+    EigFailure,
     InconsistentTolerances,
     NotPositive,
     NotSeparableVerdict,
@@ -348,9 +352,13 @@ class TestEigensolveBudget:
 
         def classify_counted(state, **kwargs):
             # the state is built (and validated by one eigensolve) before
-            # this; the calls, each as (name, shape of its argument)
+            # this; the calls, each as (name, shape of its argument); a
+            # list of states is classified as one group
             calls.clear()
-            classify(state, **kwargs)
+            if isinstance(state, list):
+                _classify_group(state, **kwargs)
+            else:
+                classify(state, **kwargs)
             return list(calls)
 
         return classify_counted
@@ -415,6 +423,23 @@ class TestEigensolveBudget:
         # compressed state's eigenvectors that the decomposition reads
         state = random_separable((2, 2), k, seed=k)
         assert len(eigensolves(state, decompose=True)) == 4
+
+
+    GROUPS = {
+        "ppt-rank3": lambda seed: random_separable((2, 2, 2), 3, seed=seed),
+        "chow222": lambda seed: conjugate_local(
+            divincenzo_state(), random_local_unitaries((2, 2, 2), seed=seed)),
+        "chow33": lambda seed: random_separable((3, 3), 4, seed=seed),
+    }
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_group_makes_the_calls_of_one_state(self, eigensolves, name, decompose):
+        # each stage is one stacked call for the whole group
+        states = [self.GROUPS[name](seed) for seed in range(24)]
+        one = eigensolves(states[:1], decompose=decompose)
+        assert one == eigensolves(states[0], decompose=decompose)
+        assert len(eigensolves(states, decompose=decompose)) <= len(one)
 
 
 class TestDecompositionBudget:
@@ -701,6 +726,17 @@ class TestUnvalidatedInput:
         with pytest.raises(DimensionMismatch):
             classify(MultiState(matrix, dims))
 
+    @pytest.mark.parametrize("dims, i, j", [((1, 3), 0, 2), ((2, 2), 0, 3)],
+                             ids=["one-dim-party", "two-qubit"])
+    def test_zero_reduced_state(self, dims, i, j):
+        # a lone symmetric off-diagonal pair: the reduced state of party 1
+        # (and on two qubits, of both parties) is zero, which no nonzero
+        # PSD state has
+        m = np.zeros((np.prod(dims),) * 2, dtype=complex)
+        m[i, j] = m[j, i] = 1.0
+        with pytest.raises(NotPositive, match="reduced state of party 1 is zero"):
+            classify(MultiState(m, dims))
+
     def test_non_finite_entry_outside_every_reduced_state(self):
         # |00><11| appears in no single-party reduced state
         m = np.eye(4, dtype=complex)
@@ -803,3 +839,133 @@ class TestChowDrift:
                     self.check(state)
                     checked += 1
         assert checked > 0
+
+
+def outcome(result) -> str:
+    """A report as its JSON text, an error as its class and message."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return json.dumps(report_to_dict(result))
+
+
+def alone(state, **kwargs) -> str:
+    try:
+        return outcome(classify(state, **kwargs))
+    except Exception as exc:
+        return outcome(exc)
+
+
+def pure_state(dims, seed, product=False):
+    """A random pure state on ``dims``: a random product vector, or a random
+    vector (entangled)."""
+    rng = np.random.default_rng(seed)
+    if product:
+        v = assemble_product([rng.standard_normal(dp) + 1j * rng.standard_normal(dp)
+                              for dp in dims])
+    else:
+        d = int(np.prod(dims))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return new_state(np.outer(v, v.conj()), dims)
+
+
+def npt_mixture(dims, seed):
+    """A random pure state plus a little of a product: NPT."""
+    pure, noise = pure_state(dims, seed), pure_state(dims, seed + 1, product=True)
+    return new_state(pure.matrix + 0.2 * noise.matrix / noise.trace * pure.trace, dims)
+
+
+GALLERY = {
+    (2, 2): [bell_plus_noise, lambda: two_qubit_curve_state(5, seed=1)],
+    (3, 3): [lambda: two_qutrit_ab_state(1.0, 1.0), lambda: two_qutrit_ab_state(0.0, 1.0),
+             lambda: two_qutrit_ab_state(0.0, 1 + 1j), lambda: random_ppt_rank4_33(seed=1)],
+    (2, 2, 2): [divincenzo_state, ghz_projector,
+                lambda: conjugate_local(divincenzo_state(), random_local_unitaries((2, 2, 2), 3))],
+}
+
+
+def mixed_group(dims, decompose):
+    """States of one ``dims`` from several families and rules, shuffled:
+    random separable states of rank 1 to 6, pure product and entangled
+    states, NPT mixtures and the gallery's states of these dims.  A 2x3
+    rank-4 state would take the greedy peel, so it is left out of the
+    groups that decompose."""
+    ranks = [1, 2, 3, 5, 6] if decompose and dims == (2, 3) else [1, 2, 3, 4, 5, 6]
+    states = [random_separable(dims, r, seed=10 * r + s) for r in ranks for s in range(2)]
+    states += [pure_state(dims, 1), pure_state(dims, 2, product=True), npt_mixture(dims, 3)]
+    states += [make() for make in GALLERY.get(dims, [])]
+    order = np.random.default_rng(sum(dims)).permutation(len(states))
+    return [states[k] for k in order]
+
+
+class TestClassifyGroup:
+    """``_classify_group`` gives each state the report, or the error, that
+    ``classify`` gives it alone, byte for byte."""
+
+    DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2), (2, 2, 2, 2)]
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: "x".join(map(str, d)))
+    def test_reports_are_byte_identical(self, dims, decompose):
+        states = mixed_group(dims, decompose)
+        want = [alone(state, decompose=decompose) for state in states]
+        got = [outcome(r) for r in _classify_group(states, decompose=decompose)]
+        assert got == want
+        assert all(text.startswith("{") for text in want)
+
+    @pytest.mark.parametrize("dims, i, j", [((1, 3), 0, 2), ((2, 2), 0, 3)],
+                             ids=["one-dim-party", "two-qubit"])
+    def test_zero_reduced_state_fails_alone(self, dims, i, j):
+        m = np.zeros((np.prod(dims),) * 2, dtype=complex)
+        m[i, j] = m[j, i] = 1.0
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((np.prod(dims), 2)) + 1j * rng.standard_normal((np.prod(dims), 2))
+        valid = new_state(x @ x.conj().T, dims)
+        states = [valid, MultiState(m, dims), pure_state(dims, 5)]
+        results = _classify_group(states)
+        assert isinstance(results[1], NotPositive)
+        assert [outcome(r) for r in results] == [alone(state) for state in states]
+
+    def test_invalid_input_fails_alone(self):
+        bad = np.eye(8, dtype=complex)
+        bad[0, 7] = bad[7, 0] = np.nan
+        states = [divincenzo_state(), MultiState(bad, (2, 2, 2)), ghz_projector(),
+                  MultiState(np.zeros((8, 8)), (2, 2, 2))]
+        results = _classify_group(states)
+        assert [type(r) for r in results[1::2]] == [DimensionMismatch, NotPositive]
+        assert [outcome(r) for r in results] == [alone(state) for state in states]
+
+    def test_tolerance_guard_fails_alone(self, monkeypatch):
+        # an entangled 2x2x2 rank-4 state must have full-rank partial
+        # transposes; report one of rank 3 to trip the guard
+        real_is_ppt = sep4.engine.is_ppt
+
+        def lowered_ranks(state, *args):
+            report = real_is_ppt(state, *args)
+            records = tuple(dataclasses.replace(r, rank=r.rank - 1) for r in report.records)
+            return dataclasses.replace(report, records=records)
+
+        monkeypatch.setattr(sep4.engine, "is_ppt", lowered_ranks)
+        states = mixed_group((2, 2, 2), decompose=True)
+        results = _classify_group(states)
+        assert any(isinstance(r, InconsistentTolerances) for r in results)
+        assert any(isinstance(r, ClassificationReport) for r in results)
+        assert [outcome(r) for r in results] == [alone(state) for state in states]
+
+    def test_failed_stacked_call_reruns_one_state_at_a_time(self, monkeypatch):
+        # LAPACK fails on every call that holds the operators of the state
+        # of trace 7, alone or stacked
+        real_eigh = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            traces = np.trace(a, axis1=-2, axis2=-1).real
+            if np.any(np.abs(traces - 7.0) < 1e-9):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        states = [random_separable((3, 3), r, seed=r) for r in (2, 3, 4, 6)]
+        states[2] = new_state(7.0 * states[2].matrix / states[2].trace, (3, 3))
+        results = _classify_group(states)
+        assert [type(r) for r in results] == [ClassificationReport] * 2 + [EigFailure] + [
+            ClassificationReport]
+        assert [outcome(r) for r in results] == [alone(state) for state in states]

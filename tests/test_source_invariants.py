@@ -15,6 +15,8 @@ layout: party flattenings, row Kronecker products, the one product
 factorization and the one weighted projector sum are its kernels, and
 only operator Kronecker products are written out elsewhere.  The greedy
 peel works on bare operators: ``oracle`` builds no ``MultiState``.
+There is one verdict path: ``classify`` is ``engine._classify_group`` on
+a group of one.
 """
 
 import ast
@@ -108,7 +110,7 @@ def test_engine_imports_only_the_decomposition_entry_from_oracle():
 # gallery.py builds states and is not scanned.
 LAYOUT = {
     "moveaxis": set(),
-    "reduce": {"states", "states._row_kron", "states.compress_support"},
+    "reduce": {"states", "states._row_kron", "states._compress_group"},
     "kron": {"oracle", "oracle._kernel_pv_round"},
     "outer": {"oracle._isolated_eig"},
 }
@@ -168,5 +170,24 @@ def test_the_peel_works_on_bare_operators():
 def test_scan_sees_every_module():
     # a scan that parsed nothing would pass the test above vacuously
     assert {"states", "ppt", "oracle", "engine"} <= {p.stem for p in PACKAGE.glob("*.py")}
-    assert uses({"spectral"})["spectral"] >= {"engine.classify", "states._local_ranges"}
-    assert uses({"_spectra"})["_spectra"] >= {"engine.classify", "ppt.is_ppt"}
+    assert uses({"spectral"})["spectral"] >= {"engine._classify_stacked", "states._local_ranges"}
+    assert uses({"_spectra"})["_spectra"] >= {"engine._classify_stacked", "ppt.is_ppt"}
+
+
+def test_one_verdict_path():
+    # classify is the group of one: the rules live in one function, which
+    # only the group's stages call, and the group is entered from classify
+    # and from sep4 batch's chunk function alone
+    found = uses({"_classify_group", "_classify_stacked", "_verdict", "RULE_NPT"})
+    assert found["_classify_group"] == {
+        "engine.classify", "engine._classify_group", "cli", "cli._classify_files"
+    }
+    assert found["_classify_stacked"] == {"engine._classify_group", "engine._classify_stacked"}
+    assert found["_verdict"] == {"engine._classify_stacked"}
+    assert found["RULE_NPT"] == {"engine", "engine._verdict"}
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    (classify,) = [top for top in tree.body
+                   if isinstance(top, ast.FunctionDef) and top.name == "classify"]
+    called = {node.func.id for node in ast.walk(classify)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_classify_group" in called

@@ -397,6 +397,21 @@ class TestStackedKernels:
         assert local_ranks(state) == [2, 3, 2]
         self.check(state)
 
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 2, 2), (2, 2, 2, 2), (2, 2, 3)],
+                             ids=lambda d: "x".join(map(str, d)))
+    def test_reduced_states_are_the_same_bits_alone_and_stacked(self, dims):
+        # the traced index leads the gather, so its sum adds whole slices in
+        # index order, however many operators the stack holds
+        mats = np.stack([random_state(dims, rank, seed=seed).matrix
+                         for seed in range(5) for rank in (1, 2, 3, 4, 6)])
+        n = len(dims)
+        for dp in dict.fromkeys(dims):
+            parties = tuple(p for p in range(1, n + 1) if dims[p - 1] == dp)
+            stacked = _reduced_states(mats, dims, parties)
+            assert stacked.shape == (25, len(parties), dp, dp)
+            for m, got in zip(mats, stacked):
+                assert np.array_equal(got, _reduced_states(m, dims, parties))
+
     def check(self, state):
         comp = compress_support(state)
         isometries, matrix = self.reference(state)
