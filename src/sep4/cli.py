@@ -63,8 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    for name in _TOL_FIELDS:
+def _add_tolerance_flags(parser: argparse.ArgumentParser, names=_TOL_FIELDS) -> None:
+    for name in names:
         parser.add_argument(
             f"--{name.replace('_', '-')}",
             type=float,
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chow.add_argument("--print", action="store_true", dest="print_form")
     p_chow.add_argument("--eval", metavar="BASIS_FILE", dest="eval_file")
-    _add_tolerance_flags(p_chow)
+    _add_tolerance_flags(p_chow, ["tol_chow"])
 
     p_batch = sub.add_parser("batch", help="classify every state file in a directory")
     p_batch.add_argument("--input", required=True, metavar="DIR")
@@ -245,11 +245,6 @@ def _file_line(name: str, result) -> tuple[str, str]:
     except _FILE_ERRORS as exc:
         return json.dumps({"file": name, "error": f"{type(exc).__name__}: {exc}"}), "error"
     return json.dumps({"file": name, "report": report}), report["verdict"]
-
-
-def _classify_file(path: str, cfg: ToleranceConfig, seed: int) -> tuple[str, str]:
-    """The ``sep4 batch`` output line for one file and its key."""
-    return _classify_files([path], cfg, seed)[0]
 
 
 def _usable_cpus() -> int:

@@ -9,20 +9,14 @@ decision scope and reported as such, never guessed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
 from .errors import (
     AllPartiesTrivial,
-    DimensionMismatch,
     InconsistentTolerances,
-    NotPositive,
     NotSeparableVerdict,
-    Sep4Error,
 )
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
@@ -31,7 +25,6 @@ from .states import (
     CompressionResult,
     MultiState,
     SpectralData,
-    _check_layout,
     _compress_group,
     _members,
     _only,
@@ -144,12 +137,12 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     ``eigvalsh`` call on small operators), whose first row gives the rank
     and which :func:`is_ppt` reads.  Eigenvectors of the compressed state
     are computed only where a rule reads them: the rank-1 product check,
-    the Chow form and the decomposition.  A one-party compressed state has
-    no partial transpose, so its eigenvectors come first and their
-    eigenvalues are the whole stack.  A matrix of the wrong shape, zero, or
-    holding NaN or Inf is rejected first, with the errors of
-    :func:`~sep4.states.new_state`, and one with a zero reduced state
-    raises :class:`NotPositive`.
+    the Chow form and the decomposition.  A state built directly, not by
+    :func:`~sep4.states.new_state`, is checked by the support compression
+    (:func:`~sep4.states._check_state`) before any eigensolve: a matrix of
+    the wrong shape, zero, or holding NaN or Inf is rejected with the
+    errors of :func:`~sep4.states.new_state`, and one with a zero reduced
+    state raises :class:`NotPositive`.
     """
     return _only(_classify_group([state], seed, decompose))
 
@@ -162,11 +155,12 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     their ``eigh`` per party size, then per set of local ranks, whose
     states share one compressed shape, the compression products
     (:func:`~sep4.states._compress_group`), the eigenvalue stack and one
-    ``eigh`` for the states whose rules read eigenvectors.  A stacked call gives each matrix the
-    bits one call on it alone gives, so a report does not depend on its
-    group.  The rules and the decomposition run one state at a time, and an
-    error there fails that state alone.  When a stacked call fails, the
-    group is rerun one state at a time.
+    ``eigh`` for the states whose rules read eigenvectors
+    (:func:`_reads_vectors`).  A stacked call gives each matrix the bits
+    one call on it alone gives, so a report does not depend on its group.
+    The rules and the decomposition run one state at a time, and an error
+    there fails that state alone.  When a stacked call fails, the group is
+    rerun one state at a time.
     """
     try:
         return _classify_stacked(states, seed, decompose)
@@ -174,17 +168,6 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
         if len(states) == 1:
             return [exc]
         return [_classify_group([state], seed, decompose)[0] for state in states]
-
-
-def _check_input(state: MultiState) -> None:
-    # a MultiState built directly is not validated; entry by entry on the
-    # real view, so that no modulus can overflow
-    _check_layout(state.matrix.shape, state.dims)
-    scale = float(np.abs(state.matrix.view(float)).max())
-    if scale == 0.0:
-        raise NotPositive("zero matrix is not a state")
-    if not math.isfinite(scale):
-        raise DimensionMismatch("matrix contains non-finite entries")
 
 
 def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> bool:
@@ -202,16 +185,6 @@ def _classify_stacked(states, seed, decompose) -> list:
     """:func:`_classify_group`'s stages; an error out of a stacked call
     propagates."""
     out: list = [None] * len(states)
-    for i, state in enumerate(states):
-        try:
-            _check_input(state)
-        except Sep4Error as exc:
-            out[i] = exc
-    if any(out):
-        # the valid states alone, each result into its empty slot
-        valid = [state for state, error in zip(states, out) if error is None]
-        done = iter(_classify_stacked(valid, seed, decompose) if valid else ())
-        return [next(done) if error is None else error for error in out]
     comps, groups = _compress_group(states)
     for i, comp in enumerate(comps):
         if type(comp) is AllPartiesTrivial:
@@ -225,20 +198,14 @@ def _classify_stacked(states, seed, decompose) -> list:
     for members, matrices in groups:
         g = len(members)
         cdims = comps[members[0]].state.dims
-        if len(cdims) == 1:
-            # a one-party state has no partial transpose: its eigenvalues
-            # are the whole stack
-            sds = _split(spectral(matrices), g)
-            stacks = [sd.eigenvalues[None, ::-1] for sd in sds]
-        else:
-            sds = [None] * g
-            stacks = _members(_spectra(matrices, cdims), g)
+        sds = [None] * g
+        stacks = _members(_spectra(matrices, cdims), g)
         rows, need = [], []
         for j, i in enumerate(members):
             small, spectra = comps[i].state, stacks[j]
             rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
             ppt = None if rank == 1 else is_ppt(small, spectra)
-            if sds[j] is None and _reads_vectors(rank, ppt, cdims, decompose):
+            if _reads_vectors(rank, ppt, cdims, decompose):
                 need.append(j)
             rows.append((i, spectra, rank, ppt))
         # the eigenvectors the rules read, one stacked call
@@ -303,14 +270,6 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
         local_ranks=tuple([w.shape[1] for w in comp.isometries]),
     )
 
-    def vectors():
-        """The compressed state's :func:`spectral` decomposition, made on
-        the first call."""
-        nonlocal sd
-        if sd is None:
-            sd = spectral(small)
-        return sd
-
     def finish(verdict, rule, **extra):
         fields = {**base, **extra}
         if verdict == SEPARABLE:
@@ -322,7 +281,7 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
                 )
             dec = None
             if decompose:
-                dec = _decompose(state, comp.isometries, small, vectors(), rank, bounds[1], seed)
+                dec = _decompose(state, comp.isometries, small, sd, rank, bounds[1], seed)
             fields.update(decomposition=dec, length_bounds=bounds)
         return ClassificationReport(
             verdict=verdict,
@@ -335,7 +294,7 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
         )
 
     if rank == 1:
-        ok, _ = is_product(vectors().eigenvectors[:, 0], cdims, small.cfg.tol_product)
+        ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)
         if ok:
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
         return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, spectra))
@@ -354,7 +313,7 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
             form = builtin_chow(cdims)
             # eigh's columns are orthonormal, so the range rows need no
             # independence check
-            rows = vectors().eigenvectors[:, :rank].T
+            rows = sd.eigenvectors[:, :rank].T
             value = eval_chow(form, _pluecker_rows(rows), normalized=True)
             mag = abs(value)
             tol = small.cfg.tol_chow

@@ -707,10 +707,11 @@ def _decompose(state, isometries, small, sd, rank, max_terms, seed) -> Decomposi
     they miss ``state`` by more than ``1e-8 * trace`` in Frobenius norm.
     All runs on the operators divided by 2^k, k even, near the trace:
     exact, with sqrt(eigenvalues) scaling exactly, so no scale overflows
-    or underflows; weights and residual are scaled back at the end.
+    or underflows; weights and residual are scaled back at the end.  On a
+    subnormal trace k stops at -1022, even, so that 2^-k stays finite.
     """
     trace = state.trace
-    k = 2 * (math.frexp(trace)[1] // 2)
+    k = max(-1022, 2 * (math.frexp(trace)[1] // 2))
     unit = math.ldexp(1.0, -k)
     dims = () if small is None else small.dims
     found = None

@@ -118,6 +118,18 @@ def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
         raise DimensionMismatch(f"total dimension {shape[0]} exceeds supported {MAX_TOTAL_DIM}")
 
 
+def _check_state(state: MultiState) -> None:
+    """Reject a directly built :class:`MultiState` whose matrix does not fit
+    its ``dims``, is zero or holds NaN or Inf, with :func:`new_state`'s
+    errors; on the real view, so that no modulus can overflow."""
+    _check_layout(state.matrix.shape, state.dims)
+    scale = float(np.abs(state.matrix.view(float)).max())
+    if scale == 0.0:
+        raise NotPositive("zero matrix is not a state")
+    if not math.isfinite(scale):
+        raise DimensionMismatch("matrix contains non-finite entries")
+
+
 def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
     """Validate and build a :class:`MultiState`.
 
@@ -188,24 +200,15 @@ def partial_transpose(state: MultiState, subset) -> MultiState:
     return MultiState(_transposed(state.matrix, state.dims, s), state.dims, state.cfg)
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-@lru_cache(maxsize=None)
-def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    """``einsum`` subscripts that trace an ``n``-party tensor down to ``keep``."""
-    if 2 * n > len(_LETTERS):
-        raise DimensionMismatch("too many parties for the einsum path")
-    row, col = _LETTERS[:n], _LETTERS[n:2 * n]
-    traced = "".join(col[i] if i + 1 in keep else row[i] for i in range(n))
-    kept = "".join(row[p - 1] for p in keep) + "".join(col[p - 1] for p in keep)
-    return row + traced + "->" + kept
-
-
-def _reduced(t: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial-trace kernel on the ``dims + dims`` tensor ``t``."""
+def _partial_trace(matrix: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial-trace kernel on a bare operator: the parties reordered, kept
+    ones first, on both sides, then the trace over the rest."""
+    n = len(dims)
+    order = [p - 1 for p in keep] + [i for i in range(n) if i + 1 not in keep]
     dk = math.prod(dims[p - 1] for p in keep)
-    return np.einsum(_trace_subscripts(len(dims), keep), t).reshape(dk, dk)
+    dr = matrix.shape[0] // dk
+    t = matrix.reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.trace(t.reshape(dk, dr, dk, dr), axis1=1, axis2=3)
 
 
 # Largest cached gather table, in entries: the single-party reduced states
@@ -237,17 +240,17 @@ def _reduced_states(matrix: np.ndarray, dims, parties: tuple[int, ...]) -> np.nd
     """Single-party reduced states of ``parties``, all of one dimension dp,
     of an operator or of each of a stack (g, d, d) of them, as (parties,
     dp, dp) or (g, parties, dp, dp): one cached gather while its table holds
-    at most 2^16 entries, one einsum per operator and party above that.
-    Either way an operator's reduced states have the same bits alone and in
-    a stack."""
+    at most 2^16 entries, one :func:`_partial_trace` per operator and party
+    above that.  Either way an operator's reduced states have the same bits
+    alone and in a stack."""
     d = matrix.shape[-1]
     if len(parties) * dims[parties[0] - 1] * d <= _GATHER_ENTRIES:
         table = _trace_gather(dims, parties)
         if matrix.ndim == 2:
             return matrix.ravel()[table].sum(0)
         return matrix.reshape(len(matrix), -1)[:, table].sum(1)
-    out = np.array([[_reduced(t, dims, (p,)) for p in parties]
-                    for t in matrix.reshape((-1,) + dims + dims)])
+    out = np.array([[_partial_trace(m, dims, (p,)) for p in parties]
+                    for m in matrix.reshape(-1, d, d)])
     return out.reshape(matrix.shape[:-2] + out.shape[1:])
 
 
@@ -280,7 +283,7 @@ def reduced_state(state: MultiState, keep) -> MultiState:
     if len(k) == 1:
         out = _reduced_states(state.matrix, state.dims, k)[0]
     else:
-        out = _reduced(state.matrix.reshape(state.dims + state.dims), state.dims, k)
+        out = _partial_trace(state.matrix, state.dims, k)
     return MultiState(out, tuple(state.dims[p - 1] for p in k), state.cfg)
 
 
@@ -374,24 +377,33 @@ def compress_support(state: MultiState) -> CompressionResult:
     (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial`,
     carrying the isometries, when nothing would remain (the state is a
     pure product state), and :class:`NotPositive` when a reduced state is
-    zero, which no nonzero PSD state has.
+    zero, which no nonzero PSD state has.  A state built directly is
+    checked first, by :func:`_check_state`.
     """
     return _only(_compress_group([state])[0])
 
 
 def _compress_group(states: list[MultiState]) -> tuple[list, list]:
-    """:func:`compress_support` over a group of states of one ``dims``: the
-    local ranges by :func:`_local_ranges`, then, for the states that share
-    their local ranks, one broadcast Kronecker product of the isometries
-    and one stacked pair of products.  Per state its
+    """:func:`compress_support` over a group of states of one ``dims``: each
+    state checked by :func:`_check_state` before anything is stacked, the
+    valid states' local ranges by :func:`_local_ranges`, then, for the
+    states that share their local ranks, one broadcast Kronecker product of
+    the isometries and one stacked pair of products.  Per state its
     :class:`CompressionResult` or the error it raises alone, and per set of
     local ranks its members and their compressed matrices, as
     :func:`_stacked` gives them."""
     out: list = [None] * len(states)
+    valid = []
+    for i, state in enumerate(states):
+        try:
+            _check_state(state)
+            valid.append(i)
+        except (DimensionMismatch, NotPositive) as exc:
+            out[i] = exc
+    ranges = dict(zip(valid, _local_ranges([states[i] for i in valid]) if valid else ()))
     stacks = []
-    ranges = _local_ranges(states)
     by_ranks: dict = {}
-    for i, isometries in enumerate(ranges):
+    for i, isometries in ranges.items():
         ranks = tuple([w.shape[1] for w in isometries])
         if min(ranks) == 0:
             out[i] = NotPositive(f"the reduced state of party {ranks.index(0) + 1} is zero")

@@ -9,7 +9,12 @@ from sep4 import cli
 from sep4.cli import main
 from sep4.engine import classify
 from sep4.errors import InconsistentTolerances
-from sep4.gallery import divincenzo_state, two_qutrit_ab_rows, two_qutrit_ab_state
+from sep4.gallery import (
+    divincenzo_state,
+    random_separable,
+    two_qutrit_ab_rows,
+    two_qutrit_ab_state,
+)
 from sep4.states import assemble_product, new_state, state_to_dict
 
 
@@ -21,6 +26,12 @@ def write_state(path, state):
 def product_projector_state():
     v = assemble_product((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     return new_state(np.outer(v, v), (2, 2))
+
+
+def subnormal_state():
+    """A separable two-qutrit rank-4 state of trace about 1e-310, below the
+    smallest normal double."""
+    return new_state(1e-310 * random_separable((3, 3), 4, seed=1).matrix, (3, 3))
 
 
 class TestClassifyCommand:
@@ -58,6 +69,12 @@ class TestClassifyCommand:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
         capsys.readouterr()
+
+    def test_subnormal_trace_exits_separable(self, tmp_path, capsys):
+        path = write_state(tmp_path / "tiny.json", subnormal_state())
+        assert main(["classify", "--input", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rule"], report["decomposition"] is None) == ("Chow33", False)
 
     def test_exit_codes_stable_across_runs(self, tmp_path, capsys):
         path = write_state(tmp_path / "dv.json", divincenzo_state())
@@ -124,6 +141,14 @@ class TestChowCommand:
         assert main(["chow", "--system", "2x2"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--tol-herm", "--tol-psd", "--tol-rank", "--tol-product"])
+    def test_only_the_chow_tolerance_is_a_flag(self, capsys, flag):
+        # chow reads tol_chow alone, so it takes no other tolerance flag
+        assert main(["chow", "--system", "2x2", "--print", flag, "1e-9"]) == 3
+        assert flag in capsys.readouterr().err
+        assert main(["chow", "--system", "2x2", "--print", "--tol-chow", "1e-9"]) == 0
+        capsys.readouterr()
+
 
 class TestBatchCommand:
     def test_directory_with_error_file(self, tmp_path, capsys):
@@ -138,6 +163,19 @@ class TestBatchCommand:
         assert lines[0]["report"]["verdict"] == "Separable"
         assert lines[1]["report"]["verdict"] == "Entangled"
         assert "error" in lines[2]
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_subnormal_trace_gets_its_line(self, tmp_path, capsys, parallel):
+        write_state(tmp_path / "a_prod.json", product_projector_state())
+        write_state(tmp_path / "b_tiny.json", subnormal_state())
+        write_state(tmp_path / "c_dv.json", divincenzo_state())
+        out_file = tmp_path / "results.jsonl"
+        args = ["batch", "--input", str(tmp_path), "--out", str(out_file), "--parallel", parallel]
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith("(Entangled: 1, Separable: 2)\n")
+        lines = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [line["file"] for line in lines] == ["a_prod.json", "b_tiny.json", "c_dv.json"]
+        assert lines[1]["report"]["rule"] == "Chow33"
 
     def test_tolerance_guard_is_recorded_per_file(self, tmp_path, capsys, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial

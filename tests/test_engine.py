@@ -70,6 +70,16 @@ def two_qubit_curve_state(terms, seed=0):
     return new_state(rho, (2, 2))
 
 
+def one_party_state(seed=1, rank=3):
+    """A pure state of party 1 times a random state of rank ``rank`` of
+    party 2 on 3x3: its support compresses to the one party (rank,)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    return new_state(np.kron(np.outer(u, u.conj()), x @ x.conj().T), (3, 3))
+
+
 def ghz_projector():
     v = np.zeros(8)
     v[0] = 1.0
@@ -320,9 +330,10 @@ class TestEngineConsistency:
             random_separable((2, 2, 3), 4, seed=6),
             ghz_projector(),
             new_state(np.eye(6), (2, 3)),
+            one_party_state(),
         ],
         ids=["divincenzo", "ab-1-1", "ab-0-1", "ab-npt", "ppt-rank4-33", "sep-rank2",
-             "sep-rank4", "ghz", "full-rank"],
+             "sep-rank4", "ghz", "full-rank", "one-party"],
     )
     def test_report_matches_public_helpers(self, state):
         """The engine reads local ranks, rank and PPT records off one spectral
@@ -713,8 +724,9 @@ class TestUnvalidatedInput:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, no_eigensolve)
-        with pytest.raises(error):
-            classify(MultiState(m, (2, 2)))
+        for check in (classify, compress_support):
+            with pytest.raises(error):
+                check(MultiState(m, (2, 2)))
 
     @pytest.mark.parametrize("matrix, dims", [
         (np.eye(4)[:2], (2, 2)),
@@ -723,8 +735,9 @@ class TestUnvalidatedInput:
         (np.eye(4), ()),
     ], ids=["not-square", "1-d", "dims-product", "no-dims"])
     def test_shape_that_does_not_fit_dims(self, matrix, dims):
-        with pytest.raises(DimensionMismatch):
-            classify(MultiState(matrix, dims))
+        for check in (classify, compress_support):
+            with pytest.raises(DimensionMismatch):
+                check(MultiState(matrix, dims))
 
     @pytest.mark.parametrize("dims, i, j", [((1, 3), 0, 2), ((2, 2), 0, 3)],
                              ids=["one-dim-party", "two-qubit"])
@@ -775,6 +788,30 @@ class TestScale:
         weights = np.sort([t.weight for t in rep.decomposition.terms])
         want = np.sort([t.weight for t in ref.decomposition.terms])
         np.testing.assert_allclose(weights, scale * want, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_subnormal_trace(self, name, check_decomposition):
+        # at a trace below 2^-1022 the rescale stops at 2^1022, so that it
+        # stays finite; the scaled input is rounded to multiples of
+        # 2^-1074, about 5e-14 of the trace, which bounds the weights'
+        # agreement instead of rounding at 1
+        base = self.STATES[name]()
+        ref = classify(base)
+        state = new_state(1e-310 * base.matrix, base.dims)
+        rep = classify(state)
+        assert (rep.verdict, rep.rule) == (ref.verdict, ref.rule)
+        check_decomposition(state, rep)
+        assert rep.decomposition.residual <= 1e-8 * state.trace
+        weights = np.sort([t.weight for t in rep.decomposition.terms])
+        want = np.sort([t.weight for t in ref.decomposition.terms])
+        np.testing.assert_allclose(weights, 1e-310 * want, rtol=1e-10)
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_subnormal_chow33(self, decompose):
+        state = new_state(1e-310 * random_separable((3, 3), 4, seed=1).matrix, (3, 3))
+        rep = classify(state, decompose=decompose)
+        assert (rep.verdict, rep.rule) == ("Separable", "Chow33")
+        assert (rep.decomposition is not None) == decompose
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_pure_entangled_state(self, scale):
@@ -933,6 +970,30 @@ class TestClassifyGroup:
         results = _classify_group(states)
         assert [type(r) for r in results[1::2]] == [DimensionMismatch, NotPositive]
         assert [outcome(r) for r in results] == [alone(state) for state in states]
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_invalid_one_party_and_multi_party_states(self, decompose):
+        # one 3x3 group: unvalidated inputs, states that compress to one
+        # party, of ranks 3 and 2, and states that keep both parties
+        bad = np.eye(9, dtype=complex)
+        bad[0, 8] = bad[8, 0] = np.inf
+        states = [
+            random_separable((3, 3), 4, seed=1),
+            MultiState(bad, (3, 3)),
+            one_party_state(1),
+            two_qutrit_ab_state(0.0, 1 + 1j),
+            MultiState(np.zeros((9, 9)), (3, 3)),
+            one_party_state(2),
+            one_party_state(3, rank=2),
+            random_separable((3, 3), 3, seed=2),
+        ]
+        want = [alone(state, decompose=decompose) for state in states]
+        results = _classify_group(states, decompose=decompose)
+        assert [outcome(r) for r in results] == want
+        assert [type(results[1]), type(results[4])] == [DimensionMismatch, NotPositive]
+        one_party = [results[i] for i in (2, 5, 6)]
+        assert [r.compressed_dims for r in one_party] == [(3,), (3,), (2,)]
+        assert [r.rule for r in one_party] == ["PPTRank3", "PPTRank3", "PPTRank2"]
 
     def test_tolerance_guard_fails_alone(self, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial

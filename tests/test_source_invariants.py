@@ -16,7 +16,10 @@ factorization and the one weighted projector sum are its kernels, and
 only operator Kronecker products are written out elsewhere.  The greedy
 peel works on bare operators: ``oracle`` builds no ``MultiState``.
 There is one verdict path: ``classify`` is ``engine._classify_group`` on
-a group of one.
+a group of one, whose stages take every compressed state's eigenvalues
+from the PPT eigenvalue stack and its eigenvectors from one shared
+``spectral`` call, and a state built directly is checked in one place,
+``states._check_state``, before anything is stacked.
 """
 
 import ast
@@ -174,6 +177,18 @@ def test_scan_sees_every_module():
     assert uses({"_spectra"})["_spectra"] >= {"engine._classify_stacked", "ppt.is_ppt"}
 
 
+def function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (node,) = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == name]
+    return node
+
+
+def called(node) -> list[str]:
+    """The names called in ``node``, bare or as attributes, once per call."""
+    return [getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
 def test_one_verdict_path():
     # classify is the group of one: the rules live in one function, which
     # only the group's stages call, and the group is entered from classify
@@ -182,12 +197,44 @@ def test_one_verdict_path():
     assert found["_classify_group"] == {
         "engine.classify", "engine._classify_group", "cli", "cli._classify_files"
     }
-    assert found["_classify_stacked"] == {"engine._classify_group", "engine._classify_stacked"}
+    assert found["_classify_stacked"] == {"engine._classify_group"}
     assert found["_verdict"] == {"engine._classify_stacked"}
     assert found["RULE_NPT"] == {"engine", "engine._verdict"}
-    tree = ast.parse((PACKAGE / "engine.py").read_text())
-    (classify,) = [top for top in tree.body
-                   if isinstance(top, ast.FunctionDef) and top.name == "classify"]
-    called = {node.func.id for node in ast.walk(classify)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert "_classify_group" in called
+    assert "_classify_group" in called(function("engine", "classify"))
+
+
+def test_group_stages_take_one_spectral_path():
+    # every compressed state, one party or several, takes its eigenvalues
+    # from the one eigenvalue stack and its eigenvectors from one stacked
+    # spectral call; no branch on the party count, no re-entry, and the
+    # rules diagonalize nothing themselves
+    stages = called(function("engine", "_classify_stacked"))
+    assert stages.count("_spectra") == stages.count("spectral") == 1
+    assert "_classify_stacked" not in stages and "_classify_group" not in stages
+    one_party = [
+        node for node in ast.walk(function("engine", "_classify_stacked"))
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", None) == "len"
+    ]
+    assert not one_party
+    eigensolvers = {"spectral", "_spectra", "eigh", "eigvalsh"}
+    assert not eigensolvers & set(called(function("engine", "_verdict")))
+
+
+def test_directly_built_states_are_checked_in_one_place():
+    found = uses({"_check_state", "_check_layout", "_check_input"})
+    assert found["_check_state"] == {"states._compress_group"}
+    assert found["_check_layout"] == {"states.new_state", "states._check_state"}
+    assert not found["_check_input"]
+
+
+def test_one_partial_trace_kernel():
+    # the reduced states come from the cached gather or from one
+    # transpose-reshape-trace kernel; the einsum path and its subscript
+    # alphabet, and the batch's one-file wrapper, are gone
+    names = {where for where, _ in top_levels()}
+    assert not names & {"cli._classify_file", "states._trace_subscripts", "states._reduced"}
+    found = uses({"_LETTERS", "_trace_subscripts", "_classify_file", "einsum", "_partial_trace"})
+    assert not found["_LETTERS"] | found["_trace_subscripts"] | found["_classify_file"]
+    assert not {where for where in found["einsum"] if where.startswith("states")}
+    assert found["_partial_trace"] == {"states._reduced_states", "states.reduced_state"}

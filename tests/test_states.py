@@ -15,8 +15,8 @@ from sep4.errors import (
 )
 from sep4.states import (
     MultiState,
+    _partial_trace,
     _rank_from_eigenvalues,
-    _reduced,
     _reduced_states,
     ToleranceConfig,
     assemble_product,
@@ -213,6 +213,14 @@ class TestReducedState:
         for keep in [(1,), (2,), (3,), (1, 3)]:
             assert reduced_state(st_, keep).trace == pytest.approx(st_.trace)
 
+    def test_several_kept_parties_match_a_loop(self):
+        st_ = random_state((2, 3, 2), 4, seed=8)
+        t = st_.matrix.reshape((2, 3, 2) * 2)
+        outer = sum(t[:, j, :, :, j, :] for j in range(3)).reshape(4, 4)
+        inner = sum(t[j, :, :, j, :, :] for j in range(2)).reshape(6, 6)
+        assert np.allclose(reduced_state(st_, (1, 3)).matrix, outer, rtol=0, atol=1e-14)
+        assert np.allclose(reduced_state(st_, (2, 3)).matrix, inner, rtol=0, atol=1e-14)
+
     def test_trace_of_transpose_commutes(self):
         st_ = random_state((2, 3), 3, seed=9)
         lhs = reduced_state(partial_transpose(st_, (1,)), (1,)).matrix
@@ -388,12 +396,12 @@ class TestStackedKernels:
         # compress_support take the same one, bit for bit
         monkeypatch.setattr("sep4.states._GATHER_ENTRIES", bound)
         state = random_state((2, 3, 2), 3, seed=5)
-        t = state.matrix.reshape(state.dims + state.dims)
         for parties in ((1, 3), (2,)):
             stack = _reduced_states(state.matrix, state.dims, parties)
             for got, p in zip(stack, parties):
                 assert np.array_equal(got, reduced_state(state, (p,)).matrix)
-                assert np.allclose(got, _reduced(t, state.dims, (p,)), rtol=0, atol=1e-12)
+                want = _partial_trace(state.matrix, state.dims, (p,))
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert local_ranks(state) == [2, 3, 2]
         self.check(state)
 
