@@ -25,7 +25,7 @@ from .chow import (
     generate_chow_Mx2,
     supported_systems,
 )
-from .codec import from_pairs
+from .codec import from_dict
 from .engine import (
     ENTANGLED,
     OUT_OF_SCOPE,
@@ -138,7 +138,7 @@ def _load_basis(path: str) -> SubspaceBasis:
     with open(path, "r") as fh:
         obj = json.load(fh)
     try:
-        return SubspaceBasis(from_pairs(obj["rows"]), tuple(obj["dims"]))
+        return from_dict(SubspaceBasis, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFormatError(
             f"basis JSON must carry 'dims' and 'rows', a k x d grid of [re, im] pairs: {exc!r}"

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
-from .errors import (
-    AllPartiesTrivial,
-    InconsistentTolerances,
-    NotSeparableVerdict,
-)
+from .errors import InconsistentTolerances, NotSeparableVerdict
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
 from .ppt import PptReport, _spectra, is_ppt
@@ -25,6 +21,7 @@ from .states import (
     CompressionResult,
     MultiState,
     SpectralData,
+    _check_psd,
     _compress_group,
     _members,
     _only,
@@ -142,7 +139,13 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     (:func:`~sep4.states._check_state`) before any eigensolve: a matrix of
     the wrong shape, zero, or holding NaN or Inf is rejected with the
     errors of :func:`~sep4.states.new_state`, and one with a zero reduced
-    state raises :class:`NotPositive`.
+    state raises :class:`NotPositive`.  So does one whose compressed state's
+    own spectrum, the first row of the eigenvalue stack, fails
+    :func:`~sep4.states.new_state`'s PSD check.  A pure product state
+    compresses to no state and reads ``Rank1Product`` with compressed dims
+    ``()``; having no spectrum, it is not checked for PSD, so an indefinite
+    matrix whose reduced states all have rank one reads ``Rank1Product``
+    too (checking it would take a full eigensolve on every call).
     """
     return _only(_classify_group([state], seed, decompose))
 
@@ -184,38 +187,31 @@ def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> 
 def _classify_stacked(states, seed, decompose) -> list:
     """:func:`_classify_group`'s stages; an error out of a stacked call
     propagates."""
-    out: list = [None] * len(states)
     comps, groups = _compress_group(states)
-    for i, comp in enumerate(comps):
-        if type(comp) is AllPartiesTrivial:
-            try:
-                out[i] = _pure_product(states[i], comp.isometries, seed, decompose)
-            except Exception as exc:
-                out[i] = exc
-        elif type(comp) is not CompressionResult:
-            out[i] = comp
+    out = [None if type(comp) is CompressionResult else comp for comp in comps]
+    # per state the rules' inputs: eigenvalue stack, rank, PPT record and
+    # eigenvectors; a pure product's are rank 1 alone
+    rows = [[None, 1, None, None] for _ in states]
     # the states that share their local ranks share a compressed shape
     for members, matrices in groups:
-        g = len(members)
         cdims = comps[members[0]].state.dims
-        sds = [None] * g
-        stacks = _members(_spectra(matrices, cdims), g)
-        rows, need = [], []
-        for j, i in enumerate(members):
-            small, spectra = comps[i].state, stacks[j]
+        need = []
+        for i, spectra in zip(members, _members(_spectra(matrices, cdims), len(members))):
+            small = comps[i].state
             rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
             ppt = None if rank == 1 else is_ppt(small, spectra)
             if _reads_vectors(rank, ppt, cdims, decompose):
-                need.append(j)
-            rows.append((i, spectra, rank, ppt))
+                need.append(i)
+            rows[i] = [spectra, rank, ppt, None]
         # the eigenvectors the rules read, one stacked call
         if need:
-            wanted = _stacked([comps[members[j]].state.matrix for j in need])
-            for j, sd in zip(need, _split(spectral(wanted), len(need))):
-                sds[j] = sd
-        for (i, spectra, rank, ppt), sd in zip(rows, sds):
+            wanted = _stacked([comps[i].state.matrix for i in need])
+            for i, sd in zip(need, _split(spectral(wanted), len(need))):
+                rows[i][3] = sd
+    for i, row in enumerate(rows):
+        if out[i] is None:
             try:
-                out[i] = _verdict(states[i], comps[i], spectra, rank, ppt, sd, seed, decompose)
+                out[i] = _verdict(states[i], comps[i], *row, seed, decompose)
             except Exception as exc:
                 out[i] = exc
     return out
@@ -228,46 +224,25 @@ def _split(sd: SpectralData, g: int) -> list[SpectralData]:
     return [SpectralData(w, v) for w, v in zip(sd.eigenvalues, sd.eigenvectors)]
 
 
-_UNDECIDED = dict(
-    ppt=None,
-    chow_system=None,
-    chow_value=None,
-    chow_abs=None,
-    low_confidence=False,
-    decomposition=None,
-    length_bounds=None,
-)
-
-
-def _pure_product(state, isometries, seed, decompose) -> ClassificationReport:
-    """The report of a state whose every reduced state has rank one."""
-    fields = dict(_UNDECIDED, length_bounds=(1, 1))
-    if decompose:
-        fields["decomposition"] = _decompose(state, isometries, None, None, 1, 1, seed)
-    return ClassificationReport(
-        verdict=SEPARABLE,
-        rule=RULE_RANK1_PRODUCT,
-        dims=state.dims,
-        compressed_dims=(),
-        dropped_parties=tuple(range(1, state.n + 1)),
-        rank=1,
-        local_ranks=(1,) * state.n,
-        notes=(_RULE_NOTES[RULE_RANK1_PRODUCT],),
-        **fields,
-    )
-
-
 def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> ClassificationReport:
     """The rules on one compressed state, from its eigenvalue stack, rank,
     PPT record (``None`` at rank 1) and eigenvectors (``None`` where
-    :func:`_reads_vectors` says no rule reads them)."""
+    :func:`_reads_vectors` says no rule reads them); a pure product, whose
+    compressed state is ``None``, has rank 1 and no spectrum."""
     small = comp.state
-    cdims = small.dims
+    cdims = () if small is None else small.dims
+    if spectra is not None:
+        _check_psd(spectra[0], small.cfg)
     base = dict(
-        _UNDECIDED,
         dims=state.dims,
         ppt=ppt_report,
         local_ranks=tuple([w.shape[1] for w in comp.isometries]),
+        chow_system=None,
+        chow_value=None,
+        chow_abs=None,
+        low_confidence=False,
+        decomposition=None,
+        length_bounds=None,
     )
 
     def finish(verdict, rule, **extra):
@@ -294,8 +269,7 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
         )
 
     if rank == 1:
-        ok, _ = is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)
-        if ok:
+        if small is None or is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)[0]:
             return finish(SEPARABLE, RULE_RANK1_PRODUCT)
         return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, spectra))
 

@@ -26,15 +26,7 @@ class EigFailure(Sep4Error):
 
 
 class AllPartiesTrivial(Sep4Error):
-    """Every single-party reduced state has rank one (pure product state).
-
-    ``isometries`` holds each party's d x 1 unit column spanning the range
-    of its reduced state, so the product factors need no second eigensolve.
-    """
-
-    def __init__(self, message: str, isometries: tuple = ()):
-        super().__init__(message)
-        self.isometries = tuple(isometries)
+    """Every single-party reduced state has rank one (pure product state)."""
 
 
 class ZeroVector(Sep4Error):

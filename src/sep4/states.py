@@ -99,9 +99,10 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """Support-compressed state plus the per-party isometries used."""
+    """Support-compressed state plus the per-party isometries used; the
+    state is ``None`` when every party is dropped (a pure product state)."""
 
-    state: MultiState
+    state: MultiState | None
     isometries: tuple[np.ndarray, ...]
     dropped: tuple[int, ...]
 
@@ -153,7 +154,13 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
         raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
     m = 0.5 * (m + adjoint)
 
-    eigs = np.linalg.eigvalsh(m)
+    _check_psd(np.linalg.eigvalsh(m), cfg)
+    return MultiState(m, dims, cfg)
+
+
+def _check_psd(eigs: np.ndarray, cfg: ToleranceConfig) -> None:
+    """Raise :class:`NotPositive` unless the ascending spectrum ``eigs`` has
+    a positive largest value and none below ``-tol_psd`` times it."""
     lam_max = eigs[-1]
     if lam_max <= 0.0:
         raise NotPositive("largest eigenvalue is not positive")
@@ -162,7 +169,6 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
             f"eigenvalue {eigs[0]:.3e} below -tol_psd * lambda_max = "
             f"{-cfg.tol_psd * lam_max:.3e}"
         )
-    return MultiState(m, dims, cfg)
 
 
 def normalize_subset(subset, n: int) -> tuple[int, ...]:
@@ -374,13 +380,16 @@ def compress_support(state: MultiState) -> CompressionResult:
     PPT status and separability are unaffected.  The isometry widths are
     the local ranks.  Reduced states of one size are formed by one gather
     and diagonalized in one stacked :func:`spectral` call
-    (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial`,
-    carrying the isometries, when nothing would remain (the state is a
-    pure product state), and :class:`NotPositive` when a reduced state is
-    zero, which no nonzero PSD state has.  A state built directly is
-    checked first, by :func:`_check_state`.
+    (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial` when
+    nothing would remain (the state is a pure product state), and
+    :class:`NotPositive` when a reduced state is zero, which no nonzero PSD
+    state has.  A state built directly is checked first, by
+    :func:`_check_state`.
     """
-    return _only(_compress_group([state])[0])
+    comp = _only(_compress_group([state])[0])
+    if comp.state is None:
+        raise AllPartiesTrivial("every single-party reduced state has rank one")
+    return comp
 
 
 def _compress_group(states: list[MultiState]) -> tuple[list, list]:
@@ -389,8 +398,9 @@ def _compress_group(states: list[MultiState]) -> tuple[list, list]:
     valid states' local ranges by :func:`_local_ranges`, then, for the
     states that share their local ranks, one broadcast Kronecker product of
     the isometries and one stacked pair of products.  Per state its
-    :class:`CompressionResult` or the error it raises alone, and per set of
-    local ranks its members and their compressed matrices, as
+    :class:`CompressionResult`, whose state is ``None`` when every local
+    rank is 1, or the error it raises alone, and per set of local ranks
+    with one above 1 its members and their compressed matrices, as
     :func:`_stacked` gives them."""
     out: list = [None] * len(states)
     valid = []
@@ -408,9 +418,7 @@ def _compress_group(states: list[MultiState]) -> tuple[list, list]:
         if min(ranks) == 0:
             out[i] = NotPositive(f"the reduced state of party {ranks.index(0) + 1} is zero")
         elif max(ranks) == 1:
-            out[i] = AllPartiesTrivial(
-                "every single-party reduced state has rank one", tuple(isometries)
-            )
+            out[i] = CompressionResult(None, tuple(isometries), tuple(range(1, len(ranks) + 1)))
         else:
             by_ranks.setdefault(ranks, []).append(i)
     for ranks, members in by_ranks.items():

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sep4.chow import builtin_chow, eval_chow
 import sep4.engine
@@ -20,6 +22,7 @@ from sep4.errors import (
     InconsistentTolerances,
     NotPositive,
     NotSeparableVerdict,
+    Sep4Error,
 )
 from sep4.gallery import (
     conjugate_local,
@@ -757,6 +760,93 @@ class TestUnvalidatedInput:
         with pytest.raises(DimensionMismatch):
             classify(MultiState(m, (2, 2)), decompose=False)
 
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("make", [
+        lambda s: -s,
+        lambda s: s - 1e-3 * np.eye(9),
+        lambda s: 1e-320 * s,
+    ], ids=["negated", "shifted", "subnormal"])
+    def test_compressed_state_that_is_not_psd(self, make, decompose, monkeypatch):
+        # new_state rejects each of these; classify checks the compressed
+        # state's own spectrum, the first row of the eigenvalue stack, so
+        # the rejection costs no eigensolve beyond the reduced states' and
+        # the stack's
+        m = make(random_separable((3, 3), 4, seed=1).matrix)
+        with pytest.raises(NotPositive):
+            new_state(m, (3, 3))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, _real=real, **kw: calls.append(1) or _real(*args, **kw))
+        with pytest.raises(NotPositive):
+            classify(MultiState(m, (3, 3)), decompose=decompose)
+        assert len(calls) == 2
+
+
+class TestClassifyContract:
+    """On any directly built ``MultiState`` of 1 to 3 parties of dimension 1
+    to 3, ``classify`` returns a report or raises a ``Sep4Error``, with and
+    without decomposition; on the states ``new_state`` accepts, a PPT state
+    of rank 2 or 3 is separable and only a 3x3 or 2x2x2 support gets an
+    entangled Chow verdict.
+
+    Only a separable rank-4 state whose support compresses to 2x3 takes the
+    greedy peel (47 to 226 ms a call): on 2x3, with any parties of
+    dimension 1, the separable kind draws at most 3 terms unless ``peel``
+    is 0, one example in 64, so that 200 examples run in a few seconds."""
+
+    KINDS = ("random", "separable", "negated", "indefinite", "pair", "tiny", "huge")
+
+    @staticmethod
+    def matrix(kind, dims, rank, seed):
+        rng = np.random.default_rng(seed)
+        d = math.prod(dims)
+        if kind == "pair":
+            # a lone symmetric off-diagonal pair: indefinite, and with two
+            # parties or more some reduced state is zero
+            i, j = rng.choice(d, 2, replace=False)
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            return m
+        if kind == "separable":
+            return random_separable(dims, rank, seed).matrix
+        x = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        signs = np.ones(rank)
+        if kind == "indefinite":
+            signs[0] = -1.0
+        m = (x * signs) @ x.conj().T
+        return {"negated": -m, "tiny": 1e-300 * m, "huge": 1e300 * m}.get(kind, m)
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 4),
+           st.sampled_from(KINDS), st.integers(0, 2**16), st.integers(0, 63))
+    @settings(max_examples=200, deadline=None)
+    def test_report_or_package_error(self, dims, rank, kind, seed, peel):
+        dims = tuple(dims)
+        d = math.prod(dims)
+        assume(kind != "pair" or d > 1)
+        if kind == "separable" and sorted(p for p in dims if p > 1) == [2, 3] and peel:
+            rank = min(rank, 3)
+        m = self.matrix(kind, dims, min(rank, d), seed)
+        for decompose in (False, True):
+            try:
+                classify(MultiState(m, dims), decompose=decompose)
+            except Sep4Error:
+                pass
+        if kind == "negated" and max(local_ranks(new_state(-m, dims))) > 1:
+            for decompose in (False, True):
+                with pytest.raises(NotPositive):
+                    classify(MultiState(m, dims), decompose=decompose)
+        try:
+            state = new_state(m, dims)
+        except Sep4Error:
+            return
+        rep = classify(state, decompose=False)
+        if rep.ppt is not None and rep.ppt.is_ppt and rep.rank in (2, 3):
+            assert rep.verdict == "Separable"
+        if rep.verdict == "Entangled" and rep.rule in ("Chow33", "Chow222"):
+            assert rep.compressed_dims in ((3, 3), (2, 2, 2))
+
 
 class TestScale:
     """A scale factor s moves the weights by exactly s: every decomposition,
@@ -986,6 +1076,8 @@ class TestClassifyGroup:
             one_party_state(2),
             one_party_state(3, rank=2),
             random_separable((3, 3), 3, seed=2),
+            pure_state((3, 3), 4, product=True),
+            pure_state((3, 3), 5, product=True),
         ]
         want = [alone(state, decompose=decompose) for state in states]
         results = _classify_group(states, decompose=decompose)
@@ -994,6 +1086,11 @@ class TestClassifyGroup:
         one_party = [results[i] for i in (2, 5, 6)]
         assert [r.compressed_dims for r in one_party] == [(3,), (3,), (2,)]
         assert [r.rule for r in one_party] == ["PPTRank3", "PPTRank3", "PPTRank2"]
+        products = results[8:]
+        assert [(r.rule, r.compressed_dims, r.dropped_parties) for r in products] == [
+            ("Rank1Product", (), (1, 2))
+        ] * 2
+        assert all((r.decomposition is not None) == decompose for r in products)
 
     def test_tolerance_guard_fails_alone(self, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial

@@ -19,7 +19,10 @@ There is one verdict path: ``classify`` is ``engine._classify_group`` on
 a group of one, whose stages take every compressed state's eigenvalues
 from the PPT eigenvalue stack and its eigenvectors from one shared
 ``spectral`` call, and a state built directly is checked in one place,
-``states._check_state``, before anything is stacked.
+``states._check_state``, before anything is stacked; ``new_state``'s PSD
+check, ``states._check_psd``, also reads each compressed state's own
+spectrum.  A pure product state is a compression result with no state,
+and ``states.compress_support`` alone raises ``AllPartiesTrivial``.
 """
 
 import ast
@@ -219,6 +222,23 @@ def test_group_stages_take_one_spectral_path():
     assert not one_party
     eigensolvers = {"spectral", "_spectra", "eigh", "eigvalsh"}
     assert not eigensolvers & set(called(function("engine", "_verdict")))
+
+
+def test_a_pure_product_is_a_compression_result():
+    # a valid pure product state compresses to no state, and its report
+    # comes from the rules every state takes: engine never sees
+    # AllPartiesTrivial, which compress_support alone raises
+    names = {where for where, _ in top_levels()}
+    assert "engine._pure_product" not in names
+    found = uses({"AllPartiesTrivial", "_pure_product"})
+    assert not found["_pure_product"]
+    assert found["AllPartiesTrivial"] == {"states", "states.compress_support"}
+
+
+def test_one_psd_check():
+    # new_state's PSD check is the one the verdict path runs on each
+    # compressed state's own spectrum
+    assert uses({"_check_psd"})["_check_psd"] == {"engine", "states.new_state", "engine._verdict"}
 
 
 def test_directly_built_states_are_checked_in_one_place():
