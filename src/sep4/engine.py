@@ -71,13 +71,13 @@ class ClassificationReport:
     rank: int
     local_ranks: tuple[int, ...]
     ppt: PptReport | None
-    chow_system: tuple[int, ...] | None
-    chow_value: complex | None
-    chow_abs: float | None
-    low_confidence: bool
-    decomposition: Decomposition | None
-    length_bounds: tuple[int, int] | None
-    notes: tuple[str, ...]
+    chow_system: tuple[int, ...] | None = None
+    chow_value: complex | None = None
+    chow_abs: float | None = None
+    low_confidence: bool = False
+    decomposition: Decomposition | None = None
+    length_bounds: tuple[int, int] | None = None
+    notes: tuple[str, ...] = ()
 
 
 def _bounds_for(
@@ -137,15 +137,16 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     the Chow form and the decomposition.  A state built directly, not by
     :func:`~sep4.states.new_state`, is checked by the support compression
     (:func:`~sep4.states._check_state`) before any eigensolve: a matrix of
-    the wrong shape, zero, or holding NaN or Inf is rejected with the
-    errors of :func:`~sep4.states.new_state`, and one with a zero reduced
+    the wrong shape, zero, holding NaN or Inf or with a trace that is not
+    a finite float is rejected with the errors of
+    :func:`~sep4.states.new_state`, and one with a zero reduced
     state raises :class:`NotPositive`.  So does one whose compressed state's
     own spectrum, the first row of the eigenvalue stack, fails
     :func:`~sep4.states.new_state`'s PSD check.  A pure product state
     compresses to no state and reads ``Rank1Product`` with compressed dims
     ``()``; having no spectrum, it is not checked for PSD, so an indefinite
     matrix whose reduced states all have rank one reads ``Rank1Product``
-    too (checking it would take a full eigensolve on every call).
+    too (checking it would add work to every pure-product call).
     """
     return _only(_classify_group([state], seed, decompose))
 
@@ -205,9 +206,10 @@ def _classify_stacked(states, seed, decompose) -> list:
             rows[i] = [spectra, rank, ppt, None]
         # the eigenvectors the rules read, one stacked call
         if need:
-            wanted = _stacked([comps[i].state.matrix for i in need])
-            for i, sd in zip(need, _split(spectral(wanted), len(need))):
-                rows[i][3] = sd
+            sd = spectral(_stacked([comps[i].state.matrix for i in need]))
+            g = len(need)
+            for i, w, v in zip(need, _members(sd.eigenvalues, g), _members(sd.eigenvectors, g)):
+                rows[i][3] = SpectralData(w, v)
     for i, row in enumerate(rows):
         if out[i] is None:
             try:
@@ -217,14 +219,7 @@ def _classify_stacked(states, seed, decompose) -> list:
     return out
 
 
-def _split(sd: SpectralData, g: int) -> list[SpectralData]:
-    """One :class:`SpectralData` per member of a :func:`_stacked` group."""
-    if g == 1:
-        return [sd]
-    return [SpectralData(w, v) for w, v in zip(sd.eigenvalues, sd.eigenvectors)]
-
-
-def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> ClassificationReport:
+def _verdict(state, comp, spectra, rank, ppt, sd, seed, decompose) -> ClassificationReport:
     """The rules on one compressed state, from its eigenvalue stack, rank,
     PPT record (``None`` at rank 1) and eigenvectors (``None`` where
     :func:`_reads_vectors` says no rule reads them); a pure product, whose
@@ -233,83 +228,57 @@ def _verdict(state, comp, spectra, rank, ppt_report, sd, seed, decompose) -> Cla
     cdims = () if small is None else small.dims
     if spectra is not None:
         _check_psd(spectra[0], small.cfg)
-    base = dict(
-        dims=state.dims,
-        ppt=ppt_report,
-        local_ranks=tuple([w.shape[1] for w in comp.isometries]),
-        chow_system=None,
-        chow_value=None,
-        chow_abs=None,
-        low_confidence=False,
-        decomposition=None,
-        length_bounds=None,
-    )
-
-    def finish(verdict, rule, **extra):
-        fields = {**base, **extra}
-        if verdict == SEPARABLE:
-            bounds = _bounds_for(rank, cdims, fields["ppt"])
-            if bounds[0] > bounds[1]:
-                raise InconsistentTolerances(
-                    f"tolerance bug: separable verdict with length bounds {bounds}: a partial "
-                    "transpose has more rank than a separable state of this rank allows"
-                )
-            dec = None
-            if decompose:
-                dec = _decompose(state, comp.isometries, small, sd, rank, bounds[1], seed)
-            fields.update(decomposition=dec, length_bounds=bounds)
-        return ClassificationReport(
-            verdict=verdict,
-            rule=rule,
-            compressed_dims=cdims,
-            dropped_parties=comp.dropped,
-            rank=rank,
-            notes=(_RULE_NOTES[rule],),
-            **fields,
-        )
-
+    chow = {}
     if rank == 1:
         if small is None or is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)[0]:
-            return finish(SEPARABLE, RULE_RANK1_PRODUCT)
-        return finish(ENTANGLED, RULE_RANK1_NON_PRODUCT, ppt=is_ppt(small, spectra))
+            verdict, rule = SEPARABLE, RULE_RANK1_PRODUCT
+        else:
+            verdict, rule = ENTANGLED, RULE_RANK1_NON_PRODUCT
+            ppt = is_ppt(small, spectra)
+    elif not ppt.is_ppt:
+        verdict, rule = ENTANGLED, RULE_NPT
+    elif rank == 2:
+        verdict, rule = SEPARABLE, RULE_PPT_RANK2
+    elif rank == 3:
+        verdict, rule = SEPARABLE, RULE_PPT_RANK3
+    elif rank == 4 and cdims in _CHOW_SHAPES:
+        rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
+        # eigh's columns are orthonormal, so the range rows need no
+        # independence check
+        rows = sd.eigenvectors[:, :rank].T
+        value = eval_chow(builtin_chow(cdims), _pluecker_rows(rows), normalized=True)
+        mag = abs(value)
+        tol = small.cfg.tol_chow
+        chow = dict(chow_system=cdims, chow_value=value, chow_abs=mag,
+                    low_confidence=bool(tol / 10 < mag < tol * 10))
+        verdict = SEPARABLE if mag <= tol else ENTANGLED
+        if verdict == ENTANGLED and rule == RULE_CHOW_222:
+            bad = [rec for rec in ppt.records if rec.rank != 4]
+            if bad:
+                raise InconsistentTolerances(
+                    "tolerance bug: entangled 2x2x2 rank-4 state has a partial "
+                    f"transpose of rank != 4: {bad}"
+                )
+    elif rank == 4:
+        verdict, rule = SEPARABLE, RULE_PPT_RANK4_SHAPE
+    else:
+        verdict, rule = OUT_OF_SCOPE, RULE_RANK_ABOVE_4
 
-    if not ppt_report.is_ppt:
-        return finish(ENTANGLED, RULE_NPT)
-
-    if rank == 2:
-        return finish(SEPARABLE, RULE_PPT_RANK2)
-    if rank == 3:
-        return finish(SEPARABLE, RULE_PPT_RANK3)
-
-    if rank == 4:
-        if cdims in _CHOW_SHAPES:
-            rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
-            form = builtin_chow(cdims)
-            # eigh's columns are orthonormal, so the range rows need no
-            # independence check
-            rows = sd.eigenvectors[:, :rank].T
-            value = eval_chow(form, _pluecker_rows(rows), normalized=True)
-            mag = abs(value)
-            tol = small.cfg.tol_chow
-            extra = dict(
-                chow_system=cdims,
-                chow_value=value,
-                chow_abs=mag,
-                low_confidence=bool(tol / 10 < mag < tol * 10),
+    bounds = dec = None
+    if verdict == SEPARABLE:
+        bounds = _bounds_for(rank, cdims, ppt)
+        if bounds[0] > bounds[1]:
+            raise InconsistentTolerances(
+                f"tolerance bug: separable verdict with length bounds {bounds}: a partial "
+                "transpose has more rank than a separable state of this rank allows"
             )
-            if mag <= tol:
-                return finish(SEPARABLE, rule, **extra)
-            if rule == RULE_CHOW_222:
-                bad = [rec for rec in ppt_report.records if rec.rank != 4]
-                if bad:
-                    raise InconsistentTolerances(
-                        "tolerance bug: entangled 2x2x2 rank-4 state has a partial "
-                        f"transpose of rank != 4: {bad}"
-                    )
-            return finish(ENTANGLED, rule, **extra)
-        return finish(SEPARABLE, RULE_PPT_RANK4_SHAPE)
-
-    return finish(OUT_OF_SCOPE, RULE_RANK_ABOVE_4)
+        if decompose:
+            dec = _decompose(state, comp.isometries, small, sd, rank, bounds[1], seed)
+    local_ranks = tuple([w.shape[1] for w in comp.isometries])
+    return ClassificationReport(
+        verdict, rule, state.dims, cdims, comp.dropped, rank, local_ranks, ppt, **chow,
+        decomposition=dec, length_bounds=bounds, notes=(_RULE_NOTES[rule],),
+    )
 
 
 # --- report serialization ---------------------------------------------------

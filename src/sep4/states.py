@@ -121,14 +121,27 @@ def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
 
 def _check_state(state: MultiState) -> None:
     """Reject a directly built :class:`MultiState` whose matrix does not fit
-    its ``dims``, is zero or holds NaN or Inf, with :func:`new_state`'s
-    errors; on the real view, so that no modulus can overflow."""
+    its ``dims`` or fails :func:`_check_entries`, with :func:`new_state`'s
+    errors."""
     _check_layout(state.matrix.shape, state.dims)
-    scale = float(np.abs(state.matrix.view(float)).max())
+    _check_entries(state.matrix)
+
+
+def _check_entries(m: np.ndarray) -> None:
+    """Raise :class:`NotPositive` for a zero ``m``, :class:`DimensionMismatch`
+    unless its entries and its trace are finite floats.  The largest entry
+    is taken on the real view, so that no modulus can overflow; the trace
+    is at most d times it, so it is summed only where twice that overflows."""
+    scale = float(np.abs(np.ascontiguousarray(m).view(float)).max())
     if scale == 0.0:
         raise NotPositive("zero matrix is not a state")
     if not math.isfinite(scale):
         raise DimensionMismatch("matrix contains non-finite entries")
+    if not math.isfinite(2.0 * scale * len(m)):
+        with np.errstate(over="ignore"):
+            trace = np.trace(m).real
+        if not math.isfinite(trace):
+            raise DimensionMismatch(f"trace {trace} is not a finite float")
 
 
 def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
@@ -136,23 +149,20 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
 
     Hermiticity is enforced by symmetrization when the asymmetry is below
     ``tol_herm`` (relative to the largest entry); larger asymmetry is an
-    error, as is any eigenvalue below ``-tol_psd * lambda_max``.
+    error, as are a trace that is not a finite float and any eigenvalue
+    below ``-tol_psd * lambda_max``.
     """
     m = np.asarray(matrix, dtype=complex)
     dims = tuple(int(x) for x in dims)
     _check_layout(m.shape, dims)
-    # the largest modulus is the NaN/Inf scan: it is finite unless an entry
-    # is, or a modulus overflows, and only then are the entries rescanned
+    _check_entries(m)
     scale = np.abs(m).max()
-    if not math.isfinite(scale) and not np.all(np.isfinite(m)):
-        raise DimensionMismatch("matrix contains non-finite entries")
-    if scale == 0.0:
-        raise NotPositive("zero matrix is not a state")
     adjoint = m.conj().T
     asym = np.abs(m - adjoint).max()
     if asym > cfg.tol_herm * scale:
         raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
-    m = 0.5 * (m + adjoint)
+    # halved before the sum, which overflows near the float limit
+    m = 0.5 * m + 0.5 * adjoint
 
     _check_psd(np.linalg.eigvalsh(m), cfg)
     return MultiState(m, dims, cfg)
@@ -429,8 +439,9 @@ def _compress_group(states: list[MultiState]) -> tuple[list, list]:
         factors = map(np.stack, zip(*factors)) if g > 1 else factors[0]
         w = reduce(_kron_columns, factors)
         m = _adjoint(w) @ _stacked([states[i].matrix for i in members]) @ w
-        m += _adjoint(m)
+        # halved before the sum, which overflows near the float limit
         m *= 0.5
+        m += _adjoint(m)
         cdims = tuple(r for r in ranks if r > 1)
         dropped = tuple(p for p, r in enumerate(ranks, 1) if r == 1)
         for i, small in zip(members, _members(m, g)):

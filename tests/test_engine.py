@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sep4.chow import builtin_chow, eval_chow
 import sep4.engine
+import sep4.ppt
 from sep4.engine import (
     ClassificationReport,
     _classify_group,
@@ -912,6 +913,24 @@ class TestScale:
         rep = classify(new_state(scale * np.outer(v, v.conj()), (2, 2)))
         assert (rep.verdict, rep.rule, rep.rank) == ("Entangled", "Rank1NonProduct", 1)
 
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("make", [new_state, MultiState], ids=["new_state", "direct"])
+    def test_trace_near_the_float_limit(self, make, decompose):
+        # a trace of 1.78e308: the symmetrization halves before it adds, so
+        # no entry overflows and no verdict is read off NaN
+        state = make(8.9e307 * random_separable((2, 3), 2, seed=1).matrix, (2, 3))
+        rep = classify(state, decompose=decompose)
+        assert (rep.verdict, rep.rule, rep.rank) == ("Separable", "PPTRank2", 2)
+        assert (rep.decomposition is not None) == decompose
+
+    def test_trace_that_overflows_is_rejected(self):
+        matrix = 1e308 * random_separable((2, 3), 2, seed=1).matrix
+        with pytest.raises(DimensionMismatch, match="trace inf is not a finite float"):
+            new_state(matrix, (2, 3))
+        for decompose in (False, True):
+            with pytest.raises(DimensionMismatch, match="trace inf is not a finite float"):
+                classify(MultiState(matrix, (2, 3)), decompose=decompose)
+
 
 class TestChowDrift:
     """The Chow value from wedge-product minors, against the same value
@@ -1091,6 +1110,26 @@ class TestClassifyGroup:
             ("Rank1Product", (), (1, 2))
         ] * 2
         assert all((r.decomposition is not None) == decompose for r in products)
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_large_operators_take_one_call_each(self, decompose, monkeypatch):
+        # six qubits of local rank 2 compress to 64x64, whose stack of 32
+        # representative operators holds 2^17 entries, above the gather
+        # bound: a group's eigenvalue stack is one _spectra call per state
+        states = [random_separable((2,) * 6, 4, seed) for seed in range(3)]
+        want = [alone(state, decompose=decompose) for state in states]
+        inner = []
+        real_spectra = sep4.ppt._spectra
+
+        def spy(matrix, dims):
+            inner.append(matrix.shape)
+            return real_spectra(matrix, dims)
+
+        monkeypatch.setattr(sep4.ppt, "_spectra", spy)
+        results = _classify_group(states, decompose=decompose)
+        assert inner == [(64, 64)] * 3
+        assert [outcome(r) for r in results] == want
+        assert [r.compressed_dims for r in results] == [(2,) * 6] * 3
 
     def test_tolerance_guard_fails_alone(self, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial

@@ -22,7 +22,9 @@ from the PPT eigenvalue stack and its eigenvectors from one shared
 ``states._check_state``, before anything is stacked; ``new_state``'s PSD
 check, ``states._check_psd``, also reads each compressed state's own
 spectrum.  A pure product state is a compression result with no state,
-and ``states.compress_support`` alone raises ``AllPartiesTrivial``.
+and ``states.compress_support`` alone raises ``AllPartiesTrivial``.  The
+rules are one ladder in ``engine._verdict``, the one place a
+``ClassificationReport`` is built.
 """
 
 import ast
@@ -233,6 +235,25 @@ def test_a_pure_product_is_a_compression_result():
     found = uses({"AllPartiesTrivial", "_pure_product"})
     assert not found["_pure_product"]
     assert found["AllPartiesTrivial"] == {"states", "states.compress_support"}
+
+
+def test_one_rule_ladder():
+    # the rules pick a verdict and a rule in one chain, with no nested
+    # helper, and the one report is built after it; the group's
+    # eigenvectors are split by states._members
+    built = [
+        where
+        for where, top in top_levels()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ClassificationReport"
+    ]
+    assert built == ["engine._verdict"], built
+    verdict = function("engine", "_verdict")
+    nested = [node for node in ast.walk(verdict) if node is not verdict
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert not nested
+    assert "engine._split" not in {where for where, _ in top_levels()}
+    assert not uses({"_split"})["_split"]
 
 
 def test_one_psd_check():
