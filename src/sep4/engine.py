@@ -18,13 +18,11 @@ from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
 from .ppt import PptReport, _spectra, is_ppt
 from .states import (
-    CompressionResult,
     MultiState,
     SpectralData,
     _check_psd,
     _compress_group,
     _members,
-    _only,
     _rank_from_eigenvalues,
     _stacked,
     is_product,
@@ -148,7 +146,10 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     matrix whose reduced states all have rank one reads ``Rank1Product``
     too (checking it would add work to every pure-product call).
     """
-    return _only(_classify_group([state], seed, decompose))
+    (result,) = _classify_group([state], seed, decompose)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = True) -> list:
@@ -162,9 +163,11 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     ``eigh`` for the states whose rules read eigenvectors
     (:func:`_reads_vectors`).  A stacked call gives each matrix the bits
     one call on it alone gives, so a report does not depend on its group.
-    The rules and the decomposition run one state at a time, and an error
-    there fails that state alone.  When a stacked call fails, the group is
-    rerun one state at a time.
+    The rules and the decomposition run one state at a time.  No stage
+    catches anything: the first error of any state, an invalid input, a
+    failed stacked call or a rule's own, raises, and the group is then
+    rerun one state at a time, so that each state gets the report or the
+    error it gets alone.  This is the verdict path's one error boundary.
     """
     try:
         return _classify_stacked(states, seed, decompose)
@@ -186,10 +189,9 @@ def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> 
 
 
 def _classify_stacked(states, seed, decompose) -> list:
-    """:func:`_classify_group`'s stages; an error out of a stacked call
+    """:func:`_classify_group`'s stages; an error of any state
     propagates."""
     comps, groups = _compress_group(states)
-    out = [None if type(comp) is CompressionResult else comp for comp in comps]
     # per state the rules' inputs: eigenvalue stack, rank, PPT record and
     # eigenvectors; a pure product's are rank 1 alone
     rows = [[None, 1, None, None] for _ in states]
@@ -210,13 +212,8 @@ def _classify_stacked(states, seed, decompose) -> list:
             g = len(need)
             for i, w, v in zip(need, _members(sd.eigenvalues, g), _members(sd.eigenvectors, g)):
                 rows[i][3] = SpectralData(w, v)
-    for i, row in enumerate(rows):
-        if out[i] is None:
-            try:
-                out[i] = _verdict(states[i], comps[i], *row, seed, decompose)
-            except Exception as exc:
-                out[i] = exc
-    return out
+    return [_verdict(state, comp, *row, seed, decompose)
+            for state, comp, row in zip(states, comps, rows)]
 
 
 def _verdict(state, comp, spectra, rank, ppt, sd, seed, decompose) -> ClassificationReport:

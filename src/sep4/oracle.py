@@ -42,7 +42,7 @@ from .errors import (
     WrongDimension,
 )
 from .grassmann import SubspaceBasis
-from .ppt import _spectra, is_ppt, subset_representatives
+from .ppt import _spectra, _transpose_gather, is_ppt, subset_representatives
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
@@ -55,7 +55,6 @@ from .states import (
     _projector_sum,
     _rank_from_eigenvalues,
     _row_kron,
-    _transposed,
 )
 
 MAX_SWEEPS = 200
@@ -477,7 +476,7 @@ def _peel(matrix: np.ndarray, dims, cfg, max_terms: int, seed: int):
     for step in range(max_terms):
         if np.linalg.norm(remainder) <= target:
             break
-        sd = spectral(np.stack([_transposed(remainder, dims, s) for s in subsets]))
+        sd = spectral(remainder.ravel()[_transpose_gather(dims)])
         cut = cfg.tol_rank * np.abs(sd.eigenvalues).max(axis=1, keepdims=True)
         ranks = (sd.eigenvalues > cut).sum(axis=1).tolist()
         hit = _find_peelable_product_vector(sd, ranks, subsets, dims, cfg, seed + 101 * step)

@@ -15,8 +15,6 @@ from .states import (
     MultiState,
     _rank_from_eigenvalues,
     _transposed,
-    partial_transpose,
-    rank_of,
 )
 
 
@@ -121,7 +119,9 @@ def is_ppt(state: MultiState, spectra=None) -> PptReport:
 
 
 def birank(state: MultiState) -> tuple[int, int]:
-    """(rank of the state, rank of its party-1 partial transpose)."""
+    """(rank of the state, rank of its party-1 partial transpose), read off
+    one :func:`_spectra` call."""
     if state.n != 2:
         raise NotBipartite(f"birank needs 2 parties, state has {state.n}")
-    return rank_of(state), rank_of(partial_transpose(state, (1,)))
+    spectra = _spectra(state.matrix, state.dims)
+    return tuple(_rank_from_eigenvalues(eigs, state.cfg.tol_rank) for eigs in spectra)

@@ -156,13 +156,14 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     dims = tuple(int(x) for x in dims)
     _check_layout(m.shape, dims)
     _check_entries(m)
-    scale = np.abs(m).max()
-    adjoint = m.conj().T
-    asym = np.abs(m - adjoint).max()
+    # halved first, where no modulus or sum of finite entries overflows
+    half = 0.5 * m
+    scale = np.abs(half).max()
+    adjoint = half.conj().T
+    asym = np.abs(half - adjoint).max()
     if asym > cfg.tol_herm * scale:
         raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
-    # halved before the sum, which overflows near the float limit
-    m = 0.5 * m + 0.5 * adjoint
+    m = half + adjoint
 
     _check_psd(np.linalg.eigvalsh(m), cfg)
     return MultiState(m, dims, cfg)
@@ -170,11 +171,12 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
 
 def _check_psd(eigs: np.ndarray, cfg: ToleranceConfig) -> None:
     """Raise :class:`NotPositive` unless the ascending spectrum ``eigs`` has
-    a positive largest value and none below ``-tol_psd`` times it."""
+    a positive finite largest value and none below ``-tol_psd`` times it;
+    a NaN fails both comparisons."""
     lam_max = eigs[-1]
-    if lam_max <= 0.0:
-        raise NotPositive("largest eigenvalue is not positive")
-    if eigs[0] < -cfg.tol_psd * lam_max:
+    if not 0.0 < lam_max < math.inf:
+        raise NotPositive(f"largest eigenvalue {lam_max:.3e} is not positive and finite")
+    if not eigs[0] >= -cfg.tol_psd * lam_max:
         raise NotPositive(
             f"eigenvalue {eigs[0]:.3e} below -tol_psd * lambda_max = "
             f"{-cfg.tol_psd * lam_max:.3e}"
@@ -279,14 +281,6 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
 def _members(x, g: int):
     """A result on :func:`_stacked` arrays of ``g`` members, one item each."""
     return [x] if g == 1 else x
-
-
-def _only(results: list):
-    """The result of a group of one, raised when it is an error."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def reduced_state(state: MultiState, keep) -> MultiState:
@@ -396,7 +390,7 @@ def compress_support(state: MultiState) -> CompressionResult:
     state has.  A state built directly is checked first, by
     :func:`_check_state`.
     """
-    comp = _only(_compress_group([state])[0])
+    comp = _compress_group([state])[0][0]
     if comp.state is None:
         raise AllPartiesTrivial("every single-party reduced state has rank one")
     return comp
@@ -405,28 +399,24 @@ def compress_support(state: MultiState) -> CompressionResult:
 def _compress_group(states: list[MultiState]) -> tuple[list, list]:
     """:func:`compress_support` over a group of states of one ``dims``: each
     state checked by :func:`_check_state` before anything is stacked, the
-    valid states' local ranges by :func:`_local_ranges`, then, for the
-    states that share their local ranks, one broadcast Kronecker product of
-    the isometries and one stacked pair of products.  Per state its
+    local ranges by :func:`_local_ranges`, then, for the states that share
+    their local ranks, one broadcast Kronecker product of the isometries
+    and one stacked pair of products.  Per state its
     :class:`CompressionResult`, whose state is ``None`` when every local
-    rank is 1, or the error it raises alone, and per set of local ranks
-    with one above 1 its members and their compressed matrices, as
-    :func:`_stacked` gives them."""
+    rank is 1, and per set of local ranks with one above 1 its members and
+    their compressed matrices, as :func:`_stacked` gives them.  The first
+    invalid state raises its error, :class:`NotPositive` for a zero reduced
+    state; :func:`~sep4.engine._classify_group` isolates it."""
+    for state in states:
+        _check_state(state)
+    ranges = _local_ranges(states)
     out: list = [None] * len(states)
-    valid = []
-    for i, state in enumerate(states):
-        try:
-            _check_state(state)
-            valid.append(i)
-        except (DimensionMismatch, NotPositive) as exc:
-            out[i] = exc
-    ranges = dict(zip(valid, _local_ranges([states[i] for i in valid]) if valid else ()))
     stacks = []
     by_ranks: dict = {}
-    for i, isometries in ranges.items():
+    for i, isometries in enumerate(ranges):
         ranks = tuple([w.shape[1] for w in isometries])
         if min(ranks) == 0:
-            out[i] = NotPositive(f"the reduced state of party {ranks.index(0) + 1} is zero")
+            raise NotPositive(f"the reduced state of party {ranks.index(0) + 1} is zero")
         elif max(ranks) == 1:
             out[i] = CompressionResult(None, tuple(isometries), tuple(range(1, len(ranks) + 1)))
         else:

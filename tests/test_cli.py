@@ -66,6 +66,16 @@ class TestClassifyCommand:
         assert main(["classify", "--input", str(bad)]) == 3
         assert capsys.readouterr().err.startswith("error: StateFormatError")
 
+    @pytest.mark.parametrize("matrix", [
+        [[[1.3e308, 1.3e308], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [1.3e308, 1.3e308]], [[1.3e308, -1.3e308], [1, 0]]],
+    ], ids=["modulus-overflows", "nan-spectrum"])
+    def test_overflowing_modulus_is_a_format_error(self, tmp_path, capsys, matrix):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        assert main(["classify", "--input", str(big)]) == 3
+        assert capsys.readouterr().err.startswith("error: StateFormatError")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
         capsys.readouterr()

@@ -1148,6 +1148,25 @@ class TestClassifyGroup:
         assert any(isinstance(r, ClassificationReport) for r in results)
         assert [outcome(r) for r in results] == [alone(state) for state in states]
 
+    def test_states_that_raise_in_every_stage_fail_alone(self):
+        # a 2x2 group: a state whose reduced state is zero (compression), a
+        # directly built one whose compressed spectrum is not finite (the
+        # PSD check in the rules) and the valid states around them
+        z = 1.3e308 * (1 + 1j)
+        zero = np.zeros((4, 4), dtype=complex)
+        zero[0, 3] = zero[3, 0] = 1.0
+        wide = np.eye(4, dtype=complex)
+        wide[0, 3], wide[3, 0] = z, np.conj(z)
+        states = mixed_group((2, 2), decompose=True)[:6]
+        states[1:1] = [MultiState(zero, (2, 2))]
+        states[4:4] = [MultiState(wide, (2, 2))]
+        want = [alone(state) for state in states]
+        results = _classify_group(states)
+        assert [type(results[i]) for i in (1, 4)] == [NotPositive, NotPositive]
+        assert "not positive and finite" in str(results[4])
+        assert sum(isinstance(r, ClassificationReport) for r in results) == 6
+        assert [outcome(r) for r in results] == want
+
     def test_failed_stacked_call_reruns_one_state_at_a_time(self, monkeypatch):
         # LAPACK fails on every call that holds the operators of the state
         # of trace 7, alone or stacked

@@ -416,6 +416,24 @@ class TestBipartiteKernelVectors:
         with pytest.raises(NotApplicable):
             bipartite_kernel_product_vectors_2x2x2(random_separable((2, 2, 2), 4, seed=1), 1)
 
+    def test_rank_three_input_rejected(self):
+        with pytest.raises(NotApplicable, match="does not have rank four"):
+            bipartite_kernel_product_vectors_2x2x2(random_separable((2, 2, 2), 3, seed=1), 1)
+
+    def test_npt_input_rejected(self):
+        # GHZ plus a little of three random product projectors: rank 4, NPT
+        rng = np.random.default_rng(0)
+        ghz = np.zeros(8, dtype=complex)
+        ghz[0] = ghz[7] = 2 ** -0.5
+        m = np.outer(ghz, ghz.conj())
+        for _ in range(3):
+            v = assemble_product([random_vec(rng, 2) for _ in range(3)])
+            m += 0.1 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        state = new_state(m, (2, 2, 2))
+        assert rank_of(state) == 4
+        with pytest.raises(NotApplicable, match="not PPT"):
+            bipartite_kernel_product_vectors_2x2x2(state, 1)
+
     def test_wrong_dims_rejected(self):
         with pytest.raises(NotApplicable):
             bipartite_kernel_product_vectors_2x2x2(two_qutrit_ab_state(1.0, 1.0), 1)

@@ -162,6 +162,29 @@ class TestBirank:
         with pytest.raises(NotBipartite):
             birank(divincenzo_state())
 
+    @pytest.mark.parametrize("make", [
+        lambda: random_separable((2, 3), 4, seed=1),
+        lambda: two_qutrit_ab_state(0.0, 0.0),
+        lambda: two_qutrit_ab_state(1.0, 1.0),
+    ], ids=["2x3-rank4", "ab-separable", "ab-entangled"])
+    def test_one_eigenvalue_call(self, make, monkeypatch):
+        # both ranks are read off the PPT eigenvalue stack: one eigvalsh
+        # call, no eigh, and the ranks one call per operator gives
+        state = make()
+        want = tuple(_rank_from_eigenvalues(np.linalg.eigvalsh(m), state.cfg.tol_rank)
+                     for m in (state.matrix, partial_transpose(state, (1,)).matrix))
+        seen = []
+        for solver in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, solver)
+
+            def recorded(a, *args, _real=real, _solver=solver, **kwargs):
+                seen.append(_solver)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, solver, recorded)
+        assert birank(state) == want
+        assert seen == ["eigvalsh"]
+
 
 class TestReportJson:
     def test_round_trip(self):

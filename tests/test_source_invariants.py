@@ -24,7 +24,9 @@ check, ``states._check_psd``, also reads each compressed state's own
 spectrum.  A pure product state is a compression result with no state,
 and ``states.compress_support`` alone raises ``AllPartiesTrivial``.  The
 rules are one ladder in ``engine._verdict``, the one place a
-``ClassificationReport`` is built.
+``ClassificationReport`` is built.  The stages catch nothing: an error
+raises, and ``engine._classify_group``'s one rerun alone turns it into a
+state's result.
 """
 
 import ast
@@ -279,3 +281,24 @@ def test_one_partial_trace_kernel():
     assert not found["_LETTERS"] | found["_trace_subscripts"] | found["_classify_file"]
     assert not {where for where in found["einsum"] if where.startswith("states")}
     assert found["_partial_trace"] == {"states._reduced_states", "states.reduced_state"}
+
+
+def test_one_error_boundary():
+    # a stage raises, and the group's one rerun gives each state its lone
+    # outcome: the stages hold no try, every other handler of the verdict
+    # path's modules re-raises, and no helper unpacks a group of one
+    for module, name in (("states", "_compress_group"), ("engine", "_classify_stacked")):
+        assert not [node for node in ast.walk(function(module, name)) if isinstance(node, ast.Try)]
+    tries = {where for where, top in top_levels() if where.split(".")[0] == "engine"
+             for node in ast.walk(top) if isinstance(node, ast.Try)}
+    assert tries == {"engine._classify_group"}
+    kept = {
+        where
+        for where, top in top_levels()
+        if where.split(".")[0] in {"engine", "states", "ppt"}
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler) and not isinstance(node.body[-1], ast.Raise)
+    }
+    assert kept == {"engine._classify_group"}, sorted(kept)
+    assert "states._only" not in {where for where, _ in top_levels()}
+    assert not uses({"_only"})["_only"]

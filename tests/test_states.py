@@ -105,6 +105,22 @@ class TestNewState:
         with pytest.raises(DimensionMismatch):
             new_state(m, (2, 2))
 
+    # a finite entry whose modulus overflows: no PSD matrix has one, since
+    # |m_ij| <= sqrt(m_ii m_jj)
+    BIG = 1.3e308 * (1 + 1j)
+
+    def test_entry_whose_modulus_overflows_rejected(self):
+        with pytest.raises(NotHermitian):
+            new_state([[self.BIG, 0], [0, 1]], (2,))
+
+    @pytest.mark.parametrize("m", [
+        [[1, BIG], [np.conj(BIG), 1]],
+        [[1.7e308, 1.7e308], [1.7e308, 0]],
+    ], ids=["nan", "inf"])
+    def test_spectrum_that_is_not_finite_rejected(self, m):
+        with pytest.raises(NotPositive, match="not positive and finite"):
+            new_state(m, (2,))
+
 
 class TestToleranceConfig:
     @pytest.mark.parametrize("tol_rank", [1.0, 2.0])
