@@ -25,6 +25,7 @@ from .states import (
     _members,
     _rank_from_eigenvalues,
     _stacked,
+    _validated,
     is_product,
     spectral,
 )
@@ -133,18 +134,13 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     and which :func:`is_ppt` reads.  Eigenvectors of the compressed state
     are computed only where a rule reads them: the rank-1 product check,
     the Chow form and the decomposition.  A state built directly, not by
-    :func:`~sep4.states.new_state`, is checked by the support compression
-    (:func:`~sep4.states._check_state`) before any eigensolve: a matrix of
-    the wrong shape, zero, holding NaN or Inf or with a trace that is not
-    a finite float is rejected with the errors of
-    :func:`~sep4.states.new_state`, and one with a zero reduced
-    state raises :class:`NotPositive`.  So does one whose compressed state's
-    own spectrum, the first row of the eigenvalue stack, fails
-    :func:`~sep4.states.new_state`'s PSD check.  A pure product state
-    compresses to no state and reads ``Rank1Product`` with compressed dims
-    ``()``; having no spectrum, it is not checked for PSD, so an indefinite
-    matrix whose reduced states all have rank one reads ``Rank1Product``
-    too (checking it would add work to every pure-product call).
+    :func:`~sep4.states.new_state`, is passed through it first, so it
+    raises what :func:`~sep4.states.new_state` raises, or is classified
+    on the matrix :func:`~sep4.states.new_state` builds.  A compressed
+    state whose own spectrum, the first row of the eigenvalue stack, fails
+    :func:`~sep4.states.new_state`'s PSD check raises :class:`NotPositive`.
+    A pure product state compresses to no state and reads
+    ``Rank1Product`` with compressed dims ``()``.
     """
     (result,) = _classify_group([state], seed, decompose)
     if isinstance(result, Exception):
@@ -189,8 +185,10 @@ def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> 
 
 
 def _classify_stacked(states, seed, decompose) -> list:
-    """:func:`_classify_group`'s stages; an error of any state
+    """:func:`_classify_group`'s stages, on the states
+    :func:`~sep4.states.new_state` built or builds; an error of any state
     propagates."""
+    states = [_validated(state) for state in states]
     comps, groups = _compress_group(states)
     # per state the rules' inputs: eigenvalue stack, rank, PPT record and
     # eigenvectors; a pure product's are rank 1 alone

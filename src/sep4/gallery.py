@@ -166,7 +166,7 @@ def conjugate_local(state: MultiState, unitaries) -> MultiState:
     """Apply U_1 x ... x U_n on both sides of the state."""
     w = reduce(np.kron, unitaries)
     m = w @ state.matrix @ w.conj().T
-    return new_state(0.5 * (m + m.conj().T), state.dims, state.cfg)
+    return new_state(m, state.dims, state.cfg)
 
 
 def random_ppt_rank4_33(seed: int = 0, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:

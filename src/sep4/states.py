@@ -12,7 +12,7 @@ of 1-based indices.  States are stored dense and are not normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -60,15 +60,18 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 class MultiState:
     """Hermitian PSD operator on a tensor product of parties, unnormalized.
 
-    Construct through :func:`new_state`, which validates; operations such
-    as :func:`partial_transpose` build instances directly and may return
-    operators that are Hermitian but not PSD.  Instances are immutable
-    (the matrix buffer is frozen) and safe to share across threads.
+    Construct through :func:`new_state`, which validates and marks what it
+    returns; operations such as :func:`partial_transpose` build instances
+    directly and may return operators that are Hermitian but not PSD.  The
+    verdict path runs :func:`new_state` on an unmarked instance.  Instances
+    are immutable (the matrix buffer is frozen) and safe to share across
+    threads.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     cfg: ToleranceConfig = DEFAULT_TOLERANCES
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=complex)
@@ -119,14 +122,6 @@ def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
         raise DimensionMismatch(f"total dimension {shape[0]} exceeds supported {MAX_TOTAL_DIM}")
 
 
-def _check_state(state: MultiState) -> None:
-    """Reject a directly built :class:`MultiState` whose matrix does not fit
-    its ``dims`` or fails :func:`_check_entries`, with :func:`new_state`'s
-    errors."""
-    _check_layout(state.matrix.shape, state.dims)
-    _check_entries(state.matrix)
-
-
 def _check_entries(m: np.ndarray) -> None:
     """Raise :class:`NotPositive` for a zero ``m``, :class:`DimensionMismatch`
     unless its entries and its trace are finite floats.  The largest entry
@@ -166,7 +161,15 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     m = half + adjoint
 
     _check_psd(np.linalg.eigvalsh(m), cfg)
-    return MultiState(m, dims, cfg)
+    state = MultiState(m, dims, cfg)
+    object.__setattr__(state, "_valid", True)
+    return state
+
+
+def _validated(state: MultiState) -> MultiState:
+    """``state`` if :func:`new_state` built it, else :func:`new_state` on
+    its matrix, ``dims`` and tolerances."""
+    return state if state._valid else new_state(state.matrix, state.dims, state.cfg)
 
 
 def _check_psd(eigs: np.ndarray, cfg: ToleranceConfig) -> None:
@@ -384,31 +387,27 @@ def compress_support(state: MultiState) -> CompressionResult:
     PPT status and separability are unaffected.  The isometry widths are
     the local ranks.  Reduced states of one size are formed by one gather
     and diagonalized in one stacked :func:`spectral` call
-    (:func:`_local_ranges`).  Raises :class:`AllPartiesTrivial` when
+    (:func:`_local_ranges`).  A state :func:`new_state` did not build is
+    passed through it first.  Raises :class:`AllPartiesTrivial` when
     nothing would remain (the state is a pure product state), and
-    :class:`NotPositive` when a reduced state is zero, which no nonzero PSD
-    state has.  A state built directly is checked first, by
-    :func:`_check_state`.
+    :class:`NotPositive` when a reduced state is zero.
     """
-    comp = _compress_group([state])[0][0]
+    comp = _compress_group([_validated(state)])[0][0]
     if comp.state is None:
         raise AllPartiesTrivial("every single-party reduced state has rank one")
     return comp
 
 
 def _compress_group(states: list[MultiState]) -> tuple[list, list]:
-    """:func:`compress_support` over a group of states of one ``dims``: each
-    state checked by :func:`_check_state` before anything is stacked, the
-    local ranges by :func:`_local_ranges`, then, for the states that share
-    their local ranks, one broadcast Kronecker product of the isometries
-    and one stacked pair of products.  Per state its
+    """:func:`compress_support` over a group of validated states of one
+    ``dims``: the local ranges by :func:`_local_ranges`, then, for the
+    states that share their local ranks, one broadcast Kronecker product of
+    the isometries and one stacked pair of products.  Per state its
     :class:`CompressionResult`, whose state is ``None`` when every local
     rank is 1, and per set of local ranks with one above 1 its members and
-    their compressed matrices, as :func:`_stacked` gives them.  The first
-    invalid state raises its error, :class:`NotPositive` for a zero reduced
-    state; :func:`~sep4.engine._classify_group` isolates it."""
-    for state in states:
-        _check_state(state)
+    their compressed matrices, as :func:`_stacked` gives them.  A zero
+    reduced state, which a loose ``tol_psd`` lets through, raises
+    :class:`NotPositive`; :func:`~sep4.engine._classify_group` isolates it."""
     ranges = _local_ranges(states)
     out: list = [None] * len(states)
     stacks = []
@@ -510,6 +509,8 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
     """
     dims = tuple(int(x) for x in dims)
     vec = np.asarray(v, dtype=complex).ravel()
+    if min(dims, default=1) < 1:
+        raise DimensionMismatch(f"party dimensions {dims} must be at least 1")
     if vec.shape[0] != math.prod(dims):
         raise DimensionMismatch(f"vector length {vec.shape[0]} != prod{dims}")
     norm = np.linalg.norm(vec)
@@ -556,8 +557,6 @@ def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiStat
         raise StateFormatError(f"'matrix' is not a dense [re, im] grid: {exc}") from exc
     if np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
         raise StateFormatError(f"'matrix' is a {np.shape(m)} grid of pairs, expected (d, d)")
-    if not np.all(np.isfinite(m)):
-        raise StateFormatError("'matrix' contains NaN or Inf")
     try:
         return new_state(m, dims, cfg)
     except (DimensionMismatch, NotHermitian, NotPositive) as exc:

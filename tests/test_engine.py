@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sep4.errors import (
     NotPositive,
     NotSeparableVerdict,
     Sep4Error,
+    StateFormatError,
 )
 from sep4.gallery import (
     conjugate_local,
@@ -47,6 +49,8 @@ from sep4.states import (
     range_basis,
     rank_of,
     spectral,
+    state_from_dict,
+    state_to_dict,
 )
 
 
@@ -708,8 +712,9 @@ class TestBorderlineFlag:
 
 
 class TestUnvalidatedInput:
-    """A MultiState built directly skips ``new_state``; ``classify`` rejects
-    what it would have rejected, before any eigensolve."""
+    """A MultiState built directly skips ``new_state``; ``classify`` runs
+    ``new_state`` on it, so it rejects what ``new_state`` rejects, a bad
+    layout or entry before any eigensolve."""
 
     @pytest.mark.parametrize("entry, error", [
         (0.0, NotPositive),
@@ -748,11 +753,54 @@ class TestUnvalidatedInput:
     def test_zero_reduced_state(self, dims, i, j):
         # a lone symmetric off-diagonal pair: the reduced state of party 1
         # (and on two qubits, of both parties) is zero, which no nonzero
-        # PSD state has
+        # PSD state has.  Its eigenvalues are -1 and 1, so new_state's PSD
+        # check rejects it; tol_psd=1.0 lets it through to the compression
         m = np.zeros((np.prod(dims),) * 2, dtype=complex)
         m[i, j] = m[j, i] = 1.0
-        with pytest.raises(NotPositive, match="reduced state of party 1 is zero"):
-            classify(MultiState(m, dims))
+        for check in (classify, compress_support):
+            with pytest.raises(NotPositive, match=r"eigenvalue -1\.000e\+00 below -tol_psd"):
+                check(MultiState(m, dims))
+            with pytest.raises(NotPositive, match="reduced state of party 1 is zero"):
+                check(MultiState(m, dims, ToleranceConfig(tol_psd=1.0)))
+
+    @staticmethod
+    def repro(name):
+        """Directly built matrices that got a verdict, or another error,
+        when the verdict path checked only their layout and entries."""
+        if name == "non-hermitian":
+            a = np.random.default_rng(0).standard_normal((9, 9))
+            return random_separable((3, 3), 4, seed=1).matrix + 0.5j * (a + a.T), (3, 3)
+        if name == "nan-spectrum":
+            z = 1.3e308 * (1 + 1j)
+            return np.array([[1, z], [np.conj(z), 1]]), (2,)
+        product = {"negated-01": (np.diag([0.0, 1, 0, 0]), (2, 2)),
+                   "negated-one-dim": (np.eye(1), (1,)),
+                   "negated-qutrit": (np.diag([1.0, 0, 0]), (3,))}
+        m, dims = product[name]
+        return -m, dims
+
+    @pytest.mark.parametrize("name", [
+        "non-hermitian", "negated-01", "negated-one-dim", "negated-qutrit", "nan-spectrum"])
+    def test_raises_new_states_error(self, name):
+        m, dims = self.repro(name)
+        with pytest.raises(Sep4Error) as want:
+            new_state(m, dims)
+        same = pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$")
+        for decompose in (False, True):
+            with same:
+                classify(MultiState(m, dims), decompose=decompose)
+        with same:
+            compress_support(MultiState(m, dims))
+
+    def test_replaced_tolerances_are_checked_again(self):
+        # new_state accepts the indefinite pair under tol_psd=1.0; a copy
+        # with the default tolerances carries no mark, so it is checked
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 3] = m[3, 0] = 1.0
+        loose = new_state(m, (2, 2), ToleranceConfig(tol_psd=1.0))
+        strict = dataclasses.replace(loose, cfg=ToleranceConfig())
+        with pytest.raises(NotPositive, match="below -tol_psd"):
+            classify(strict)
 
     def test_non_finite_entry_outside_every_reduced_state(self):
         # |00><11| appears in no single-party reduced state
@@ -768,29 +816,29 @@ class TestUnvalidatedInput:
         lambda s: 1e-320 * s,
     ], ids=["negated", "shifted", "subnormal"])
     def test_compressed_state_that_is_not_psd(self, make, decompose, monkeypatch):
-        # new_state rejects each of these; classify checks the compressed
-        # state's own spectrum, the first row of the eigenvalue stack, so
-        # the rejection costs no eigensolve beyond the reduced states' and
-        # the stack's
+        # new_state rejects each of these; classify runs new_state on a
+        # directly built state, so the rejection, with new_state's message,
+        # costs its one eigvalsh and no other eigensolve
         m = make(random_separable((3, 3), 4, seed=1).matrix)
-        with pytest.raises(NotPositive):
+        with pytest.raises(NotPositive) as want:
             new_state(m, (3, 3))
         calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda *args, _real=real, **kw: calls.append(1) or _real(*args, **kw))
-        with pytest.raises(NotPositive):
+        with pytest.raises(NotPositive, match=re.escape(str(want.value))):
             classify(MultiState(m, (3, 3)), decompose=decompose)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestClassifyContract:
     """On any directly built ``MultiState`` of 1 to 3 parties of dimension 1
     to 3, ``classify`` returns a report or raises a ``Sep4Error``, with and
-    without decomposition; on the states ``new_state`` accepts, a PPT state
-    of rank 2 or 3 is separable and only a 3x3 or 2x2x2 support gets an
-    entangled Chow verdict.
+    without decomposition, and a negated state raises ``NotPositive``; on
+    the states ``new_state`` accepts, a PPT state of rank 2 or 3 is
+    separable and only a 3x3 or 2x2x2 support gets an entangled Chow
+    verdict.
 
     Only a separable rank-4 state whose support compresses to 2x3 takes the
     greedy peel (47 to 226 ms a call): on 2x3, with any parties of
@@ -817,7 +865,10 @@ class TestClassifyContract:
         if kind == "indefinite":
             signs[0] = -1.0
         m = (x * signs) @ x.conj().T
-        return {"negated": -m, "tiny": 1e-300 * m, "huge": 1e300 * m}.get(kind, m)
+        if kind == "nonhermitian":
+            a = rng.standard_normal((d, d))
+            return m + 0.5j * (a + a.T)
+        return {"negated": -m, "tiny": 1e-300 * m, "huge": 1e300 * m, "zero": 0 * m}.get(kind, m)
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 4),
            st.sampled_from(KINDS), st.integers(0, 2**16), st.integers(0, 63))
@@ -834,7 +885,7 @@ class TestClassifyContract:
                 classify(MultiState(m, dims), decompose=decompose)
             except Sep4Error:
                 pass
-        if kind == "negated" and max(local_ranks(new_state(-m, dims))) > 1:
+        if kind == "negated":
             for decompose in (False, True):
                 with pytest.raises(NotPositive):
                     classify(MultiState(m, dims), decompose=decompose)
@@ -847,6 +898,58 @@ class TestClassifyContract:
             assert rep.verdict == "Separable"
         if rep.verdict == "Entangled" and rep.rule in ("Chow33", "Chow222"):
             assert rep.compressed_dims in ((3, 3), (2, 2, 2))
+
+
+def result_of(state, **kwargs):
+    """``classify``'s report, or the package error it raises."""
+    try:
+        return classify(state, **kwargs)
+    except Sep4Error as exc:
+        return exc
+
+
+class TestOneValidation:
+    """``classify`` on a directly built ``MultiState`` raises exactly when
+    ``new_state`` raises, with its class and message, and otherwise gives
+    the report of the state ``new_state`` builds, byte for byte, in both
+    ``decompose`` modes.  So does the state JSON round trip, whose parser
+    raises ``new_state``'s message as a ``StateFormatError``.  Shapes of 1
+    to 4 parties of dimension 1 to 4, at most 32 in all, ranks 1 to 5;
+    :class:`TestClassifyContract`'s guard keeps the peel to one 2x3
+    example in 64."""
+
+    KINDS = TestClassifyContract.KINDS + ("nonhermitian", "zero")
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ds: math.prod(ds) <= 32),
+           st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**16), st.integers(0, 63))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_raises_what_new_state_raises(self, dims, rank, kind, seed, peel):
+        dims = tuple(dims)
+        d = math.prod(dims)
+        assume(kind != "pair" or d > 1)
+        if kind == "separable" and sorted(p for p in dims if p > 1) == [2, 3] and peel:
+            rank = min(rank, 3)
+        m = TestClassifyContract.matrix(kind, dims, min(rank, d), seed)
+        try:
+            valid, error = new_state(m, dims), None
+        except Sep4Error as exc:
+            valid, error = None, exc
+        try:
+            parsed = state_from_dict(state_to_dict(MultiState(m, dims)))
+        except StateFormatError as exc:
+            assert error is not None and str(exc) == str(error)
+            parsed = error
+        for decompose in (False, True):
+            direct = result_of(MultiState(m, dims), decompose=decompose)
+            if valid is None:
+                assert outcome(direct) == outcome(error)
+                continue
+            want = result_of(valid, decompose=decompose)
+            assert isinstance(want, ClassificationReport)
+            assert outcome(direct) == outcome(result_of(parsed, decompose=decompose)) == outcome(want)
+            if want.verdict == "Separable" and want.decomposition is not None:
+                lo, hi = want.length_bounds
+                assert lo <= len(want.decomposition.terms) <= hi
 
 
 class TestScale:

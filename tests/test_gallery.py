@@ -5,6 +5,7 @@ from sep4.engine import classify
 from sep4.errors import DegenerateComplement, DependentVectors
 from sep4.gallery import (
     ProductBasis,
+    conjugate_local,
     divincenzo_state,
     random_ppt_rank4_33,
     random_separable,
@@ -14,7 +15,7 @@ from sep4.gallery import (
     upb_complement_state,
 )
 from sep4.ppt import is_ppt
-from sep4.states import local_ranks, range_basis, rank_of, spectral
+from sep4.states import local_ranks, new_state, range_basis, rank_of, spectral
 
 
 def ket(*amps):
@@ -132,3 +133,13 @@ class TestRandomFamilies:
         a = random_ppt_rank4_33(seed=4)
         b = random_ppt_rank4_33(seed=4)
         assert np.array_equal(a.matrix, b.matrix)
+
+
+class TestConjugateLocal:
+    def test_state_near_the_float_limit(self):
+        # new_state symmetrizes by halving first; a sum taken before it
+        # would overflow to Inf on this valid state
+        state = new_state(1.5e308 * np.diag([1.0, 0, 0, 0]), (2, 2))
+        with np.errstate(all="raise"):
+            rotated = conjugate_local(state, [np.eye(2), np.eye(2)])
+        assert np.array_equal(rotated.matrix, state.matrix)

@@ -18,15 +18,16 @@ peel works on bare operators: ``oracle`` builds no ``MultiState``.
 There is one verdict path: ``classify`` is ``engine._classify_group`` on
 a group of one, whose stages take every compressed state's eigenvalues
 from the PPT eigenvalue stack and its eigenvectors from one shared
-``spectral`` call, and a state built directly is checked in one place,
-``states._check_state``, before anything is stacked; ``new_state``'s PSD
-check, ``states._check_psd``, also reads each compressed state's own
-spectrum.  A pure product state is a compression result with no state,
-and ``states.compress_support`` alone raises ``AllPartiesTrivial``.  The
-rules are one ladder in ``engine._verdict``, the one place a
-``ClassificationReport`` is built.  The stages catch nothing: an error
-raises, and ``engine._classify_group``'s one rerun alone turns it into a
-state's result.
+``spectral`` call.  A state is validated in one place, ``new_state``,
+which alone marks what it builds; the verdict path passes an unmarked
+state through it (``states._validated``) before anything is stacked, and
+``new_state``'s PSD check, ``states._check_psd``, also reads each
+compressed state's own spectrum.  A pure product state is a compression
+result with no state, and ``states.compress_support`` alone raises
+``AllPartiesTrivial``.  The rules are one ladder in ``engine._verdict``,
+the one place a ``ClassificationReport`` is built.  The stages catch
+nothing: an error raises, and ``engine._classify_group``'s one rerun
+alone turns it into a state's result.
 """
 
 import ast
@@ -265,10 +266,20 @@ def test_one_psd_check():
 
 
 def test_directly_built_states_are_checked_in_one_place():
-    found = uses({"_check_state", "_check_layout", "_check_input"})
-    assert found["_check_state"] == {"states._compress_group"}
-    assert found["_check_layout"] == {"states.new_state", "states._check_state"}
-    assert not found["_check_input"]
+    # new_state alone checks layout and entries and alone sets the mark;
+    # the verdict path's two entries pass an unmarked state through it
+    found = uses({"_check_state", "_check_layout", "_check_entries", "_check_input",
+                  "_valid", "_validated"})
+    assert "states._check_state" not in {where for where, _ in top_levels()}
+    assert not found["_check_state"] | found["_check_input"]
+    assert found["_check_layout"] == found["_check_entries"] == {"states.new_state"}
+    assert found["_valid"] == {"states.MultiState", "states._validated"}
+    marks = {where for where, top in top_levels() for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and node.value == "_valid"}
+    assert marks == {"states.new_state"}
+    assert found["_validated"] == {
+        "engine", "engine._classify_stacked", "states.compress_support"
+    }
 
 
 def test_one_partial_trace_kernel():

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -59,6 +61,18 @@ class TestNewState:
         st_ = new_state(np.eye(4), (2, 2))
         assert st_.trace == pytest.approx(4.0)
         assert st_.dims == (2, 2)
+
+    def test_marks_what_it_builds(self):
+        # the mark survives pickling; a replaced copy, whose cfg may differ,
+        # and a directly built state are unmarked; __init__ takes no mark
+        st_ = new_state(np.eye(4), (2, 2))
+        assert st_._valid
+        assert pickle.loads(pickle.dumps(st_))._valid
+        assert not dataclasses.replace(st_, cfg=ToleranceConfig(tol_psd=1.0))._valid
+        assert not MultiState(st_.matrix, (2, 2))._valid
+        assert "_valid" not in repr(st_)
+        with pytest.raises(TypeError):
+            MultiState(np.eye(4), (2, 2), _valid=True)
 
     def test_basis_projector_three_qubits(self):
         v = np.zeros(8)
@@ -477,6 +491,11 @@ class TestIsProduct:
         with pytest.raises(ZeroVector):
             is_product(np.zeros(4), (2, 2))
 
+    @pytest.mark.parametrize("dims", [(2, -1, -1), (-1, -2), (2, 0)])
+    def test_party_dimension_below_one_rejected(self, dims):
+        with pytest.raises(DimensionMismatch, match="must be at least 1"):
+            is_product(np.ones(2), dims)
+
     def test_trivial_party_product(self):
         v = assemble_product((ket(1j), ket(1, 1), ket(1, -2j)))
         ok, factors = is_product(v, (1, 2, 2))
@@ -510,7 +529,7 @@ class TestStateJson:
     def test_rejects_nan(self):
         obj = state_to_dict(random_state((2,), 1, seed=18))
         obj["matrix"][0][0][0] = float("nan")
-        with pytest.raises(StateFormatError):
+        with pytest.raises(StateFormatError, match="^matrix contains non-finite entries$"):
             state_from_dict(obj)
 
     def test_rejects_missing_keys(self):
