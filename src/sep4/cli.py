@@ -51,6 +51,17 @@ from .states import (
 )
 
 _EXIT_BY_VERDICT = {SEPARABLE: 0, ENTANGLED: 1, OUT_OF_SCOPE: 2}
+# what exits 3, and what one file's line in sep4 batch reports as its error
+_INPUT_ERRORS = (Sep4Error, OSError, ValueError)
+# each gallery name, in --help order, and its state from the parsed flags
+_GALLERY = {
+    "divincenzo": lambda args: divincenzo_state(),
+    "two-qutrit-ab": lambda args: two_qutrit_ab_state(complex(args.a), complex(args.b)),
+    "random-separable": lambda args: random_separable(
+        tuple(int(x) for x in args.dims.split(",")), args.terms, args.seed
+    ),
+    "random-ppt-rank4-33": lambda args: random_ppt_rank4_33(args.seed),
+}
 _TOL_FIELDS = [f.name for f in dataclasses.fields(ToleranceConfig)]
 
 
@@ -93,12 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_classify = sub.add_parser("classify", help="classify one state JSON file")
+    p_classify.set_defaults(run=_cmd_classify)
     p_classify.add_argument("--input", required=True, metavar="FILE")
     p_classify.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_classify.add_argument("--seed", type=int, default=0)
     _add_tolerance_flags(p_classify)
 
     p_chow = sub.add_parser("chow", help="print or evaluate a Chow form")
+    p_chow.set_defaults(run=_cmd_chow)
     p_chow.add_argument(
         "--system", required=True, metavar="SYS", help="2x2, 3x2, 4x2, 2x3, 3x3, 2x2x2 or Mx2:M"
     )
@@ -107,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p_chow, ["tol_chow"])
 
     p_batch = sub.add_parser("batch", help="classify every state file in a directory")
+    p_batch.set_defaults(run=_cmd_batch)
     p_batch.add_argument("--input", required=True, metavar="DIR")
     p_batch.add_argument("--out", required=True, metavar="FILE")
     p_batch.add_argument("--parallel", type=int, default=1, metavar="N")
@@ -114,11 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p_batch)
 
     p_gallery = sub.add_parser("gallery", help="emit a named state as state JSON")
-    p_gallery.add_argument(
-        "--name",
-        required=True,
-        choices=["divincenzo", "two-qutrit-ab", "random-separable", "random-ppt-rank4-33"],
-    )
+    p_gallery.set_defaults(run=_cmd_gallery)
+    p_gallery.add_argument("--name", required=True, choices=list(_GALLERY))
     p_gallery.add_argument("--a", default="1", help="complex parameter, e.g. '1+1j'")
     p_gallery.add_argument("--b", default="1", help="complex parameter, e.g. '0.5'")
     p_gallery.add_argument("--dims", default="2,2", help="comma-separated party dimensions")
@@ -128,15 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_state(path: str, cfg: ToleranceConfig) -> MultiState:
+def _read_json(path: str):
+    """The JSON value in the file ``path``; one nested too deeply to decode
+    is a :class:`StateFormatError`."""
     with open(path, "r") as fh:
-        obj = json.load(fh)
-    return state_from_dict(obj, cfg)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise StateFormatError("JSON nested too deeply to decode") from exc
+
+
+def _load_state(path: str, cfg: ToleranceConfig) -> MultiState:
+    return state_from_dict(_read_json(path), cfg)
 
 
 def _load_basis(path: str) -> SubspaceBasis:
-    with open(path, "r") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     try:
         return from_dict(SubspaceBasis, obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -189,12 +207,12 @@ def _parse_system(label: str):
 
 
 def _cmd_chow(args) -> int:
+    if not (args.print_form or args.eval_file):
+        raise CliUsageError("chow needs --print and/or --eval BASIS_FILE")
     cfg = _tolerances_from_args(args)
     form = _parse_system(args.system)
-    did_something = False
     if args.print_form:
         print(json.dumps(form_to_dict(form), indent=1))
-        did_something = True
     if args.eval_file:
         vec = pluecker(_load_basis(args.eval_file))
         raw = eval_chow(form, vec, normalized=False)
@@ -202,14 +220,9 @@ def _cmd_chow(args) -> int:
         print(f"F (unnormalized) = {raw.real:+.12e}{raw.imag:+.12e}j")
         print(f"F (normalized)   = {scaled.real:+.12e}{scaled.imag:+.12e}j")
         print(f"|F| normalized   = {abs(scaled):.12e}  (tol_chow = {cfg.tol_chow:g})")
-        did_something = True
-    if not did_something:
-        raise CliUsageError("chow needs --print and/or --eval BASIS_FILE")
     return 0
 
 
-# what one file's line reports as its error; anything else stops the batch
-_FILE_ERRORS = (Sep4Error, json.JSONDecodeError, OSError, ValueError)
 # most files one pool task parses and holds at once
 _CHUNK_FILES = 128
 
@@ -225,7 +238,7 @@ def _classify_files(paths: list[str], cfg: ToleranceConfig, seed: int) -> list[t
     for i, path in enumerate(paths):
         try:
             state = _load_state(path, cfg)
-        except _FILE_ERRORS as exc:
+        except _INPUT_ERRORS as exc:
             out[i] = exc
             continue
         groups.setdefault(state.dims, []).append((i, state))
@@ -237,13 +250,13 @@ def _classify_files(paths: list[str], cfg: ToleranceConfig, seed: int) -> list[t
 
 
 def _file_line(name: str, result) -> tuple[str, str]:
-    """One file's output line and key, from its report or error."""
-    try:
-        if isinstance(result, Exception):
-            raise result
-        report = report_to_dict(result)
-    except _FILE_ERRORS as exc:
-        return json.dumps({"file": name, "error": f"{type(exc).__name__}: {exc}"}), "error"
+    """One file's output line and key, from its report or input error; any
+    other error stops the batch."""
+    if isinstance(result, _INPUT_ERRORS):
+        return json.dumps({"file": name, "error": f"{type(result).__name__}: {result}"}), "error"
+    if isinstance(result, Exception):
+        raise result
+    report = report_to_dict(result)
     return json.dumps({"file": name, "report": report}), report["verdict"]
 
 
@@ -289,17 +302,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
-    cfg = DEFAULT_TOLERANCES
-    if args.name == "divincenzo":
-        state = divincenzo_state(cfg)
-    elif args.name == "two-qutrit-ab":
-        state = two_qutrit_ab_state(complex(args.a), complex(args.b), cfg)
-    elif args.name == "random-separable":
-        dims = tuple(int(x) for x in args.dims.split(","))
-        state = random_separable(dims, args.terms, args.seed, cfg)
-    else:
-        state = random_ppt_rank4_33(args.seed, cfg)
-    blob = json.dumps(state_to_dict(state))
+    blob = json.dumps(state_to_dict(_GALLERY[args.name](args)))
     if args.out == "-":
         print(blob)
     else:
@@ -321,19 +324,13 @@ def main(argv=None) -> int:
         if args.version:
             _print_version()
             return 0
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "chow":
-            return _cmd_chow(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        if args.command == "gallery":
-            return _cmd_gallery(args)
+        if args.command is not None:
+            return args.run(args)
         raise CliUsageError("no subcommand given (try --version or classify/chow/batch/gallery)")
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except (Sep4Error, json.JSONDecodeError, OSError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

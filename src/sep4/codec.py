@@ -33,7 +33,10 @@ def from_pairs(obj):
     Raises ``ValueError`` or ``TypeError`` unless ``obj`` is a dense grid
     of numeric pairs.
     """
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"entry beyond the float range: {exc}") from exc
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError(f"expected [re, im] pairs, got an array of shape {arr.shape}")
     if arr.ndim == 1:

@@ -376,8 +376,9 @@ def _local_ranges(states: list[MultiState]) -> list[list[np.ndarray]]:
 
 def local_ranks(state: MultiState) -> list[int]:
     """Rank of each single-party reduced state, from the spectra
-    :func:`compress_support` reads."""
-    return [w.shape[1] for w in _local_ranges([state])[0]]
+    :func:`compress_support` reads; a state :func:`new_state` did not build
+    is passed through it first."""
+    return [w.shape[1] for w in _local_ranges([_validated(state)])[0]]
 
 
 def compress_support(state: MultiState) -> CompressionResult:

@@ -28,6 +28,12 @@ def product_projector_state():
     return new_state(np.outer(v, v), (2, 2))
 
 
+# state files that cannot be decoded: nested deeper than the JSON decoder
+# recurses, and holding an integer beyond the float range
+DEEP_JSON = '{"dims": [2], "matrix": ' + "[" * 100000 + "]" * 100000 + "}"
+HUGE_JSON = json.dumps({"dims": [2], "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]})
+
+
 def subnormal_state():
     """A separable two-qutrit rank-4 state of trace about 1e-310, below the
     smallest normal double."""
@@ -76,6 +82,17 @@ class TestClassifyCommand:
         assert main(["classify", "--input", str(big)]) == 3
         assert capsys.readouterr().err.startswith("error: StateFormatError")
 
+    @pytest.mark.parametrize("text, cause", [
+        (DEEP_JSON, "JSON nested too deeply to decode"),
+        (HUGE_JSON, "entry beyond the float range"),
+    ], ids=["deep", "huge-integer"])
+    def test_undecodable_file_is_a_format_error(self, tmp_path, capsys, text, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["classify", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: StateFormatError") and cause in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
         capsys.readouterr()
@@ -123,6 +140,16 @@ class TestChowCommand:
     def test_malformed_basis_is_a_parse_error(self, tmp_path, capsys, payload):
         path = tmp_path / "basis.json"
         path.write_text(json.dumps(payload))
+        assert main(["chow", "--system", "3x3", "--eval", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: StateFormatError")
+
+    @pytest.mark.parametrize("text", [
+        '{"dims": [3, 3], "rows": ' + "[" * 100000 + "]" * 100000 + "}",
+        json.dumps({"dims": [3, 3], "rows": [[[10**400, 0]] * 9] * 4}),
+    ], ids=["deep", "huge-integer"])
+    def test_undecodable_basis_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "basis.json"
+        path.write_text(text)
         assert main(["chow", "--system", "3x3", "--eval", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: StateFormatError")
 
@@ -209,6 +236,28 @@ class TestBatchCommand:
         assert [line["file"] for line in lines] == ["a_prod.json", "b_dv.json"]
         assert lines[0]["report"]["verdict"] == "Separable"
         assert lines[1]["error"].startswith("InconsistentTolerances: tolerance bug")
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_undecodable_files_get_their_lines(self, tmp_path, capsys, parallel):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_state(inputs / "a_prod.json", product_projector_state())
+        (inputs / "b_deep.json").write_text(DEEP_JSON)
+        (inputs / "c_huge.json").write_text(HUGE_JSON)
+        write_state(inputs / "d_dv.json", divincenzo_state())
+        out_file = tmp_path / "results.jsonl"
+        args = ["batch", "--input", str(inputs), "--out", str(out_file), "--parallel", parallel]
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith("(Entangled: 1, Separable: 1, error: 2)\n")
+        lines = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [line["file"] for line in lines] == [
+            "a_prod.json", "b_deep.json", "c_huge.json", "d_dv.json"
+        ]
+        assert [line["report"]["verdict"] for line in (lines[0], lines[3])] == [
+            "Separable", "Entangled"
+        ]
+        assert lines[1]["error"] == "StateFormatError: JSON nested too deeply to decode"
+        assert lines[2]["error"].startswith("StateFormatError: 'matrix' is not a dense")
 
     def test_empty_directory(self, tmp_path, capsys):
         out_file = tmp_path / "results.jsonl"
@@ -362,6 +411,17 @@ class TestGalleryCommand:
         assert main(["classify", "--input", str(out_file), "--json"]) == 1
         blob = json.loads(capsys.readouterr().out)
         assert blob["rule"] == "Chow222"
+
+    @pytest.mark.parametrize("name", list(cli._GALLERY))
+    def test_every_name_writes_a_state_classify_reads(self, tmp_path, capsys, name):
+        exit_by_name = {
+            "divincenzo": 1, "two-qutrit-ab": 1, "random-separable": 0, "random-ppt-rank4-33": 1,
+        }
+        assert set(exit_by_name) == set(cli._GALLERY)
+        out_file = tmp_path / "state.json"
+        assert main(["gallery", "--name", name, "--out", str(out_file)]) == 0
+        assert main(["classify", "--input", str(out_file)]) == exit_by_name[name]
+        capsys.readouterr()
 
     def test_emit_family_to_stdout(self, capsys):
         assert main(["gallery", "--name", "two-qutrit-ab", "--a", "0", "--b", "1"]) == 0

@@ -267,7 +267,8 @@ def test_one_psd_check():
 
 def test_directly_built_states_are_checked_in_one_place():
     # new_state alone checks layout and entries and alone sets the mark;
-    # the verdict path's two entries pass an unmarked state through it
+    # the verdict path's two entries and local_ranks pass an unmarked state
+    # through it
     found = uses({"_check_state", "_check_layout", "_check_entries", "_check_input",
                   "_valid", "_validated"})
     assert "states._check_state" not in {where for where, _ in top_levels()}
@@ -278,7 +279,7 @@ def test_directly_built_states_are_checked_in_one_place():
              if isinstance(node, ast.Constant) and node.value == "_valid"}
     assert marks == {"states.new_state"}
     assert found["_validated"] == {
-        "engine", "engine._classify_stacked", "states.compress_support"
+        "engine", "engine._classify_stacked", "states.compress_support", "states.local_ranks"
     }
 
 

@@ -17,6 +17,7 @@ from sep4.errors import (
 )
 from sep4.states import (
     MultiState,
+    _local_ranges,
     _partial_trace,
     _rank_from_eigenvalues,
     _reduced_states,
@@ -205,11 +206,13 @@ class TestPartialTranspose:
         )
 
     def test_local_rank_invariance(self):
+        # a partial transpose need not be PSD, so local_ranks, which
+        # validates, does not take it; its spectra come from _local_ranges
         st_ = random_state((2, 3, 2), 3, seed=5)
         base = local_ranks(st_)
         for subset in [(1,), (2,), (1, 3), (1, 2, 3)]:
             pt = partial_transpose(st_, subset)
-            assert local_ranks(MultiState(pt.matrix, pt.dims, pt.cfg)) == base
+            assert [w.shape[1] for w in _local_ranges([pt])[0]] == base
 
 
 class TestReducedState:
@@ -291,6 +294,16 @@ class TestRanks:
     def test_local_ranks_product(self):
         st_ = product_state((ket(1, 0), ket(1, 0), ket(1, 0)), (2, 2, 2))
         assert local_ranks(st_) == [1, 1, 1]
+
+    @pytest.mark.parametrize("matrix, error", [
+        (-np.eye(4), NotPositive),
+        (np.where(np.arange(16).reshape(4, 4) == 1, np.nan, np.eye(4)), DimensionMismatch),
+    ], ids=["negative", "nan-entry"])
+    def test_local_ranks_validates_a_directly_built_state(self, matrix, error):
+        # a state not built by new_state is checked as compress_support checks it
+        for fn in (local_ranks, compress_support):
+            with pytest.raises(error):
+                fn(MultiState(matrix, (2, 2)))
 
     def test_scale_invariant(self):
         st_ = random_state((3, 3), 2, seed=12)
@@ -519,6 +532,29 @@ class TestIsProduct:
         assert np.linalg.norm(assemble_product(got) - v) <= 1e-10 * np.linalg.norm(v)
 
 
+# JSON values: null, bools, ints (beyond the float range too), floats,
+# strings, and lists and objects keyed like a state
+_NUMBERS = st.integers(-1, 2) | st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["dims", "matrix"]), inner, max_size=2),
+    max_leaves=20,
+)
+# objects that reach the matrix parser: small dims and square grids of
+# pairs, diagonal real ones among them, so that some are states
+_GRIDS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+)) | st.lists(_NUMBERS, min_size=1, max_size=3).map(
+    lambda diag: [[[x * (i == j), 0] for j in range(len(diag))] for i, x in enumerate(diag)]
+)
+_STATE_LIKE = st.fixed_dictionaries({
+    "dims": st.lists(st.integers(-1, 3), min_size=1, max_size=2) | _JSON,
+    "matrix": _GRIDS | _JSON,
+})
+
+
 class TestStateJson:
     def test_round_trip(self):
         st_ = random_state((2, 3), 3, seed=17)
@@ -550,6 +586,20 @@ class TestStateJson:
     def test_rejects_a_non_square_grid(self):
         with pytest.raises(StateFormatError, match="expected"):
             state_from_dict({"dims": [2], "matrix": [[[1, 0], [0, 0]]]})
+
+    def test_integer_beyond_the_float_range_is_a_format_error(self):
+        obj = {"dims": [2], "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(StateFormatError, match="beyond the float range"):
+            state_from_dict(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_STATE_LIKE | _JSON)
+    def test_any_json_value_is_a_state_or_a_format_error(self, obj):
+        try:
+            state = state_from_dict(obj)
+        except StateFormatError:
+            return
+        assert isinstance(state, MultiState)
 
     @pytest.mark.parametrize("matrix, dims, cause", [
         ([[1, 1], [0, 1]], [2], "asymmetry"),
