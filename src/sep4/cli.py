@@ -2,7 +2,8 @@
 
 Exit codes for ``classify``: 0 separable, 1 entangled, 2 out of scope,
 3 for parse/validation errors.  ``SEP4_TOL_CHOW`` overrides the Chow
-tolerance when no explicit flag is given.
+tolerance when no explicit flag is given.  ``batch --parallel N`` runs
+in N processes, this one included.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
     ToleranceConfig,
+    _checked_states,
+    _decoded,
     state_from_dict,
     state_to_dict,
 )
@@ -149,8 +152,9 @@ def _read_json(path: str):
             raise StateFormatError("JSON nested too deeply to decode") from exc
 
 
-def _load_state(path: str, cfg: ToleranceConfig) -> MultiState:
-    return state_from_dict(_read_json(path), cfg)
+def _load_state(path: str) -> tuple:
+    """The matrix and ``dims`` of the state file ``path``, not yet validated."""
+    return _decoded(_read_json(path))
 
 
 def _load_basis(path: str) -> SubspaceBasis:
@@ -187,15 +191,21 @@ def _human_report(report_dict: dict) -> str:
     return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    """``print``; a closed stdout is pointed at ``os.devnull``, so that the
+    command keeps its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_classify(args) -> int:
     cfg = _tolerances_from_args(args)
-    state = _load_state(args.input, cfg)
+    state = state_from_dict(_read_json(args.input), cfg)
     report = classify(state, seed=args.seed)
     payload = report_to_dict(report)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(_human_report(payload))
+    _print(json.dumps(payload, indent=1) if args.json else _human_report(payload))
     return _EXIT_BY_VERDICT[report.verdict]
 
 
@@ -212,14 +222,14 @@ def _cmd_chow(args) -> int:
     cfg = _tolerances_from_args(args)
     form = _parse_system(args.system)
     if args.print_form:
-        print(json.dumps(form_to_dict(form), indent=1))
+        _print(json.dumps(form_to_dict(form), indent=1))
     if args.eval_file:
         vec = pluecker(_load_basis(args.eval_file))
         raw = eval_chow(form, vec, normalized=False)
         scaled = eval_chow(form, vec, normalized=True)
-        print(f"F (unnormalized) = {raw.real:+.12e}{raw.imag:+.12e}j")
-        print(f"F (normalized)   = {scaled.real:+.12e}{scaled.imag:+.12e}j")
-        print(f"|F| normalized   = {abs(scaled):.12e}  (tol_chow = {cfg.tol_chow:g})")
+        _print(f"F (unnormalized) = {raw.real:+.12e}{raw.imag:+.12e}j")
+        _print(f"F (normalized)   = {scaled.real:+.12e}{scaled.imag:+.12e}j")
+        _print(f"|F| normalized   = {abs(scaled):.12e}  (tol_chow = {cfg.tol_chow:g})")
     return 0
 
 
@@ -230,23 +240,28 @@ _CHUNK_FILES = 128
 def _classify_files(paths: list[str], cfg: ToleranceConfig, seed: int) -> list[tuple[str, str]]:
     """The ``sep4 batch`` output line of each file, without its newline, and
     the key it counts under: the verdict, or ``"error"``.  Every file is
-    parsed first, and the valid states are classified one group per
-    ``dims`` (:func:`~sep4.engine._classify_group`); an error fails its
-    own file alone."""
+    decoded first; then per ``dims`` the matrices are validated in one
+    stacked pass and the valid states classified as one group
+    (:func:`~sep4.engine._classify_group`); an error fails its own file
+    alone."""
     out: list = [None] * len(paths)
     groups: dict = {}
     for i, path in enumerate(paths):
         try:
-            state = _load_state(path, cfg)
+            matrix, dims = _load_state(path)
         except _INPUT_ERRORS as exc:
             out[i] = exc
             continue
-        groups.setdefault(state.dims, []).append((i, state))
-    for members in groups.values():
-        results = _classify_group([state for _, state in members], seed)
-        for (i, _), result in zip(members, results):
+        groups.setdefault(dims, []).append((i, matrix))
+    for dims, members in groups.items():
+        checked = _checked_states([matrix for _, matrix in members], dims, cfg)
+        valid = [k for k, state in enumerate(checked) if isinstance(state, MultiState)]
+        if valid:
+            for k, result in zip(valid, _classify_group([checked[k] for k in valid], seed)):
+                checked[k] = result
+        for (i, _), result in zip(members, checked):
             out[i] = result
-    return [_file_line(Path(path).name, result) for path, result in zip(paths, out)]
+    return [_file_line(os.path.basename(path), result) for path, result in zip(paths, out)]
 
 
 def _file_line(name: str, result) -> tuple[str, str]:
@@ -274,18 +289,23 @@ def _cmd_batch(args) -> int:
         # before OUT is opened, so that a bad --input leaves it untouched
         raise NotADirectoryError(f"--input {args.input!r} is not a directory")
     files = sorted(str(p) for p in inputs.glob("*.json"))
-    # the pool forks every worker up front, so never ask for more than
-    # there are files or usable CPUs
+    # the pool forks every worker up front, so never run more processes
+    # than there are files or usable CPUs
     workers = min(args.parallel, len(files), _usable_cpus())
-    # each task parses a chunk of files and classifies its states one group
-    # per dims, so that every numeric stage is one call per group: two
-    # chunks per worker, at most _CHUNK_FILES files each
+    # each task decodes a chunk of files and validates and classifies its
+    # states one group per dims, so that every numeric stage is one call
+    # per group: two chunks per process, at most _CHUNK_FILES files each
     size = max(1, min(_CHUNK_FILES, math.ceil(len(files) / (2 * max(workers, 1)))))
     chunks = [files[i:i + size] for i in range(0, len(files), size)]
     args_of = ([cfg] * len(chunks), [args.seed] * len(chunks))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_classify_files, chunks, *args_of))
+        # this process is one of the workers: it takes the last
+        # ceil(chunks / workers) chunks, a pool of the others the rest
+        cut = len(chunks) - math.ceil(len(chunks) / workers)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            theirs = pool.map(_classify_files, chunks[:cut], *args_of)
+            mine = list(map(_classify_files, chunks[cut:], *args_of))
+            done = list(theirs) + mine
     else:
         done = list(map(_classify_files, chunks, *args_of))
     results = [line for lines in done for line in lines]
@@ -297,24 +317,24 @@ def _cmd_batch(args) -> int:
             counts[key] = counts.get(key, 0) + 1
     total = len(results)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) or "nothing to do"
-    print(f"classified {total} file(s) -> {args.out} ({summary})")
+    _print(f"classified {total} file(s) -> {args.out} ({summary})")
     return 0
 
 
 def _cmd_gallery(args) -> int:
     blob = json.dumps(state_to_dict(_GALLERY[args.name](args)))
     if args.out == "-":
-        print(blob)
+        _print(blob)
     else:
         Path(args.out).write_text(blob + "\n")
     return 0
 
 
 def _print_version() -> None:
-    print(f"sep4 {__version__}")
+    _print(f"sep4 {__version__}")
     for dims in supported_systems():
         label = "x".join(str(x) for x in dims)
-        print(f"chow table {label}: sha256 {form_checksum(builtin_chow(dims))}")
+        _print(f"chow table {label}: sha256 {form_checksum(builtin_chow(dims))}")
 
 
 def main(argv=None) -> int:

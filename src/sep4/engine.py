@@ -22,6 +22,7 @@ from .states import (
     SpectralData,
     _check_psd,
     _compress_group,
+    _each_alone,
     _members,
     _rank_from_eigenvalues,
     _stacked,
@@ -162,15 +163,11 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     The rules and the decomposition run one state at a time.  No stage
     catches anything: the first error of any state, an invalid input, a
     failed stacked call or a rule's own, raises, and the group is then
-    rerun one state at a time, so that each state gets the report or the
-    error it gets alone.  This is the verdict path's one error boundary.
+    rerun one state at a time (:func:`~sep4.states._each_alone`, the one
+    error boundary), so that each state gets the report or the error it
+    gets alone.
     """
-    try:
-        return _classify_stacked(states, seed, decompose)
-    except Exception as exc:
-        if len(states) == 1:
-            return [exc]
-        return [_classify_group([state], seed, decompose)[0] for state in states]
+    return _each_alone(_classify_stacked, states, seed, decompose)
 
 
 def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> bool:

@@ -7,6 +7,7 @@ here write it out: party flattenings, row Kronecker products, the one
 product factorization and the one weighted projector sum.
 Parties are numbered 1..n and subsets of parties are passed as iterables
 of 1-based indices.  States are stored dense and are not normalized.
+One pass validates a stack of matrices of one ``dims`` (:func:`_new_states`).
 """
 
 from __future__ import annotations
@@ -123,20 +124,23 @@ def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
 
 
 def _check_entries(m: np.ndarray) -> None:
-    """Raise :class:`NotPositive` for a zero ``m``, :class:`DimensionMismatch`
-    unless its entries and its trace are finite floats.  The largest entry
-    is taken on the real view, so that no modulus can overflow; the trace
-    is at most d times it, so it is summed only where twice that overflows."""
-    scale = float(np.abs(np.ascontiguousarray(m).view(float)).max())
-    if scale == 0.0:
+    """Raise :class:`NotPositive` for a zero matrix of the stack ``m``,
+    :class:`DimensionMismatch` unless the entries and trace of each are
+    finite floats.  The largest entry is taken on the real view, so that no
+    modulus can overflow; a trace is at most d times it, so traces are
+    summed only where twice that overflows."""
+    scales = np.abs(np.ascontiguousarray(m).view(float)).reshape(len(m), -1).max(axis=1)
+    if not scales.all():
         raise NotPositive("zero matrix is not a state")
-    if not math.isfinite(scale):
+    top = float(scales.max())
+    if not math.isfinite(top):
         raise DimensionMismatch("matrix contains non-finite entries")
-    if not math.isfinite(2.0 * scale * len(m)):
+    if not math.isfinite(2.0 * top * m.shape[-1]):
         with np.errstate(over="ignore"):
-            trace = np.trace(m).real
-        if not math.isfinite(trace):
-            raise DimensionMismatch(f"trace {trace} is not a finite float")
+            traces = np.trace(m, axis1=1, axis2=2).real
+        for trace in traces:
+            if not math.isfinite(trace):
+                raise DimensionMismatch(f"trace {trace} is not a finite float")
 
 
 def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
@@ -145,25 +149,51 @@ def new_state(matrix, dims, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiS
     Hermiticity is enforced by symmetrization when the asymmetry is below
     ``tol_herm`` (relative to the largest entry); larger asymmetry is an
     error, as are a trace that is not a finite float and any eigenvalue
-    below ``-tol_psd * lambda_max``.
+    below ``-tol_psd * lambda_max``.  This is :func:`_new_states` on a
+    group of one.
     """
-    m = np.asarray(matrix, dtype=complex)
+    return _new_states([matrix], dims, cfg)[0]
+
+
+def _new_states(matrices: list, dims, cfg: ToleranceConfig) -> list[MultiState]:
+    """:func:`new_state`'s checks, each once over the stack of matrices of
+    one ``dims``: layout, entries, Hermiticity and one ``eigvalsh``, which
+    gives each matrix the bits it gets alone.  Any matrix's failed check
+    raises (:func:`_each_alone` gives each its own); the states are marked."""
+    arrays = [np.asarray(x, dtype=complex) for x in matrices]
     dims = tuple(int(x) for x in dims)
-    _check_layout(m.shape, dims)
+    _check_layout(arrays[0].shape, dims)
+    # a lone matrix is viewed as a stack of one, not copied
+    m = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
     _check_entries(m)
     # halved first, where no modulus or sum of finite entries overflows
     half = 0.5 * m
-    scale = np.abs(half).max()
-    adjoint = half.conj().T
-    asym = np.abs(half - adjoint).max()
-    if asym > cfg.tol_herm * scale:
-        raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
+    scale = np.abs(half).max(axis=(1, 2))
+    adjoint = _adjoint(half)
+    asym = np.abs(half - adjoint).max(axis=(1, 2))
+    for a, s in zip(asym.tolist(), scale.tolist()):
+        if a > cfg.tol_herm * s:
+            raise NotHermitian(f"relative asymmetry {a / s:.3e} exceeds tol_herm")
     m = half + adjoint
 
-    _check_psd(np.linalg.eigvalsh(m), cfg)
-    state = MultiState(m, dims, cfg)
-    object.__setattr__(state, "_valid", True)
-    return state
+    for eigs in np.linalg.eigvalsh(m):
+        _check_psd(eigs, cfg)
+    states = [MultiState(x, dims, cfg) for x in m]
+    for state in states:
+        object.__setattr__(state, "_valid", True)
+    return states
+
+
+def _each_alone(stage, members: list, *args) -> list:
+    """``stage(members, *args)``, or, when it raises, each member's result
+    or error alone: the one error boundary of the stacked stages, which
+    catch nothing (:func:`_new_states`, :func:`~sep4.engine._classify_stacked`)."""
+    try:
+        return stage(members, *args)
+    except Exception as exc:
+        if len(members) == 1:
+            return [exc]
+        return [_each_alone(stage, [member], *args)[0] for member in members]
 
 
 def _validated(state: MultiState) -> MultiState:
@@ -546,6 +576,16 @@ def state_to_dict(state: MultiState) -> dict:
 
 def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
     """Parse and validate the state JSON form; rejects NaN/Inf."""
+    matrix, dims = _decoded(obj)
+    (state,) = _checked_states([matrix], dims, cfg)
+    if isinstance(state, Exception):
+        raise state
+    return state
+
+
+def _decoded(obj) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The matrix and ``dims`` of the state JSON form ``obj``, not yet
+    validated; a value that is not that form is a :class:`StateFormatError`."""
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise StateFormatError("state JSON must carry 'dims' and 'matrix'")
     dims = obj["dims"]
@@ -558,7 +598,15 @@ def state_from_dict(obj, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiStat
         raise StateFormatError(f"'matrix' is not a dense [re, im] grid: {exc}") from exc
     if np.ndim(m) != 2 or m.shape[0] != m.shape[1]:
         raise StateFormatError(f"'matrix' is a {np.shape(m)} grid of pairs, expected (d, d)")
-    try:
-        return new_state(m, dims, cfg)
-    except (DimensionMismatch, NotHermitian, NotPositive) as exc:
-        raise StateFormatError(str(exc)) from exc
+    return m, tuple(dims)
+
+
+def _checked_states(matrices: list, dims, cfg: ToleranceConfig) -> list:
+    """Per decoded matrix of one ``dims`` its state or its error, a failed
+    check as a :class:`StateFormatError`, from one :func:`_new_states` pass."""
+    out = _each_alone(_new_states, matrices, dims, cfg)
+    for i, result in enumerate(out):
+        if isinstance(result, (DimensionMismatch, NotHermitian, NotPositive)):
+            out[i] = StateFormatError(str(result))
+            out[i].__cause__ = result
+    return out

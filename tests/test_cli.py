@@ -1,21 +1,43 @@
 import dataclasses
 import json
+import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sep4.engine
 from sep4 import cli
 from sep4.cli import main
 from sep4.engine import classify
-from sep4.errors import InconsistentTolerances
+from sep4.errors import (
+    DimensionMismatch,
+    InconsistentTolerances,
+    NotHermitian,
+    NotPositive,
+    StateFormatError,
+)
 from sep4.gallery import (
     divincenzo_state,
     random_separable,
     two_qutrit_ab_rows,
     two_qutrit_ab_state,
 )
-from sep4.states import assemble_product, new_state, state_to_dict
+from sep4.states import (
+    DEFAULT_TOLERANCES,
+    MultiState,
+    _checked_states,
+    assemble_product,
+    new_state,
+    state_from_dict,
+    state_to_dict,
+)
 
 
 def write_state(path, state):
@@ -108,6 +130,25 @@ class TestClassifyCommand:
         codes = {main(["classify", "--input", path, "--seed", "7"]) for _ in range(3)}
         capsys.readouterr()
         assert codes == {1}
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, flags):
+        # the reader closes the pipe before the report is written, as
+        # `| grep -q` may; unbuffered, the first write fails
+        path = write_state(tmp_path / "dv.json", divincenzo_state())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from sep4.cli import entry; entry()",
+             "classify", "--input", path, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
 
 class TestChowCommand:
@@ -351,8 +392,69 @@ class TestBatchCommand:
         assert got[0]["error"].startswith("StateFormatError: ")
         assert [line["report"]["rule"] for line in got[1:]] == ["NPT", "Chow33"]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the pool's workers inherit the patch only when forked")
+    @pytest.mark.parametrize("where", ["parent", "worker"])
+    def test_any_chunks_error_stops_the_batch(self, tmp_path, capsys, monkeypatch, where):
+        # four files, one per chunk: the pool's one worker takes the first
+        # two chunks, this process the last two
+        parent = os.getpid()
+        real_verdict = sep4.engine._verdict
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError(f"stage failed in the {where}")
+            return real_verdict(*args)
+
+        monkeypatch.setattr(sep4.engine, "_verdict", failing)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for i in range(4):
+            write_state(inputs / f"s{i}.json", product_projector_state())
+        out_file = tmp_path / "results.jsonl"
+        argv = ["batch", "--input", str(inputs), "--out", str(out_file), "--parallel", "2"]
+        with pytest.raises(RuntimeError, match=f"stage failed in the {where}"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    def test_parallel_matches_serial_with_errors_in_a_dims_group(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every chunk holds two-qubit files that fail validation next to
+        # valid ones, so each process validates groups that raise and rerun
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        rng = np.random.default_rng(5)
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for i in range(12):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            matrix = [a @ a.conj().T, np.diag([1.0, 1.0, 1.0, -1.0]), a][i % 3]
+            pairs = [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+            (inputs / f"s{i:02d}.json").write_text(json.dumps({"dims": [2, 2], "matrix": pairs}))
+        outputs = []
+        for parallel in ("1", "2"):
+            out = tmp_path / f"p{parallel}.jsonl"
+            argv = ["batch", "--input", str(inputs), "--out", str(out), "--parallel", parallel]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.endswith("(Entangled: 2, Separable: 2, error: 8)\n")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        errors = [json.loads(line).get("error", "") for line in outputs[0].decode().splitlines()]
+        assert sum(e.startswith("StateFormatError: eigenvalue") for e in errors) == 4
+        assert sum(e.startswith("StateFormatError: relative asymmetry") for e in errors) == 4
+
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch):
+        # --parallel N runs N processes: a pool of N - 1 workers, and this
+        # process, which classifies the last ceil(chunks / N) chunks
         calls = []
+        sizes = []
+        real_classify_files = cli._classify_files
+
+        def recording(paths, *args):
+            sizes.append(len(paths))
+            return real_classify_files(paths, *args)
 
         class SerialPool:
             """Records the pool's arguments and maps in this process."""
@@ -367,9 +469,10 @@ class TestBatchCommand:
                 return False
 
             def map(self, fn, chunks, *iterables):
-                calls[-1]["chunks"] = [len(chunk) for chunk in chunks]
-                return map(fn, chunks, *iterables)
+                calls[-1]["pool"] = [len(chunk) for chunk in chunks]
+                return list(map(fn, chunks, *iterables))
 
+        monkeypatch.setattr(cli, "_classify_files", recording)
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         inputs = tmp_path / "in"
@@ -378,29 +481,34 @@ class TestBatchCommand:
         serial = tmp_path / "serial.jsonl"
         assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
         assert calls == []
-        # two chunks per worker, each of at most _CHUNK_FILES files
-        for parallel, workers, chunks, cap in [
-            ("5000", 8, [2] * 10, 128), ("3", 3, [4] * 5, 128), ("2", 2, [3] * 6 + [2], 3),
-            ("1", None, None, 128),
+        assert sizes == [10, 10]
+        # two chunks per process, each of at most _CHUNK_FILES files
+        for parallel, pool, pooled, mine, cap in [
+            ("5000", 7, [2] * 8, [2, 2], 128), ("3", 2, [4] * 3, [4, 4], 128),
+            ("2", 1, [3] * 3, [3, 3, 3, 2], 3), ("1", None, None, [10, 10], 128),
         ]:
             monkeypatch.setattr(cli, "_CHUNK_FILES", cap)
+            sizes.clear()
             out = tmp_path / f"p{parallel}.jsonl"
             argv = ["batch", "--input", str(inputs), "--out", str(out), "--parallel", parallel]
             assert main(argv) == 0
-            if workers is not None:
-                assert calls.pop() == {"max_workers": workers, "chunks": chunks}
+            if pool is not None:
+                assert calls.pop() == {"max_workers": pool, "pool": pooled}
             assert calls == []
+            assert sizes == (pooled or []) + mine
             assert out.read_text() == serial.read_text()
         two = tmp_path / "two"
         two.mkdir()
         write_state(two / "a.json", product_projector_state())
         write_state(two / "b.json", divincenzo_state())
+        sizes.clear()
         assert main(
             ["batch", "--input", str(two), "--out", str(tmp_path / "two.jsonl"),
              "--parallel", "5000"]
         ) == 0
         capsys.readouterr()
-        assert calls == [{"max_workers": 2, "chunks": [1, 1]}]
+        assert calls == [{"max_workers": 1, "pool": [1]}]
+        assert sizes == [1, 1]
 
 
 class TestGalleryCommand:
@@ -478,3 +586,109 @@ class TestVersionAndTolerances:
         monkeypatch.setenv("SEP4_TOL_CHOW", "1e6")
         assert main(["classify", "--input", path, "--tol-chow", "1e-8"]) == 1
         capsys.readouterr()
+
+
+def reference_new_state(matrix, dims, cfg=DEFAULT_TOLERANCES):
+    """``new_state`` as it was written for one matrix before its checks were
+    stacked: the reference the stacked pass must match bit for bit."""
+    m = np.asarray(matrix, dtype=complex)
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
+    if min(dims) < 1 or math.prod(dims) != m.shape[0]:
+        raise DimensionMismatch(f"dims {dims} do not multiply to matrix size {m.shape[0]}")
+    scale = float(np.abs(np.ascontiguousarray(m).view(float)).max())
+    if scale == 0.0:
+        raise NotPositive("zero matrix is not a state")
+    if not math.isfinite(scale):
+        raise DimensionMismatch("matrix contains non-finite entries")
+    if not math.isfinite(2.0 * scale * len(m)):
+        with np.errstate(over="ignore"):
+            trace = np.trace(m).real
+        if not math.isfinite(trace):
+            raise DimensionMismatch(f"trace {trace} is not a finite float")
+    half = 0.5 * m
+    scale = np.abs(half).max()
+    adjoint = half.conj().T
+    asym = np.abs(half - adjoint).max()
+    if asym > cfg.tol_herm * scale:
+        raise NotHermitian(f"relative asymmetry {asym / scale:.3e} exceeds tol_herm")
+    m = half + adjoint
+    eigs = np.linalg.eigvalsh(m)
+    lam_max = eigs[-1]
+    if not 0.0 < lam_max < math.inf:
+        raise NotPositive(f"largest eigenvalue {lam_max:.3e} is not positive and finite")
+    if not eigs[0] >= -cfg.tol_psd * lam_max:
+        raise NotPositive(
+            f"eigenvalue {eigs[0]:.3e} below -tol_psd * lambda_max = "
+            f"{-cfg.tol_psd * lam_max:.3e}"
+        )
+    return MultiState(m, dims, cfg)
+
+
+def two_qubit_file(kind: str, seed: int, size: float) -> np.ndarray:
+    """A two-qubit matrix of one kind: a valid state of random rank, or one
+    that is not Hermitian, not PSD, zero, NaN-bearing, of overflowing
+    trace or of subnormal trace.  ``size`` in [0, 1) sets how far it is
+    off; a small asymmetry or negative eigenvalue stays within tolerance."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 1 + seed % 4)) + 1j * rng.standard_normal((4, 1 + seed % 4))
+    rho = a @ a.conj().T
+    if kind == "non-hermitian":
+        b = rng.standard_normal((4, 4))
+        return rho + 1j * 10.0 ** (-14 + 14 * size) * np.abs(rho).max() * (b + b.T)
+    if kind == "non-psd":
+        return rho - 10.0 ** (-12 + 12 * size) * np.abs(rho).max() * np.eye(4)
+    if kind == "zero":
+        return np.zeros((4, 4), dtype=complex)
+    if kind == "nan":
+        rho[seed % 4, (seed // 4) % 4] = np.nan
+        return rho
+    if kind == "overflow":
+        return rho * ((0.3 + 1.4 * size) * 1e308 / np.abs(rho).max())
+    if kind == "subnormal":
+        return rho * 1e-310
+    return rho
+
+
+def two_qubit_files(kinds):
+    return st.tuples(st.sampled_from(kinds), st.integers(0, 10_000), st.floats(0.0, 0.999))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(two_qubit_files(["valid", "subnormal"]), min_size=1, max_size=6),
+       st.lists(st.tuples(two_qubit_files(["non-hermitian", "non-psd", "zero", "nan", "overflow"]),
+                          st.integers(0, 6)), max_size=2))
+def test_grouped_validation_matches_per_file(good, bad):
+    """One dims group validated in one stacked pass gives each file the line
+    a lone state_from_dict and classify give it, error text included, and
+    each accepted matrix the bits new_state gives it alone."""
+    members = list(good)
+    # at most two files that are off, each anywhere in the group
+    for member, at in bad:
+        members.insert(at, member)
+    matrices = [two_qubit_file(*member) for member in members]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, m in enumerate(matrices):
+            path = os.path.join(tmp, f"s{i}.json")
+            with open(path, "w") as fh:
+                json.dump(state_to_dict(MultiState(m, (2, 2))), fh)
+            paths.append(path)
+        lines = cli._classify_files(paths, DEFAULT_TOLERANCES, 0)
+        for path, line in zip(paths, lines):
+            with open(path) as fh:
+                obj = json.load(fh)
+            try:
+                alone = classify(state_from_dict(obj), seed=0)
+            except cli._INPUT_ERRORS as exc:
+                alone = exc
+            assert line == cli._file_line(os.path.basename(path), alone)
+    checked = _checked_states([np.asarray(m) for m in matrices], (2, 2), DEFAULT_TOLERANCES)
+    for m, state in zip(matrices, checked):
+        try:
+            reference = reference_new_state(m, (2, 2))
+        except (DimensionMismatch, NotHermitian, NotPositive) as exc:
+            assert isinstance(state, StateFormatError) and str(state) == str(exc)
+            continue
+        assert state._valid
+        assert state.matrix.tobytes() == reference.matrix.tobytes()

@@ -1,8 +1,8 @@
 """Invariants of the package source, read from its syntax tree.
 
 README "Numerical conventions": every eigendecomposition goes through
-``states.spectral``, and only ``new_state``'s PSD check and the PPT
-eigenvalue stack (``ppt._spectra``: an operator and its partial
+``states.spectral``, and only ``new_state``'s PSD check (its stacked
+pass, ``states._new_states``) and the PPT eigenvalue stack (``ppt._spectra``: an operator and its partial
 transposes) ask for eigenvalues alone.  Every finite
 product-vector set comes from one guarded non-Hermitian eigenproblem,
 the only ``eig`` call, and no polynomial is built or rooted.  Plücker
@@ -18,16 +18,19 @@ peel works on bare operators: ``oracle`` builds no ``MultiState``.
 There is one verdict path: ``classify`` is ``engine._classify_group`` on
 a group of one, whose stages take every compressed state's eigenvalues
 from the PPT eigenvalue stack and its eigenvectors from one shared
-``spectral`` call.  A state is validated in one place, ``new_state``,
-which alone marks what it builds; the verdict path passes an unmarked
-state through it (``states._validated``) before anything is stacked, and
-``new_state``'s PSD check, ``states._check_psd``, also reads each
-compressed state's own spectrum.  A pure product state is a compression
+``spectral`` call.  A state is validated in one place, ``new_state``'s
+stacked pass ``states._new_states`` (``new_state`` is its group of one,
+``sep4 batch`` runs it once per ``dims``), which alone marks what it
+builds; the verdict path passes an unmarked state through ``new_state``
+(``states._validated``) before anything is stacked, and ``new_state``'s
+PSD check, ``states._check_psd``, also reads each compressed state's own
+spectrum.  A pure product state is a compression
 result with no state, and ``states.compress_support`` alone raises
 ``AllPartiesTrivial``.  The rules are one ladder in ``engine._verdict``,
 the one place a ``ClassificationReport`` is built.  The stages catch
-nothing: an error raises, and ``engine._classify_group``'s one rerun
-alone turns it into a state's result.
+nothing: an error raises, and the one rerun, ``states._each_alone``,
+which validation and ``engine._classify_group`` share, alone turns it
+into a state's result.
 """
 
 import ast
@@ -38,7 +41,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sep4"
 
 ALLOWED = {
     "eigh": {"states.spectral"},
-    "eigvalsh": {"states.new_state", "ppt._spectra"},
+    "eigvalsh": {"states._new_states", "ppt._spectra"},
     "eig": {"oracle._isolated_eig"},
     "det": {"chow.eval_chow"},
 }
@@ -200,12 +203,12 @@ def called(node) -> list[str]:
 def test_one_verdict_path():
     # classify is the group of one: the rules live in one function, which
     # only the group's stages call, and the group is entered from classify
-    # and from sep4 batch's chunk function alone
+    # and from sep4 batch's chunk function alone; its rerun is the shared
+    # error boundary's
     found = uses({"_classify_group", "_classify_stacked", "_verdict", "RULE_NPT"})
-    assert found["_classify_group"] == {
-        "engine.classify", "engine._classify_group", "cli", "cli._classify_files"
-    }
+    assert found["_classify_group"] == {"engine.classify", "cli", "cli._classify_files"}
     assert found["_classify_stacked"] == {"engine._classify_group"}
+    assert "_each_alone" in called(function("engine", "_classify_group"))
     assert found["_verdict"] == {"engine._classify_stacked"}
     assert found["RULE_NPT"] == {"engine", "engine._verdict"}
     assert "_classify_group" in called(function("engine", "classify"))
@@ -262,22 +265,26 @@ def test_one_rule_ladder():
 def test_one_psd_check():
     # new_state's PSD check is the one the verdict path runs on each
     # compressed state's own spectrum
-    assert uses({"_check_psd"})["_check_psd"] == {"engine", "states.new_state", "engine._verdict"}
+    assert uses({"_check_psd"})["_check_psd"] == {
+        "engine", "states._new_states", "engine._verdict"
+    }
 
 
 def test_directly_built_states_are_checked_in_one_place():
-    # new_state alone checks layout and entries and alone sets the mark;
-    # the verdict path's two entries and local_ranks pass an unmarked state
-    # through it
+    # new_state's stacked pass alone checks layout and entries and alone
+    # sets the mark, new_state and the state files' reader are its groups,
+    # and the verdict path's two entries and local_ranks pass an unmarked
+    # state through new_state
     found = uses({"_check_state", "_check_layout", "_check_entries", "_check_input",
-                  "_valid", "_validated"})
+                  "_valid", "_validated", "_new_states"})
     assert "states._check_state" not in {where for where, _ in top_levels()}
     assert not found["_check_state"] | found["_check_input"]
-    assert found["_check_layout"] == found["_check_entries"] == {"states.new_state"}
+    assert found["_check_layout"] == found["_check_entries"] == {"states._new_states"}
+    assert found["_new_states"] == {"states.new_state", "states._checked_states"}
     assert found["_valid"] == {"states.MultiState", "states._validated"}
     marks = {where for where, top in top_levels() for node in ast.walk(top)
              if isinstance(node, ast.Constant) and node.value == "_valid"}
-    assert marks == {"states.new_state"}
+    assert marks == {"states._new_states"}
     assert found["_validated"] == {
         "engine", "engine._classify_stacked", "states.compress_support", "states.local_ranks"
     }
@@ -296,14 +303,16 @@ def test_one_partial_trace_kernel():
 
 
 def test_one_error_boundary():
-    # a stage raises, and the group's one rerun gives each state its lone
+    # a stage raises, and the groups' one rerun gives each state its lone
     # outcome: the stages hold no try, every other handler of the verdict
     # path's modules re-raises, and no helper unpacks a group of one
-    for module, name in (("states", "_compress_group"), ("engine", "_classify_stacked")):
+    stages = (("states", "_new_states"), ("states", "_compress_group"),
+              ("engine", "_classify_stacked"))
+    for module, name in stages:
         assert not [node for node in ast.walk(function(module, name)) if isinstance(node, ast.Try)]
     tries = {where for where, top in top_levels() if where.split(".")[0] == "engine"
              for node in ast.walk(top) if isinstance(node, ast.Try)}
-    assert tries == {"engine._classify_group"}
+    assert not tries
     kept = {
         where
         for where, top in top_levels()
@@ -311,6 +320,9 @@ def test_one_error_boundary():
         for node in ast.walk(top)
         if isinstance(node, ast.ExceptHandler) and not isinstance(node.body[-1], ast.Raise)
     }
-    assert kept == {"engine._classify_group"}, sorted(kept)
+    assert kept == {"states._each_alone"}, sorted(kept)
+    assert uses({"_each_alone"})["_each_alone"] == {
+        "engine", "engine._classify_group", "states._checked_states", "states._each_alone",
+    }
     assert "states._only" not in {where for where, _ in top_levels()}
     assert not uses({"_only"})["_only"]
