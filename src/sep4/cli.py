@@ -25,6 +25,7 @@ from .chow import (
     form_to_dict,
     generate_chow_Mx2,
     supported_systems,
+    _check_fits,
 )
 from .codec import from_dict
 from .engine import (
@@ -224,7 +225,10 @@ def _cmd_chow(args) -> int:
     if args.print_form:
         _print(json.dumps(form_to_dict(form), indent=1))
     if args.eval_file:
-        vec = pluecker(_load_basis(args.eval_file))
+        basis = _load_basis(args.eval_file)
+        # before the C(d, k) minors, which a basis that does not fit never needs
+        _check_fits(form, basis.k, basis.d)
+        vec = pluecker(basis)
         raw = eval_chow(form, vec, normalized=False)
         scaled = eval_chow(form, vec, normalized=True)
         _print(f"F (unnormalized) = {raw.real:+.12e}{raw.imag:+.12e}j")

@@ -17,6 +17,7 @@ from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
     ToleranceConfig,
+    _check_layout,
     assemble_product,
     new_state,
 )
@@ -37,13 +38,15 @@ def _ket(*amplitudes) -> np.ndarray:
     return np.asarray(amplitudes, dtype=complex)
 
 
+def _qubit_kets() -> tuple[np.ndarray, ...]:
+    """|0>, |1>, |+> and |-> = (|0> +- |1>)/sqrt(2), built afresh."""
+    return _ket(1, 0), _ket(0, 1), _ket(1, 1) / math.sqrt(2), _ket(1, -1) / math.sqrt(2)
+
+
 def three_qubit_upb() -> ProductBasis:
     """The four-member three-qubit unextendible product basis |000>,
-    |+,1,->, |1,-,+>, |-,+,1> with |+-> = (|0> +- |1>)/sqrt(2)."""
-    zero = _ket(1, 0)
-    one = _ket(0, 1)
-    plus = _ket(1, 1) / math.sqrt(2)
-    minus = _ket(1, -1) / math.sqrt(2)
+    |+,1,->, |1,-,+>, |-,+,1>."""
+    zero, one, plus, minus = _qubit_kets()
     return ProductBasis(
         factors=(
             (zero, zero, zero),
@@ -61,10 +64,7 @@ def divincenzo_state(cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MultiState:
     Assembled as the sum of the four orthonormal vectors |+,psi1>,
     |-,psi2>, |0,psi3>, |1,psi4>; it annihilates every UPB member.
     """
-    zero = _ket(1, 0)
-    one = _ket(0, 1)
-    plus = _ket(1, 1) / math.sqrt(2)
-    minus = _ket(1, -1) / math.sqrt(2)
+    zero, one, plus, minus = _qubit_kets()
     psi = (
         _ket(0, 2, 1, 1) / math.sqrt(6),
         _ket(0, -1, -2, 1) / math.sqrt(6),
@@ -140,10 +140,13 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_separable(
     dims, terms: int, seed: int = 0, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> MultiState:
-    """Sum of ``terms`` projectors onto random product vectors."""
+    """Sum of ``terms`` projectors onto random product vectors; ``dims``
+    is checked as :func:`~sep4.states.new_state` checks it before anything
+    is allocated."""
     dims = tuple(int(x) for x in dims)
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
+    _check_layout((d, d), dims)
     rho = np.zeros((d, d), dtype=complex)
     for _ in range(terms):
         v = assemble_product([_random_unit(rng, dp) for dp in dims])

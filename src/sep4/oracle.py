@@ -42,7 +42,7 @@ from .errors import (
     WrongDimension,
 )
 from .grassmann import SubspaceBasis
-from .ppt import _spectra, _transpose_gather, is_ppt, subset_representatives
+from .ppt import _transpose_gather, is_ppt, subset_representatives
 from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
@@ -53,7 +53,6 @@ from .states import (
     _fit_product,
     _flattenings,
     _projector_sum,
-    _rank_from_eigenvalues,
     _row_kron,
 )
 
@@ -878,17 +877,17 @@ def bipartite_kernel_product_vectors_2x2x2(
     builds the basis reciprocal to the rest-side vectors, and returns the
     four kernel vectors (orthogonal cut factor) x (reciprocal vector) in
     the original party order.  Raises :class:`NotApplicable` unless the
-    state is a 2x2x2 PPT state of rank four with completely entangled
-    range.
+    state is a 2x2x2 PPT state of rank four (both read off
+    :func:`~sep4.ppt.is_ppt`) with completely entangled range.
     """
     if state.dims != (2, 2, 2):
         raise NotApplicable(f"state dims {state.dims} are not (2, 2, 2)")
     if cut not in (1, 2, 3):
         raise NotApplicable(f"cut must be 1, 2 or 3, got {cut}")
-    spectra = _spectra(state.matrix, state.dims)
-    if _rank_from_eigenvalues(spectra[0], state.cfg.tol_rank) != 4:
+    report = is_ppt(state)
+    if report.records[0].rank != 4:
         raise NotApplicable("state does not have rank four")
-    if not is_ppt(state, spectra).is_ppt:
+    if not report.is_ppt:
         raise NotApplicable("state is not PPT")
     sd = spectral(state)
     meets, _ = subspace_meets_segre(

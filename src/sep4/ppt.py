@@ -67,20 +67,20 @@ def _spectra(matrix: np.ndarray, dims: tuple[int, ...]):
     """Ascending eigenvalues of the operator ``matrix`` on ``dims`` and of
     each of its nonempty representative partial transposes, in
     :func:`subset_representatives` order, the operator first; for a stack
-    (g, d, d) of operators, one such row set per operator.  The operators
-    are gathered into one stack and diagonalized by one ``eigvalsh`` call
-    while an operator's stack holds at most 2^16 entries; larger operators
-    get one call per operator and subset, on a permuted copy."""
+    (g, d, d) of operators, one such row set per operator.  Up to 2^16
+    entries per operator's stack, one gather (from a lone operator's flat
+    view, see :func:`~sep4.states._reduced_states`) and one ``eigvalsh``
+    call; above, one call per operator and subset, on a permuted copy."""
     # the operator and its 2^(n-1) - 1 representative partial transposes
-    if matrix.shape[-1] ** 2 * 2 ** (len(dims) - 1) <= _GATHER_ENTRIES:
+    d, subsets = matrix.shape[-1], _representatives(len(dims))
+    if d * d * len(subsets) <= _GATHER_ENTRIES:
         table = _transpose_gather(dims)
         if matrix.ndim == 2:
             return np.linalg.eigvalsh(matrix.ravel()[table])
         return np.linalg.eigvalsh(matrix.reshape(len(matrix), -1)[:, table])
-    if matrix.ndim > 2:
-        return np.array([_spectra(m, dims) for m in matrix])
-    return np.array([np.linalg.eigvalsh(_transposed(matrix, dims, s))
-                     for s in _representatives(len(dims))])
+    out = np.array([[np.linalg.eigvalsh(_transposed(m, dims, s)) for s in subsets]
+                    for m in matrix.reshape(-1, d, d)])
+    return out.reshape(matrix.shape[:-2] + out.shape[1:])
 
 
 def is_ppt(state: MultiState, spectra=None) -> PptReport:
@@ -119,9 +119,8 @@ def is_ppt(state: MultiState, spectra=None) -> PptReport:
 
 
 def birank(state: MultiState) -> tuple[int, int]:
-    """(rank of the state, rank of its party-1 partial transpose), read off
-    one :func:`_spectra` call."""
+    """(rank of the state, rank of its party-1 partial transpose): the
+    ranks of the two records of :func:`is_ppt`, subsets ``()`` and ``(1,)``."""
     if state.n != 2:
         raise NotBipartite(f"birank needs 2 parties, state has {state.n}")
-    spectra = _spectra(state.matrix, state.dims)
-    return tuple(_rank_from_eigenvalues(eigs, state.cfg.tol_rank) for eigs in spectra)
+    return tuple(record.rank for record in is_ppt(state).records)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sep4.chow import (
+    MAX_MX2,
     builtin_chow,
     delta1,
     eval_chow,
@@ -97,6 +98,17 @@ class TestGenerator:
 
     def test_builtin_delegates_above_four(self):
         assert normalized_cells(builtin_chow((5, 2))) == normalized_cells(generate_chow_Mx2(5))
+
+    @pytest.mark.parametrize("m", [-1, 0, 1, MAX_MX2 + 1, 24])
+    def test_bounded_in_m(self, m):
+        # the form has M 2^(M-1) terms: no M above the bound is built
+        with pytest.raises(UnsupportedSystem, match=f"2 <= M <= {MAX_MX2}, got {m}"):
+            generate_chow_Mx2(m)
+
+    def test_builtin_obeys_the_bound(self):
+        assert builtin_chow((MAX_MX2, 2)).matrix_size == MAX_MX2
+        with pytest.raises(UnsupportedSystem):
+            builtin_chow((MAX_MX2 + 1, 2))
 
 
 class TestPermuteForm:

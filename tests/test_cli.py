@@ -215,6 +215,28 @@ class TestChowCommand:
         assert main(["chow", "--system", "4x4", "--print"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("system", ["24x2", "40x2", "Mx2:24"])
+    def test_mx2_above_the_bound_exits_3(self, capsys, system):
+        # both routes to the generator obey its bound on M, before any term
+        assert main(["chow", "--system", system, "--print"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: UnsupportedSystem: M x 2 generator needs")
+
+    def test_basis_that_does_not_fit_builds_no_minors(self, tmp_path, capsys, monkeypatch):
+        # an 11 x 22 basis has C(22, 11) minors; the 2x2 form takes G(1, 4)
+        rows = np.random.default_rng(0).standard_normal((11, 22))
+        path = tmp_path / "basis.json"
+        pairs = [[[x, 0.0] for x in row] for row in rows]
+        path.write_text(json.dumps({"dims": [11, 2], "rows": pairs}))
+        built = []
+        monkeypatch.setattr(cli, "pluecker", built.append)
+        assert main(["chow", "--system", "2x2", "--eval", str(path)]) == 3
+        assert built == []
+        assert capsys.readouterr().err == (
+            "error: ShapeMismatch: Plücker vector G(11,22) does not fit form for dims (2, 2)\n"
+        )
+
     def test_requires_action(self, capsys):
         assert main(["chow", "--system", "2x2"]) == 3
         capsys.readouterr()
@@ -550,6 +572,15 @@ class TestGalleryCommand:
         assert main(["classify", "--input", str(out_file)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("dims", ["1000,1000", "65,65"])
+    def test_too_large_random_separable_exits_3(self, tmp_path, capsys, dims):
+        # rejected before the d x d matrix is allocated, not by a MemoryError
+        out_file = tmp_path / "big.json"
+        argv = ["gallery", "--name", "random-separable", "--dims", dims, "--out", str(out_file)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: DimensionMismatch: total dimension")
+        assert not out_file.exists()
+
 
 class TestVersionAndTolerances:
     def test_version_prints_checksums(self, capsys):
@@ -644,7 +675,9 @@ def two_qubit_file(kind: str, seed: int, size: float) -> np.ndarray:
         rho[seed % 4, (seed // 4) % 4] = np.nan
         return rho
     if kind == "overflow":
-        return rho * ((0.3 + 1.4 * size) * 1e308 / np.abs(rho).max())
+        # scaled to a unit largest modulus first: the factor alone overflows
+        # when that modulus is below 1
+        return rho / np.abs(rho).max() * ((0.3 + 1.4 * size) * 1e308)
     if kind == "subnormal":
         return rho * 1e-310
     return rho

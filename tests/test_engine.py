@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sep4.chow import builtin_chow, eval_chow
 import sep4.engine
-import sep4.ppt
 from sep4.engine import (
     ClassificationReport,
     _classify_group,
@@ -1218,19 +1217,19 @@ class TestClassifyGroup:
     def test_large_operators_take_one_call_each(self, decompose, monkeypatch):
         # six qubits of local rank 2 compress to 64x64, whose stack of 32
         # representative operators holds 2^17 entries, above the gather
-        # bound: a group's eigenvalue stack is one _spectra call per state
+        # bound: each state's operators get one eigvalsh call each
         states = [random_separable((2,) * 6, 4, seed) for seed in range(3)]
         want = [alone(state, decompose=decompose) for state in states]
-        inner = []
-        real_spectra = sep4.ppt._spectra
+        shapes = []
+        real_eigvalsh = np.linalg.eigvalsh
 
-        def spy(matrix, dims):
-            inner.append(matrix.shape)
-            return real_spectra(matrix, dims)
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(sep4.ppt, "_spectra", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         results = _classify_group(states, decompose=decompose)
-        assert inner == [(64, 64)] * 3
+        assert shapes == [(64, 64)] * (3 * 32)
         assert [outcome(r) for r in results] == want
         assert [r.compressed_dims for r in results] == [(2,) * 6] * 3
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sep4.engine import classify
-from sep4.errors import DegenerateComplement, DependentVectors
+from sep4.errors import DegenerateComplement, DependentVectors, DimensionMismatch
 from sep4.gallery import (
     ProductBasis,
     conjugate_local,
@@ -128,6 +130,17 @@ class TestRandomFamilies:
             rep = classify(random_ppt_rank4_33(seed))
             assert rep.verdict == "Entangled"
             assert rep.rule == "Chow33"
+
+    def test_random_separable_checks_dims_before_allocating(self):
+        # a 4225 x 4225 complex matrix alone would take 285 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="total dimension 4225 exceeds"):
+                random_separable((65, 65), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_random_ppt_rank4_deterministic(self):
         a = random_ppt_rank4_33(seed=4)

@@ -33,6 +33,11 @@ class TestSubspaceBasis:
         with pytest.raises(RankDeficientBasis):
             SubspaceBasis(np.eye(3), (2, 2))
 
+    def test_more_rows_than_columns_rejected(self):
+        rows = np.vstack([np.eye(4), np.ones((1, 4))])
+        with pytest.raises(RankDeficientBasis, match="5 rows cannot be independent in C\\^4"):
+            SubspaceBasis(rows, (2, 2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_rows_rejected(self, bad):
         # rejected before the SVD, which would raise numpy's LinAlgError

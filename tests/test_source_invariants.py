@@ -271,15 +271,19 @@ def test_one_psd_check():
 
 
 def test_directly_built_states_are_checked_in_one_place():
-    # new_state's stacked pass alone checks layout and entries and alone
-    # sets the mark, new_state and the state files' reader are its groups,
+    # new_state's stacked pass alone checks entries and alone sets the
+    # mark (and the layout, which random_separable also checks before it
+    # allocates), new_state and the state files' reader are its groups,
     # and the verdict path's two entries and local_ranks pass an unmarked
     # state through new_state
     found = uses({"_check_state", "_check_layout", "_check_entries", "_check_input",
                   "_valid", "_validated", "_new_states"})
     assert "states._check_state" not in {where for where, _ in top_levels()}
     assert not found["_check_state"] | found["_check_input"]
-    assert found["_check_layout"] == found["_check_entries"] == {"states._new_states"}
+    assert found["_check_entries"] == {"states._new_states"}
+    assert found["_check_layout"] == {
+        "states._new_states", "gallery", "gallery.random_separable"
+    }
     assert found["_new_states"] == {"states.new_state", "states._checked_states"}
     assert found["_valid"] == {"states.MultiState", "states._validated"}
     marks = {where for where, top in top_levels() for node in ast.walk(top)

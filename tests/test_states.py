@@ -147,11 +147,23 @@ class TestToleranceConfig:
         cfg = ToleranceConfig(tol_rank=0.999)
         assert rank_of(new_state(np.diag([1.0, 0.5, 0.0, 0.0]), (2, 2), cfg)) == 1
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ToleranceConfig)])
+    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+    def test_every_tolerance_is_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            ToleranceConfig(**{field: value})
+
 
 class TestPartialTranspose:
     def test_empty_subset_is_identity(self):
         st_ = random_state((2, 3), 2, seed=0)
         assert partial_transpose(st_, ()) is st_
+
+    @pytest.mark.parametrize("subset", [(0,), (3,), (1, 3)])
+    def test_subset_out_of_range(self, subset):
+        st_ = random_state((2, 3), 2, seed=0)
+        with pytest.raises(DimensionMismatch, match=r"not within parties 1\.\.2"):
+            partial_transpose(st_, subset)
 
     def test_product_state_formula(self):
         a = ket(1, 2j)
