@@ -36,7 +36,7 @@ from .engine import (
     classify,
     report_to_dict,
 )
-from .errors import Sep4Error, StateFormatError
+from .errors import Sep4Error, ShapeMismatch, StateFormatError
 from .gallery import (
     divincenzo_state,
     random_ppt_rank4_33,
@@ -228,6 +228,8 @@ def _cmd_chow(args) -> int:
         basis = _load_basis(args.eval_file)
         # before the C(d, k) minors, which a basis that does not fit never needs
         _check_fits(form, basis.k, basis.d)
+        if basis.dims != form.dims:
+            raise ShapeMismatch(f"basis dims {basis.dims} differ from the form's {form.dims}")
         vec = pluecker(basis)
         raw = eval_chow(form, vec, normalized=False)
         scaled = eval_chow(form, vec, normalized=True)

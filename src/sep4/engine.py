@@ -10,10 +10,11 @@ decision scope and reported as such, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
-from .errors import InconsistentTolerances, NotSeparableVerdict
+from .errors import InconsistentTolerances, InvalidSeed, NotSeparableVerdict
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
 from .ppt import PptReport, _spectra, is_ppt
@@ -24,7 +25,6 @@ from .states import (
     _compress_group,
     _each_alone,
     _members,
-    _rank_from_eigenvalues,
     _stacked,
     _validated,
     is_product,
@@ -85,16 +85,16 @@ def _bounds_for(
 ) -> tuple[int, int]:
     """Length bounds for a separable verdict: (lower, upper).
 
-    The lower bound is the rank and, with a PPT record, the largest rank of
-    a partial transpose: each partial transpose of a sum of L product
-    projectors is again a sum of L projectors.  Upper bounds from rank and
-    compressed shape: rank 2 -> 2; rank 3 -> 4, tightened to 3 unless the
-    support is a two-qubit one; rank 4 -> 6, tightened to 5 for three or
-    more parties with some local rank above 2, and to 4 when some local
-    rank is 4 (or the support is the full two-qubit space).
+    The lower bound is the largest rank of a PPT record, or 1 without
+    one: each partial transpose of a sum of L product projectors is again
+    a sum of L projectors.  Upper bounds from rank and compressed shape:
+    rank 2 -> 2; rank 3 -> 4, tightened to 3 unless the support is a
+    two-qubit one; rank 4 -> 6, tightened to 5 for three or more parties
+    with some local rank above 2, and to 4 when some local rank is 4 (or
+    the support is the full two-qubit space).
     """
     n = len(compressed_dims)
-    lo = max([rank, 1] + ([rec.rank for rec in ppt.records] if ppt else []))
+    lo = max(rec.rank for rec in ppt.records) if ppt else 1
     if rank == 3:
         return lo, 4 if n == 2 and all(r == 2 for r in compressed_dims) else 3
     if rank == 4:
@@ -125,23 +125,19 @@ def classify(state: MultiState, seed: int = 0, decompose: bool = True) -> Classi
     pass of at most ``length_bounds[1]`` terms on the compressed state.
     The decomposition is ``None`` when its terms fail the product or
     residual check or the peel does not close (its absence never changes
-    the verdict).
-    This is :func:`_classify_group` on a group of one, which hands each
-    numeric stage the lone matrix unstacked: one spectral pass, kept for
-    this call only.  The reduced states are diagonalized by the support
-    compression, one stacked call per party size, and the compressed state
-    and its representative partial transposes by one eigenvalue stack (one
-    ``eigvalsh`` call on small operators), whose first row gives the rank
-    and which :func:`is_ppt` reads.  Eigenvectors of the compressed state
-    are computed only where a rule reads them: the rank-1 product check,
-    the Chow form and the decomposition.  A state built directly, not by
-    :func:`~sep4.states.new_state`, is passed through it first, so it
-    raises what :func:`~sep4.states.new_state` raises, or is classified
-    on the matrix :func:`~sep4.states.new_state` builds.  A compressed
-    state whose own spectrum, the first row of the eigenvalue stack, fails
-    :func:`~sep4.states.new_state`'s PSD check raises :class:`NotPositive`.
-    A pure product state compresses to no state and reads
-    ``Rank1Product`` with compressed dims ``()``.
+    the verdict).  A ``seed`` that is not a non-negative integer raises
+    :class:`InvalidSeed`, in both modes.
+    This is :func:`_classify_group` on a group of one, whose stages take
+    the lone matrix unstacked and keep no spectrum after the call.  The
+    compressed state's eigenvalue stack is read in one place: by
+    :func:`~sep4.states.new_state`'s PSD check on its first row, which
+    raises :class:`NotPositive` before any eigenvector is computed, then
+    by :func:`is_ppt`, whose first record is the rank.  A state built
+    directly, not by :func:`~sep4.states.new_state`, is passed through it
+    first, so it raises what :func:`~sep4.states.new_state` raises, or is
+    classified on the matrix :func:`~sep4.states.new_state` builds.  A
+    pure product state compresses to no state and reads ``Rank1Product``
+    with compressed dims ``()``.
     """
     (result,) = _classify_group([state], seed, decompose)
     if isinstance(result, Exception):
@@ -165,20 +161,20 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     failed stacked call or a rule's own, raises, and the group is then
     rerun one state at a time (:func:`~sep4.states._each_alone`, the one
     error boundary), so that each state gets the report or the error it
-    gets alone.
+    gets alone.  The ``seed`` is checked first, for the whole group.
     """
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}")
     return _each_alone(_classify_stacked, states, seed, decompose)
 
 
-def _reads_vectors(rank: int, ppt: PptReport | None, cdims, decompose: bool) -> bool:
+def _reads_vectors(ppt: PptReport, cdims, decompose: bool) -> bool:
     """Whether the rules read the compressed state's eigenvectors: the
     rank-1 product check, the Chow form, and a decomposition of a
     separable verdict."""
-    if rank == 1:
-        return True
-    if not ppt.is_ppt or not 2 <= rank <= 4:
-        return False
-    return decompose or (rank == 4 and cdims in _CHOW_SHAPES)
+    rank = ppt.records[0].rank
+    return rank == 1 or (ppt.is_ppt and 2 <= rank <= 4
+                         and (decompose or (rank == 4 and cdims in _CHOW_SHAPES)))
 
 
 def _classify_stacked(states, seed, decompose) -> list:
@@ -187,46 +183,42 @@ def _classify_stacked(states, seed, decompose) -> list:
     propagates."""
     states = [_validated(state) for state in states]
     comps, groups = _compress_group(states)
-    # per state the rules' inputs: eigenvalue stack, rank, PPT record and
-    # eigenvectors; a pure product's are rank 1 alone
-    rows = [[None, 1, None, None] for _ in states]
+    # per state the rules' inputs: PPT record, whose first record is the
+    # rank, and eigenvectors; a pure product has neither
+    ppts, sds = [None] * len(states), [None] * len(states)
     # the states that share their local ranks share a compressed shape
     for members, matrices in groups:
         cdims = comps[members[0]].state.dims
-        need = []
+        # the one reader of each eigenvalue stack
         for i, spectra in zip(members, _members(_spectra(matrices, cdims), len(members))):
             small = comps[i].state
-            rank = _rank_from_eigenvalues(spectra[0], small.cfg.tol_rank)
-            ppt = None if rank == 1 else is_ppt(small, spectra)
-            if _reads_vectors(rank, ppt, cdims, decompose):
-                need.append(i)
-            rows[i] = [spectra, rank, ppt, None]
+            _check_psd(spectra[0], small.cfg)
+            ppts[i] = is_ppt(small, spectra)
         # the eigenvectors the rules read, one stacked call
+        need = [i for i in members if _reads_vectors(ppts[i], cdims, decompose)]
         if need:
             sd = spectral(_stacked([comps[i].state.matrix for i in need]))
             g = len(need)
             for i, w, v in zip(need, _members(sd.eigenvalues, g), _members(sd.eigenvectors, g)):
-                rows[i][3] = SpectralData(w, v)
-    return [_verdict(state, comp, *row, seed, decompose)
-            for state, comp, row in zip(states, comps, rows)]
+                sds[i] = SpectralData(w, v)
+    return [_verdict(state, comp, ppt, sd, seed, decompose)
+            for state, comp, ppt, sd in zip(states, comps, ppts, sds)]
 
 
-def _verdict(state, comp, spectra, rank, ppt, sd, seed, decompose) -> ClassificationReport:
-    """The rules on one compressed state, from its eigenvalue stack, rank,
-    PPT record (``None`` at rank 1) and eigenvectors (``None`` where
-    :func:`_reads_vectors` says no rule reads them); a pure product, whose
-    compressed state is ``None``, has rank 1 and no spectrum."""
+def _verdict(state, comp, ppt, sd, seed, decompose) -> ClassificationReport:
+    """The rules on one compressed state, from its PPT record, whose first
+    record is the rank, and eigenvectors (``None`` where no rule reads
+    them, :func:`_reads_vectors`); a pure product, whose compressed state
+    is ``None``, has rank 1, and a ``Rank1Product`` report no PPT record."""
     small = comp.state
     cdims = () if small is None else small.dims
-    if spectra is not None:
-        _check_psd(spectra[0], small.cfg)
+    rank = 1 if ppt is None else ppt.records[0].rank
     chow = {}
     if rank == 1:
         if small is None or is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)[0]:
-            verdict, rule = SEPARABLE, RULE_RANK1_PRODUCT
+            verdict, rule, ppt = SEPARABLE, RULE_RANK1_PRODUCT, None
         else:
             verdict, rule = ENTANGLED, RULE_RANK1_NON_PRODUCT
-            ppt = is_ppt(small, spectra)
     elif not ppt.is_ppt:
         verdict, rule = ENTANGLED, RULE_NPT
     elif rank == 2:

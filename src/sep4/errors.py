@@ -85,5 +85,9 @@ class InconsistentTolerances(Sep4Error):
     """Threshold decisions contradict a theorem the verdict rests on."""
 
 
+class InvalidSeed(Sep4Error):
+    """A random seed is not a non-negative integer."""
+
+
 class StateFormatError(Sep4Error):
     """State or basis JSON is malformed or contains non-finite entries."""

@@ -53,6 +53,7 @@ from .states import (
     _fit_product,
     _flattenings,
     _projector_sum,
+    _rank_from_eigenvalues,
     _row_kron,
 )
 
@@ -461,8 +462,9 @@ def _peel(matrix: np.ndarray, dims, cfg, max_terms: int, seed: int):
     the remainder PPT rather than merely positive prevents the peel from
     overshooting into entangled remainders.  A round makes one stacked
     :func:`spectral` call on the remainder and its representative partial
-    transposes; each operator's range, the eigenvalues above ``tol_rank``
-    times its largest magnitude, serves the search and the weight alike.
+    transposes; each operator's range, as many leading eigenvectors as
+    :func:`~sep4.states._rank_from_eigenvalues` counts (the weight keeps
+    every operator PSD), serves the search and the weight alike.
     The pass stops once the remainder's Frobenius norm is at most
     ``1e-8 * trace`` and is not retried.  Returns the unit rows phi and
     their weights, or ``None`` at the first round that finds no peelable
@@ -476,8 +478,7 @@ def _peel(matrix: np.ndarray, dims, cfg, max_terms: int, seed: int):
         if np.linalg.norm(remainder) <= target:
             break
         sd = spectral(remainder.ravel()[_transpose_gather(dims)])
-        cut = cfg.tol_rank * np.abs(sd.eigenvalues).max(axis=1, keepdims=True)
-        ranks = (sd.eigenvalues > cut).sum(axis=1).tolist()
+        ranks = [_rank_from_eigenvalues(eigs, cfg.tol_rank) for eigs in sd.eigenvalues.tolist()]
         hit = _find_peelable_product_vector(sd, ranks, subsets, dims, cfg, seed + 101 * step)
         if hit is None:
             return None

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sep4.chow import (
     MAX_MX2,
+    ChowForm,
+    _check_form,
     builtin_chow,
     delta1,
     eval_chow,
@@ -76,6 +78,40 @@ class TestBuiltinTables:
         a = form_checksum(builtin_chow((3, 3)))
         b = form_checksum(builtin_chow((3, 3)))
         assert a == b and len(a) == 64
+
+
+class TestCheckForm:
+    """A table is checked when it is loaded: every row as long as the
+    matrix, every index tuple of length k, within [1, d] and strictly
+    increasing."""
+
+    @staticmethod
+    def with_first_cell(form, tup):
+        """``form`` with its first cell replaced by the lone term ``tup``."""
+        first = (((1, tup),), *form.entries[0][1:])
+        return ChowForm(form.dims, form.matrix_size, (first, *form.entries[1:]))
+
+    def test_builtin_tables_pass(self):
+        for dims in supported_systems():
+            _check_form(builtin_chow(dims))
+
+    def test_ragged_rows(self):
+        form = builtin_chow((3, 3))
+        ragged = (form.entries[0][:-1], *form.entries[1:])
+        with pytest.raises(UnsupportedSystem, match="ragged rows"):
+            _check_form(ChowForm(form.dims, form.matrix_size, ragged))
+
+    @pytest.mark.parametrize("tup", [(0, 1, 2, 3), (1, 2, 3, 10), (1, 2, 3)],
+                             ids=["below-1", "above-d", "short"])
+    def test_tuple_out_of_range(self, tup):
+        # the 3x3 form takes 4-tuples over [1, 9]
+        with pytest.raises(UnsupportedSystem, match=r"malformed Chow table tuple"):
+            _check_form(self.with_first_cell(builtin_chow((3, 3)), tup))
+
+    @pytest.mark.parametrize("tup", [(2, 1, 3, 4), (1, 1, 2, 3)], ids=["unsorted", "repeated"])
+    def test_tuple_not_increasing(self, tup):
+        with pytest.raises(UnsupportedSystem, match="not strictly increasing"):
+            _check_form(self.with_first_cell(builtin_chow((3, 3)), tup))
 
 
 class TestGenerator:

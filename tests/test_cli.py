@@ -131,6 +131,17 @@ class TestClassifyCommand:
         capsys.readouterr()
         assert codes == {1}
 
+    @pytest.mark.parametrize("make", [lambda: random_separable((3, 3), 3, seed=1),
+                                      divincenzo_state], ids=["separable", "divincenzo"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, make):
+        # on every verdict, not only on the separable ones a decomposition
+        # would seed
+        path = write_state(tmp_path / "s.json", make())
+        assert main(["classify", "--input", path, "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: InvalidSeed: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
     def test_closed_stdout_keeps_the_exit_code(self, tmp_path, flags):
         # the reader closes the pipe before the report is written, as
@@ -237,6 +248,42 @@ class TestChowCommand:
             "error: ShapeMismatch: Plücker vector G(11,22) does not fit form for dims (2, 2)\n"
         )
 
+    @staticmethod
+    def write_product_basis(path, dims):
+        """A 2 x 6 basis that holds a 2x3 product vector, one that does
+        not factor as 3x2, declared as ``dims``."""
+        product = np.kron([1.0, 2.0], [1.0, -1.0, 0.5])
+        rows = [product, np.random.default_rng(0).standard_normal(6)]
+        pairs = [[[float(x), 0.0] for x in row] for row in rows]
+        path.write_text(json.dumps({"dims": dims, "rows": pairs}))
+        return str(path)
+
+    def test_product_basis_meets_its_own_form(self, tmp_path, capsys):
+        path = self.write_product_basis(tmp_path / "basis.json", [2, 3])
+        assert main(["chow", "--system", "2x3", "--eval", path]) == 0
+        magnitude = float(capsys.readouterr().out.splitlines()[2].split()[3])
+        assert magnitude < 1e-12
+
+    @pytest.mark.parametrize("system, dims, form", [
+        ("3x2", [2, 3], (3, 2)), ("2x3", [6], (2, 3)), ("3x2", [6], (3, 2)),
+    ], ids=["2x3-as-3x2", "6-as-2x3", "6-as-3x2"])
+    def test_basis_of_other_dims_builds_no_minors(
+        self, tmp_path, capsys, monkeypatch, system, dims, form
+    ):
+        # k = 2 and d = 6 fit both forms, so only the dims tell the 2x3
+        # product basis, which the 3x2 form reads as completely entangled,
+        # from a 3x2 one
+        path = self.write_product_basis(tmp_path / "basis.json", dims)
+        built = []
+        monkeypatch.setattr(cli, "pluecker", built.append)
+        assert main(["chow", "--system", system, "--eval", path]) == 3
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ShapeMismatch: basis dims {tuple(dims)} differ from the form's {form}\n"
+        )
+
     def test_requires_action(self, capsys):
         assert main(["chow", "--system", "2x2"]) == 3
         capsys.readouterr()
@@ -279,12 +326,14 @@ class TestBatchCommand:
 
     def test_tolerance_guard_is_recorded_per_file(self, tmp_path, capsys, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial
-        # transposes; report one of rank 3 to trip the guard
+        # transposes; report them at rank 3 to trip the guard, and keep the
+        # first record, the state's own rank
         real_is_ppt = sep4.engine.is_ppt
 
         def lowered_ranks(state, *args):
             report = real_is_ppt(state, *args)
-            records = tuple(dataclasses.replace(r, rank=r.rank - 1) for r in report.records)
+            lowered = [dataclasses.replace(r, rank=r.rank - 1) for r in report.records[1:]]
+            records = (report.records[0], *lowered)
             return dataclasses.replace(report, records=records)
 
         monkeypatch.setattr(sep4.engine, "is_ppt", lowered_ranks)
@@ -328,6 +377,23 @@ class TestBatchCommand:
         assert main(["batch", "--input", str(tmp_path / "sub"), "--out", str(out_file)]) == 0
         assert capsys.readouterr().out == f"classified 0 file(s) -> {out_file} (nothing to do)\n"
         assert out_file.read_text() == ""
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_negative_seed_exits_3_without_output(self, tmp_path, capsys, parallel):
+        # the entangled file's report would not read the seed, but the batch
+        # stops before any line is written
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_state(inputs / "a_sep.json", random_separable((3, 3), 3, seed=1))
+        write_state(inputs / "b_dv.json", divincenzo_state())
+        out_file = tmp_path / "results.jsonl"
+        argv = ["batch", "--input", str(inputs), "--out", str(out_file),
+                "--parallel", parallel, "--seed", "-1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidSeed: ")
+        assert not out_file.exists()
 
     def test_missing_input_fails_without_output(self, tmp_path, capsys):
         out_file = tmp_path / "results.jsonl"
@@ -531,6 +597,16 @@ class TestBatchCommand:
         capsys.readouterr()
         assert calls == [{"max_workers": 1, "pool": [1]}]
         assert sizes == [1, 1]
+
+
+def test_usable_cpus_without_cpu_affinity(monkeypatch):
+    # not every platform has os.sched_getaffinity; then every CPU counts,
+    # and an unknown count is one
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 class TestGalleryCommand:

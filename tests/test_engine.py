@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,6 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sep4.chow import builtin_chow, eval_chow
 import sep4.engine
+import sep4.ppt
+import sep4.states
 from sep4.engine import (
     ClassificationReport,
     _classify_group,
@@ -21,6 +24,7 @@ from sep4.errors import (
     DimensionMismatch,
     EigFailure,
     InconsistentTolerances,
+    InvalidSeed,
     NotPositive,
     NotSeparableVerdict,
     Sep4Error,
@@ -684,6 +688,16 @@ class TestReportSerialization:
             for term in payload["decomposition"]["terms"]:
                 assert list(term) == ["weight", "factors"]
 
+    def test_field_without_a_json_form_is_rejected(self):
+        from sep4.codec import to_dict
+
+        @dataclasses.dataclass(frozen=True)
+        class Counts:
+            counts: dict[str, int]
+
+        with pytest.raises(TypeError, match="no JSON form for annotation"):
+            to_dict(Counts({"a": 1}))
+
     def test_negative_zero_survives_round_trip(self):
         # JSON keeps a real part of -0.0 beside a nonzero imaginary part
         from sep4.codec import from_pairs, to_pairs
@@ -708,6 +722,60 @@ class TestBorderlineFlag:
         rep = classify(shifted, decompose=False)
         assert rep.verdict == "Entangled"
         assert rep.low_confidence
+
+
+class TestSeed:
+    """``classify``'s seed is checked once, where a group enters, before
+    any stage: one that is not a non-negative integer raises
+    ``InvalidSeed`` on every verdict, with or without decomposition,
+    where numpy raised ``ValueError`` or ``TypeError`` on separable
+    verdicts alone."""
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None], ids=repr)
+    def test_bad_seed_raises_invalid_seed(self, seed, decompose):
+        for state in (random_separable((3, 3), 3, seed=1), divincenzo_state()):
+            with pytest.raises(InvalidSeed, match="non-negative integer"):
+                classify(state, seed=seed, decompose=decompose)
+
+    def test_checked_before_any_stage(self, monkeypatch):
+        def stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(sep4.engine, "_classify_stacked", stage)
+        with pytest.raises(InvalidSeed):
+            _classify_group([divincenzo_state(), MultiState(-np.eye(4), (2, 2))], -1)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        state = random_separable((3, 3), 3, seed=1)
+        assert outcome(classify(state, seed=np.int64(7))) == outcome(classify(state, seed=7))
+
+
+class TestOneRankRule:
+    """``states._rank_from_eigenvalues`` counts each operator's rank once:
+    the reduced states' in the compression, and the compressed state's
+    with its partial transposes' in ``is_ppt``'s records, whose first is
+    the report's rank."""
+
+    @pytest.mark.parametrize("make, calls", [
+        (divincenzo_state, 7),
+        (lambda: random_separable((3, 3), 3, seed=1), 4),
+    ], ids=["divincenzo", "separable-3x3"])
+    def test_one_count_per_operator(self, make, calls, monkeypatch):
+        state = make()
+        counted = []
+        real = sep4.states._rank_from_eigenvalues
+
+        def spy(eigs, tol_rank):
+            counted.append(len(eigs))
+            return real(eigs, tol_rank)
+
+        for module in (sep4.states, sep4.ppt):
+            monkeypatch.setattr(module, "_rank_from_eigenvalues", spy)
+        report = classify(state, decompose=False)
+        assert len(counted) == calls
+        assert report.rank == report.ppt.records[0].rank
+        assert len(report.ppt.records) == calls - len(state.dims)
 
 
 class TestUnvalidatedInput:
@@ -907,22 +975,51 @@ def result_of(state, **kwargs):
         return exc
 
 
+@contextlib.contextmanager
+def counted_eigensolves():
+    """The eigensolver calls made through ``numpy.linalg`` inside the
+    block, by name; patched and restored by hand, so that a Hypothesis
+    test can count per example."""
+    calls = []
+    real = {name: getattr(np.linalg, name) for name in ("eig", "eigh", "eigvalsh")}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real[name](*args, **kwargs)
+        return call
+
+    try:
+        for name in real:
+            setattr(np.linalg, name, counted(name))
+        yield calls
+    finally:
+        for name, fn in real.items():
+            setattr(np.linalg, name, fn)
+
+
 class TestOneValidation:
     """``classify`` on a directly built ``MultiState`` raises exactly when
     ``new_state`` raises, with its class and message, and otherwise gives
     the report of the state ``new_state`` builds, byte for byte, in both
     ``decompose`` modes.  So does the state JSON round trip, whose parser
     raises ``new_state``'s message as a ``StateFormatError``.  Shapes of 1
-    to 4 parties of dimension 1 to 4, at most 32 in all, ranks 1 to 5;
+    to 5 parties of dimension 1 to 4, at most 32 in all, ranks 1 to 5;
     :class:`TestClassifyContract`'s guard keeps the peel to one 2x3
-    example in 64."""
+    example in 64.  The ``classify`` seed is drawn as well: a negative one
+    raises ``InvalidSeed`` on every state, valid or not, in both modes,
+    and the example then goes on with its complement ``-seed - 1``.  On a
+    ``new_state``-built state without decomposition, ``classify`` makes
+    at most one eigensolver call per distinct party dimension (the reduced
+    states) and two more (the eigenvalue stack and the eigenvectors)."""
 
     KINDS = TestClassifyContract.KINDS + ("nonhermitian", "zero")
 
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ds: math.prod(ds) <= 32),
-           st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**16), st.integers(0, 63))
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(lambda ds: math.prod(ds) <= 32),
+           st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**16), st.integers(0, 63),
+           st.integers(-(2**16), 2**16))
     @settings(max_examples=200, deadline=None)
-    def test_classify_raises_what_new_state_raises(self, dims, rank, kind, seed, peel):
+    def test_classify_raises_what_new_state_raises(self, dims, rank, kind, seed, peel, cseed):
         dims = tuple(dims)
         d = math.prod(dims)
         assume(kind != "pair" or d > 1)
@@ -938,14 +1035,24 @@ class TestOneValidation:
         except StateFormatError as exc:
             assert error is not None and str(exc) == str(error)
             parsed = error
+        if cseed < 0:
+            for decompose in (False, True):
+                for state in filter(None, (MultiState(m, dims), valid)):
+                    assert isinstance(result_of(state, seed=cseed, decompose=decompose),
+                                      InvalidSeed)
+            cseed = -cseed - 1
         for decompose in (False, True):
-            direct = result_of(MultiState(m, dims), decompose=decompose)
+            direct = result_of(MultiState(m, dims), seed=cseed, decompose=decompose)
             if valid is None:
                 assert outcome(direct) == outcome(error)
                 continue
-            want = result_of(valid, decompose=decompose)
+            with counted_eigensolves() as calls:
+                want = result_of(valid, seed=cseed, decompose=decompose)
+            if not decompose:
+                assert len(calls) <= len(set(dims)) + 2, calls
             assert isinstance(want, ClassificationReport)
-            assert outcome(direct) == outcome(result_of(parsed, decompose=decompose)) == outcome(want)
+            assert outcome(direct) == outcome(
+                result_of(parsed, seed=cseed, decompose=decompose)) == outcome(want)
             if want.verdict == "Separable" and want.decomposition is not None:
                 lo, hi = want.length_bounds
                 assert lo <= len(want.decomposition.terms) <= hi
@@ -1235,12 +1342,14 @@ class TestClassifyGroup:
 
     def test_tolerance_guard_fails_alone(self, monkeypatch):
         # an entangled 2x2x2 rank-4 state must have full-rank partial
-        # transposes; report one of rank 3 to trip the guard
+        # transposes; report them at rank 3 to trip the guard, and keep the
+        # first record, the state's own rank
         real_is_ppt = sep4.engine.is_ppt
 
         def lowered_ranks(state, *args):
             report = real_is_ppt(state, *args)
-            records = tuple(dataclasses.replace(r, rank=r.rank - 1) for r in report.records)
+            lowered = [dataclasses.replace(r, rank=r.rank - 1) for r in report.records[1:]]
+            records = (report.records[0], *lowered)
             return dataclasses.replace(report, records=records)
 
         monkeypatch.setattr(sep4.engine, "is_ppt", lowered_ranks)

@@ -7,6 +7,7 @@ from sep4.gallery import two_qutrit_ab_rows
 from sep4.grassmann import (
     PlueckerVector,
     SubspaceBasis,
+    _pluecker_rows,
     dual_pluecker,
     index_tuples,
     pluecker,
@@ -45,6 +46,28 @@ class TestSubspaceBasis:
         rows[1, 2] = bad
         with pytest.raises(RankDeficientBasis, match=r"non-finite entries .*\(1, 2\)"):
             SubspaceBasis(rows, (2, 2))
+
+
+class TestDegenerateInputs:
+    def test_empty_basis_has_no_pluecker_vector(self):
+        basis = SubspaceBasis(np.zeros((0, 4)), (2, 2))
+        assert basis.k == 0
+        with pytest.raises(RankDeficientBasis, match="empty basis"):
+            pluecker(basis)
+
+    def test_rows_whose_minors_all_vanish(self):
+        # bare rows skip SubspaceBasis's independence check
+        rows = np.array([[1, 0, 0, 0], [2, 0, 0, 0]], dtype=complex)
+        with pytest.raises(RankDeficientBasis, match="all maximal minors vanish"):
+            _pluecker_rows(rows)
+
+    def test_relations_residual_of_the_trivial_grassmannians(self):
+        # G(0, d) and G(d, d) are points: no relation to violate
+        full = pluecker(SubspaceBasis(np.eye(4), (2, 2)))
+        assert (full.k, full.d, full.raw.size) == (4, 4, 1)
+        assert pluecker_relations_residual(full) == 0.0
+        empty = PlueckerVector(k=0, d=4, tuples=index_tuples(4, 0), raw=[1.0], normalized=[1.0])
+        assert pluecker_relations_residual(empty) == 0.0
 
 
 class TestPluecker:

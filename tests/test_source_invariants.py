@@ -24,8 +24,11 @@ stacked pass ``states._new_states`` (``new_state`` is its group of one,
 builds; the verdict path passes an unmarked state through ``new_state``
 (``states._validated``) before anything is stacked, and ``new_state``'s
 PSD check, ``states._check_psd``, also reads each compressed state's own
-spectrum.  A pure product state is a compression
-result with no state, and ``states.compress_support`` alone raises
+spectrum.  One rule counts every rank, ``states._rank_from_eigenvalues``;
+the verdict path reads a compressed state's rank off ``is_ppt``'s first
+record, and reads its eigenvalue stack in one place.  A pure product
+state is a compression result with no state, and
+``states.compress_support`` alone raises
 ``AllPartiesTrivial``.  The rules are one ladder in ``engine._verdict``,
 the one place a ``ClassificationReport`` is built.  The stages catch
 nothing: an error raises, and the one rerun, ``states._each_alone``,
@@ -264,10 +267,45 @@ def test_one_rule_ladder():
 
 def test_one_psd_check():
     # new_state's PSD check is the one the verdict path runs on each
-    # compressed state's own spectrum
+    # compressed state's own spectrum, where the group's stages read the
+    # eigenvalue stack
     assert uses({"_check_psd"})["_check_psd"] == {
-        "engine", "states._new_states", "engine._verdict"
+        "engine", "states._new_states", "engine._classify_stacked"
     }
+
+
+def names_tol_rank(node) -> bool:
+    return getattr(node, "attr", getattr(node, "id", None)) == "tol_rank"
+
+
+def test_one_rank_rule():
+    # one rule counts every rank: only _rank_from_eigenvalues compares or
+    # scales tol_rank against data (the tolerance's own range check
+    # compares it with a constant), the verdict path takes the rank from
+    # is_ppt's first record, whose one call in engine sits in the group's
+    # stages, and the rules call no rank or PPT counter of their own
+    cutoffs = set()
+    for where, top in top_levels():
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+            elif isinstance(node, ast.BinOp):
+                sides = [node.left, node.right]
+            else:
+                continue
+            if any(map(names_tol_rank, sides)) and not all(
+                names_tol_rank(side) or isinstance(side, ast.Constant) for side in sides
+            ):
+                cutoffs.add(where)
+    assert cutoffs == {"states._rank_from_eigenvalues"}, sorted(cutoffs)
+    assert not {where for where in uses({"_rank_from_eigenvalues"})["_rank_from_eigenvalues"]
+                if where.split(".")[0] == "engine"}
+    calls = [name for where, top in top_levels() if where.split(".")[0] == "engine"
+             for name in called(top)]
+    assert calls.count("is_ppt") == called(function("engine", "_classify_stacked")).count(
+        "is_ppt") == 1
+    assert not {"is_ppt", "_rank_from_eigenvalues", "rank_of"} & set(
+        called(function("engine", "_verdict")))
 
 
 def test_directly_built_states_are_checked_in_one_place():
