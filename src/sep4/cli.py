@@ -3,17 +3,18 @@
 Exit codes for ``classify``: 0 separable, 1 entangled, 2 out of scope,
 3 for parse/validation errors.  ``SEP4_TOL_CHOW`` overrides the Chow
 tolerance when no explicit flag is given.  ``batch --parallel N`` runs
-in N processes, this one included.
+in N processes: this one and N - 1 forked children, joined over pipes.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .states import (
     DEFAULT_TOLERANCES,
     MultiState,
     ToleranceConfig,
+    _check_seed,
     _checked_states,
     _decoded,
     state_from_dict,
@@ -159,13 +161,7 @@ def _load_state(path: str) -> tuple:
 
 
 def _load_basis(path: str) -> SubspaceBasis:
-    obj = _read_json(path)
-    try:
-        return from_dict(SubspaceBasis, obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFormatError(
-            f"basis JSON must carry 'dims' and 'rows', a k x d grid of [re, im] pairs: {exc!r}"
-        ) from exc
+    return from_dict(SubspaceBasis, _read_json(path))
 
 
 def _human_report(report_dict: dict) -> str:
@@ -239,8 +235,12 @@ def _cmd_chow(args) -> int:
     return 0
 
 
-# most files one pool task parses and holds at once
+# most files one chunk parses and holds at once
 _CHUNK_FILES = 128
+# pipe capacity asked for each forked child (Linux's default pipe-max-size):
+# a result that fits is written at once, so the child exits without waiting
+# for the parent to read it
+_PIPE_BYTES = 1 << 20
 
 
 def _classify_files(paths: list[str], cfg: ToleranceConfig, seed: int) -> list[tuple[str, str]]:
@@ -288,32 +288,120 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork(task) -> tuple:
+    """Fork a child that runs ``task()`` and writes ``(True, result)``, or
+    ``(False, error)``, pickled to a pipe: the child's pid and the pipe's
+    read end.  The child leaves through ``os._exit`` on every path, so it
+    never returns into the caller's stack nor flushes the stdio buffers it
+    inherited, and it exits 0 only once its whole result is written."""
+    import fcntl  # POSIX, as os.fork is
+
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+        try:
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except OSError:  # above this host's limit: keep the default capacity
+            pass
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            blob = pickle.dumps((True, task()))
+        except Exception as exc:
+            blob = _pickled_error(exc)
+        with open(write_end, "wb") as fh:
+            fh.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """``(False, exc)`` pickled; a ``RuntimeError`` carrying its ``repr``
+    in its place when ``exc`` does not survive the round trip."""
+    try:
+        blob = pickle.dumps((False, exc))
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps((False, RuntimeError(repr(exc))))
+
+
+def _fork_join(tasks: list, own):
+    """Each of ``tasks`` run in a forked child while ``own()`` runs here:
+    their results in order, ``own()``'s last.  ``own()``'s error raises
+    first, then the children's in order.  Each pipe is read to EOF before
+    its child is reaped, since a result larger than a pipe holds keeps the
+    child from exiting; whatever raises, every child still alive is killed
+    and reaped."""
+    children = []  # (pid, pipe) of every child not yet reaped
+    try:
+        for task in tasks:
+            children.append(_fork(task))
+        mine = own()
+        results = []
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                blob = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0 or not blob:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"batch worker {pid} exited without a result (status {code})")
+            ok, value = pickle.loads(blob)
+            if not ok:
+                raise value
+            results.append(value)
+        return results + [mine]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _cmd_batch(args) -> int:
     cfg = _tolerances_from_args(args)
+    # before any file is listed, so that a bad seed exits 3 on any directory
+    _check_seed(args.seed)
     inputs = Path(args.input)
     if not inputs.is_dir():
         # before OUT is opened, so that a bad --input leaves it untouched
         raise NotADirectoryError(f"--input {args.input!r} is not a directory")
     files = sorted(str(p) for p in inputs.glob("*.json"))
-    # the pool forks every worker up front, so never run more processes
-    # than there are files or usable CPUs
-    workers = min(args.parallel, len(files), _usable_cpus())
-    # each task decodes a chunk of files and validates and classifies its
-    # states one group per dims, so that every numeric stage is one call
-    # per group: two chunks per process, at most _CHUNK_FILES files each
-    size = max(1, min(_CHUNK_FILES, math.ceil(len(files) / (2 * max(workers, 1)))))
+    # every child is forked up front, so never run more processes than
+    # there are files or usable CPUs; without os.fork, run serially
+    workers = max(1, min(args.parallel, len(files), _usable_cpus()))
+    if not hasattr(os, "fork"):
+        workers = 1
+    # each chunk's files are decoded, and their states validated and
+    # classified one group per dims, so that every numeric stage is one
+    # call per group: two chunks per process, at most _CHUNK_FILES files each
+    size = max(1, min(_CHUNK_FILES, math.ceil(len(files) / (2 * workers))))
     chunks = [files[i:i + size] for i in range(0, len(files), size)]
-    args_of = ([cfg] * len(chunks), [args.seed] * len(chunks))
-    if workers > 1:
-        # this process is one of the workers: it takes the last
-        # ceil(chunks / workers) chunks, a pool of the others the rest
-        cut = len(chunks) - math.ceil(len(chunks) / workers)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            theirs = pool.map(_classify_files, chunks[:cut], *args_of)
-            mine = list(map(_classify_files, chunks[cut:], *args_of))
-            done = list(theirs) + mine
-    else:
-        done = list(map(_classify_files, chunks, *args_of))
+
+    def classified(run: list) -> list:
+        return [line for chunk in run for line in _classify_files(chunk, cfg, args.seed)]
+
+    # this process is one of the workers: it keeps the last
+    # ceil(chunks / workers) chunks, and each of the workers - 1 children
+    # one contiguous run of the others, the runs' lengths differing by at
+    # most one; one worker forks nothing
+    cut = len(chunks) - math.ceil(len(chunks) / workers)
+    n = workers - 1
+    runs = [chunks[cut * k // n:cut * (k + 1) // n] for k in range(n)]
+    done = _fork_join([lambda run=run: classified(run) for run in runs],
+                      lambda: classified(chunks[cut:]))
     results = [line for lines in done for line in lines]
     # the workers serialize; here each line is only written and counted
     counts: dict[str, int] = {}

@@ -4,6 +4,8 @@
 declaration order: ``complex`` and ``np.ndarray`` become (nested) pairs,
 ``tuple[...]`` a list, ``X | None`` keeps ``None`` and a nested dataclass
 an object.  Each class's encoder and decoder are built once and cached.
+A value that is not a dataclass instance, or a dict that is not the form
+of ``cls``, raises :class:`~sep4.errors.StateFormatError`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import types
 import typing
 
 import numpy as np
+
+from .errors import StateFormatError
 
 _SCALARS = (bool, int, float, str)
 
@@ -73,6 +77,8 @@ def _compile(tp) -> tuple[typing.Callable, typing.Callable]:
 
 @functools.cache
 def _codec(cls) -> tuple[typing.Callable, typing.Callable]:
+    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+        raise StateFormatError(f"no JSON form for {cls!r}, which is not a dataclass")
     hints = typing.get_type_hints(cls)
     fields = [(f.name, *_compile(hints[f.name])) for f in dataclasses.fields(cls)]
 
@@ -80,7 +86,10 @@ def _codec(cls) -> tuple[typing.Callable, typing.Callable]:
         return {name: enc(getattr(obj, name)) for name, enc, _ in fields}
 
     def decode(obj: dict):
-        return cls(**{name: dec(obj[name]) for name, _, dec in fields})
+        try:
+            return cls(**{name: dec(obj[name]) for name, _, dec in fields})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StateFormatError(f"not the JSON form of {cls.__name__}: {exc!r}") from exc
 
     return encode, decode
 

@@ -10,11 +10,10 @@ decision scope and reported as such, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from .chow import builtin_chow, eval_chow
 from .codec import from_dict, to_dict
-from .errors import InconsistentTolerances, InvalidSeed, NotSeparableVerdict
+from .errors import InconsistentTolerances, NotSeparableVerdict
 from .grassmann import _pluecker_rows
 from .oracle import Decomposition, _decompose
 from .ppt import PptReport, _spectra, is_ppt
@@ -22,6 +21,7 @@ from .states import (
     MultiState,
     SpectralData,
     _check_psd,
+    _check_seed,
     _compress_group,
     _each_alone,
     _members,
@@ -163,8 +163,7 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     error boundary), so that each state gets the report or the error it
     gets alone.  The ``seed`` is checked first, for the whole group.
     """
-    if not (isinstance(seed, Integral) and seed >= 0):
-        raise InvalidSeed(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     return _each_alone(_classify_stacked, states, seed, decompose)
 
 

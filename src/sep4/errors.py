@@ -86,8 +86,8 @@ class InconsistentTolerances(Sep4Error):
 
 
 class InvalidSeed(Sep4Error):
-    """A random seed is not a non-negative integer."""
+    """A random seed or count of random starts is not a non-negative integer."""
 
 
 class StateFormatError(Sep4Error):
-    """State or basis JSON is malformed or contains non-finite entries."""
+    """State, basis or report JSON is malformed or contains non-finite entries."""

@@ -18,6 +18,7 @@ from .states import (
     MultiState,
     ToleranceConfig,
     _check_layout,
+    _check_seed,
     assemble_product,
     new_state,
 )
@@ -143,6 +144,7 @@ def random_separable(
     """Sum of ``terms`` projectors onto random product vectors; ``dims``
     is checked as :func:`~sep4.states.new_state` checks it before anything
     is allocated."""
+    _check_seed(seed)
     dims = tuple(int(x) for x in dims)
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
@@ -156,6 +158,7 @@ def random_separable(
 
 def random_local_unitaries(dims, seed: int = 0) -> list[np.ndarray]:
     """Haar-ish unitaries (QR of complex Gaussians), one per party."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     out = []
     for dp in dims:
@@ -179,6 +182,7 @@ def random_ppt_rank4_33(seed: int = 0, cfg: ToleranceConfig = DEFAULT_TOLERANCES
     the real parameter slice (complex phases tip it NPT) and entangled
     whenever a*b != 0.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     a = 0.5 + rng.random()
     b = 0.5 + rng.random()

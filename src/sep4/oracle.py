@@ -49,6 +49,7 @@ from .states import (
     SpectralData,
     assemble_product,
     spectral,
+    _check_seed,
     _factorize,
     _fit_product,
     _flattenings,
@@ -286,11 +287,12 @@ def find_product_vector(
     ``DEFAULT_TOLERANCES.tol_product``; ``None`` after exhausting all
     starts.  A ``None`` is evidence, not proof, that the subspace is
     completely entangled.
-    Raises ``ValueError`` when ``restarts`` is negative or ``chunk_size``
-    below 1, which would sweep no start and make that ``None`` meaningless.
+    Raises :class:`InvalidSeed` unless ``restarts`` and ``seed`` are
+    non-negative integers, and ``ValueError`` when ``chunk_size`` is below
+    1, which would sweep no start and make that ``None`` meaningless.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts!r}")
+    _check_seed(restarts, "restarts")
+    _check_seed(seed)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
     k = basis.k
@@ -502,6 +504,7 @@ def greedy_decompose(state: MultiState, max_terms: int = 8, seed: int = 0) -> De
     when the pass fails or its terms miss ``state`` by more than
     ``1e-8 * trace``.  A ``None`` does not refute separability.
     """
+    _check_seed(seed)
     identity = tuple(np.eye(dp) for dp in state.dims)
     return _decompose(state, identity, state, None, 0, max_terms, seed)
 
@@ -850,6 +853,7 @@ def count_kernel_product_vectors_3x3(
     :class:`DegenerateConfiguration` is raised when no round certifies,
     as on kernels whose product vectors are not isolated.
     """
+    _check_seed(seed)
     if kernel.dims != (3, 3) or kernel.k != 5:
         raise WrongDimension(
             f"expected a 5-dim subspace of dims (3, 3), got k={kernel.k}, dims={kernel.dims}"
@@ -881,6 +885,7 @@ def bipartite_kernel_product_vectors_2x2x2(
     state is a 2x2x2 PPT state of rank four (both read off
     :func:`~sep4.ppt.is_ppt`) with completely entangled range.
     """
+    _check_seed(seed)
     if state.dims != (2, 2, 2):
         raise NotApplicable(f"state dims {state.dims} are not (2, 2, 2)")
     if cut not in (1, 2, 3):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     EigFailure,
     EmptySubset,
+    InvalidSeed,
     NotHermitian,
     NotPositive,
     StateFormatError,
@@ -109,6 +111,13 @@ class CompressionResult:
     state: MultiState | None
     isometries: tuple[np.ndarray, ...]
     dropped: tuple[int, ...]
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """Raise :class:`InvalidSeed` unless ``seed``, a random seed or count of
+    random starts, is a non-negative integer."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidSeed(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,13 @@ class TestChowCommand:
 
 
 class TestBatchCommand:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # every forked worker is reaped on every path, error paths included
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_directory_with_error_file(self, tmp_path, capsys):
         write_state(tmp_path / "a_prod.json", product_projector_state())
         write_state(tmp_path / "b_dv.json", divincenzo_state())
@@ -395,6 +403,27 @@ class TestBatchCommand:
         assert captured.err.startswith("error: InvalidSeed: ")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize("contents", ["empty", "one-invalid-file"])
+    def test_negative_seed_exits_3_before_any_file_is_read(
+        self, tmp_path, capsys, parallel, contents
+    ):
+        # no file reaches a classification that would check the seed
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        if contents == "one-invalid-file":
+            (inputs / "n.json").write_text(
+                json.dumps({"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]})
+            )
+        out_file = tmp_path / "results.jsonl"
+        argv = ["batch", "--input", str(inputs), "--out", str(out_file),
+                "--parallel", parallel, "--seed", "-1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidSeed: ")
+        assert not out_file.exists()
+
     def test_missing_input_fails_without_output(self, tmp_path, capsys):
         out_file = tmp_path / "results.jsonl"
         assert main(["batch", "--input", str(tmp_path / "gone"), "--out", str(out_file)]) == 3
@@ -480,11 +509,9 @@ class TestBatchCommand:
         assert got[0]["error"].startswith("StateFormatError: ")
         assert [line["report"]["rule"] for line in got[1:]] == ["NPT", "Chow33"]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the pool's workers inherit the patch only when forked")
     @pytest.mark.parametrize("where", ["parent", "worker"])
     def test_any_chunks_error_stops_the_batch(self, tmp_path, capsys, monkeypatch, where):
-        # four files, one per chunk: the pool's one worker takes the first
+        # four files, one per chunk: the one forked child takes the first
         # two chunks, this process the last two
         parent = os.getpid()
         real_verdict = sep4.engine._verdict
@@ -534,56 +561,53 @@ class TestBatchCommand:
         assert sum(e.startswith("StateFormatError: relative asymmetry") for e in errors) == 4
 
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch):
-        # --parallel N runs N processes: a pool of N - 1 workers, and this
-        # process, which classifies the last ceil(chunks / N) chunks
-        calls = []
+        # --parallel N runs N processes: N - 1 forked children, each with a
+        # contiguous run of chunks, and this process, which classifies the
+        # last ceil(chunks / N) chunks
+        runs = []
         sizes = []
         real_classify_files = cli._classify_files
+        real_fork = cli._fork
 
         def recording(paths, *args):
             sizes.append(len(paths))
             return real_classify_files(paths, *args)
 
-        class SerialPool:
-            """Records the pool's arguments and maps in this process."""
-
-            def __init__(self, max_workers):
-                calls.append({"max_workers": max_workers})
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks, *iterables):
-                calls[-1]["pool"] = [len(chunk) for chunk in chunks]
-                return list(map(fn, chunks, *iterables))
+        def forking_a_result(task):
+            """Runs the child's task here, so that its chunk sizes are
+            recorded in order, and forks a child that only sends back the
+            result."""
+            before = len(sizes)
+            result = task()
+            runs.append(sizes[before:])
+            return real_fork(lambda: result)
 
         monkeypatch.setattr(cli, "_classify_files", recording)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_fork", forking_a_result)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         inputs = tmp_path / "in"
         inputs.mkdir()
         self.mixed_directory(inputs)
         serial = tmp_path / "serial.jsonl"
         assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
-        assert calls == []
+        assert runs == []
         assert sizes == [10, 10]
         # two chunks per process, each of at most _CHUNK_FILES files
-        for parallel, pool, pooled, mine, cap in [
+        for parallel, children, forked, mine, cap in [
             ("5000", 7, [2] * 8, [2, 2], 128), ("3", 2, [4] * 3, [4, 4], 128),
-            ("2", 1, [3] * 3, [3, 3, 3, 2], 3), ("1", None, None, [10, 10], 128),
+            ("2", 1, [3] * 3, [3, 3, 3, 2], 3), ("1", 0, [], [10, 10], 128),
         ]:
             monkeypatch.setattr(cli, "_CHUNK_FILES", cap)
             sizes.clear()
             out = tmp_path / f"p{parallel}.jsonl"
             argv = ["batch", "--input", str(inputs), "--out", str(out), "--parallel", parallel]
             assert main(argv) == 0
-            if pool is not None:
-                assert calls.pop() == {"max_workers": pool, "pool": pooled}
-            assert calls == []
-            assert sizes == (pooled or []) + mine
+            assert len(runs) == children
+            assert [size for run in runs for size in run] == forked
+            if runs:
+                assert max(map(len, runs)) - min(map(len, runs)) <= 1
+            runs.clear()
+            assert sizes == forked + mine
             assert out.read_text() == serial.read_text()
         two = tmp_path / "two"
         two.mkdir()
@@ -595,8 +619,123 @@ class TestBatchCommand:
              "--parallel", "5000"]
         ) == 0
         capsys.readouterr()
-        assert calls == [{"max_workers": 1, "pool": [1]}]
+        assert runs == [[1]]
         assert sizes == [1, 1]
+
+    def failing_batch(self, tmp_path, monkeypatch, fail, files=4, parallel="2"):
+        """The argv of ``sep4 batch`` on ``files`` product states, one per
+        chunk, with ``cli._classify_files`` replaced by ``fail(paths)`` in
+        every process, and its output file."""
+        monkeypatch.setattr(cli, "_classify_files", lambda paths, *args: fail(paths))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for i in range(files):
+            write_state(inputs / f"s{i}.json", product_projector_state())
+        out_file = tmp_path / "results.jsonl"
+        argv = ["batch", "--input", str(inputs), "--out", str(out_file), "--parallel", parallel]
+        return argv, out_file
+
+    def test_errors_raise_in_chunk_order_parent_first(self, tmp_path, capsys, monkeypatch):
+        # six files, one per chunk, at --parallel 3: two children take
+        # s0-s1 and s2-s3, this process s4-s5; the children's errors are
+        # raised in chunk order, and this process's own before them
+        parent = os.getpid()
+        failing_here = [True]
+
+        def fail(paths):
+            if os.getpid() != parent or failing_here[0]:
+                raise RuntimeError(f"failed at {os.path.basename(paths[0])}")
+            return []
+
+        argv, out_file = self.failing_batch(tmp_path, monkeypatch, fail, files=6, parallel="3")
+        with pytest.raises(RuntimeError, match="failed at s4.json"):
+            main(argv)
+        failing_here[0] = False
+        with pytest.raises(RuntimeError, match="failed at s0.json"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    def test_error_that_does_not_pickle_arrives_as_its_repr(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot find its class."""
+
+        def fail(paths):
+            if os.getpid() != parent:
+                raise LocalError("in the child")
+            return []
+
+        argv, out_file = self.failing_batch(tmp_path, monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=r"LocalError\('in the child'\)"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    def test_child_that_dies_without_a_result(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die(paths):
+            if os.getpid() != parent:
+                os._exit(1)
+            return []
+
+        argv, out_file = self.failing_batch(tmp_path, monkeypatch, die)
+        with pytest.raises(RuntimeError, match=r"batch worker \d+ exited without a result \(status 1\)"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    def test_parent_error_kills_a_running_child(self, tmp_path, capsys, monkeypatch):
+        # the child would run for a minute; the parent's error kills it at once
+        parent = os.getpid()
+
+        def fail(paths):
+            if os.getpid() != parent:
+                time.sleep(60)
+                return []
+            raise RuntimeError("failed in the parent")
+
+        argv, out_file = self.failing_batch(tmp_path, monkeypatch, fail)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="failed in the parent"):
+            main(argv)
+        assert time.monotonic() - start < 30
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
+
+    def test_result_larger_than_a_pipe_holds(self):
+        # each pipe is read to the end before its child is reaped: a child
+        # whose result outgrows the pipe exits only once it is read
+        big = "x" * (4 * cli._PIPE_BYTES)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("the join blocked")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(20)
+        try:
+            assert cli._fork_join([lambda: big, lambda: "b"], lambda: "c") == [big, "b", "c"]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_without_fork_parallel_runs_serially(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        self.mixed_directory(inputs)
+        serial = tmp_path / "serial.jsonl"
+        assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
+        monkeypatch.delattr(cli.os, "fork")
+        parallel = tmp_path / "parallel.jsonl"
+        argv = ["batch", "--input", str(inputs), "--out", str(parallel), "--parallel", "2"]
+        assert main(argv) == 0
+        summaries = capsys.readouterr().out.splitlines()
+        assert [line.split(" -> ")[0] for line in summaries] == ["classified 20 file(s)"] * 2
+        assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_usable_cpus_without_cpu_affinity(monkeypatch):

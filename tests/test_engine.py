@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sep4.chow import builtin_chow, eval_chow
+from sep4.codec import from_dict, to_dict
 import sep4.engine
 import sep4.ppt
 import sep4.states
@@ -35,11 +36,17 @@ from sep4.gallery import (
     divincenzo_state,
     random_local_unitaries,
     random_ppt_rank4_33,
+    random_ppt_rank4_33,
     random_separable,
     two_qutrit_ab_state,
 )
 from sep4.grassmann import PlueckerVector, index_tuples
-from sep4.oracle import find_product_vector
+from sep4.oracle import (
+    bipartite_kernel_product_vectors_2x2x2,
+    count_kernel_product_vectors_3x3,
+    find_product_vector,
+    greedy_decompose,
+)
 from sep4.ppt import is_ppt
 from sep4.states import (
     MultiState,
@@ -47,6 +54,7 @@ from sep4.states import (
     assemble_product,
     compress_support,
     local_ranks,
+    kernel_basis,
     new_state,
     partial_transpose,
     range_basis,
@@ -689,14 +697,24 @@ class TestReportSerialization:
                 assert list(term) == ["weight", "factors"]
 
     def test_field_without_a_json_form_is_rejected(self):
-        from sep4.codec import to_dict
-
         @dataclasses.dataclass(frozen=True)
         class Counts:
             counts: dict[str, int]
 
         with pytest.raises(TypeError, match="no JSON form for annotation"):
             to_dict(Counts({"a": 1}))
+
+    @pytest.mark.parametrize("call", [
+        lambda: report_from_dict({}),
+        lambda: from_dict(MultiState, {}),
+        lambda: report_from_dict([]),
+        lambda: to_dict(3),
+        lambda: to_dict(MultiState),
+    ], ids=["report-without-keys", "state-without-keys", "report-not-a-dict",
+            "not-a-dataclass", "a-dataclass-class"])
+    def test_what_is_not_a_json_form_is_a_format_error(self, call):
+        with pytest.raises(StateFormatError):
+            call()
 
     def test_negative_zero_survives_round_trip(self):
         # JSON keeps a real part of -0.0 beside a nonzero imaginary part
@@ -745,6 +763,28 @@ class TestSeed:
         monkeypatch.setattr(sep4.engine, "_classify_stacked", stage)
         with pytest.raises(InvalidSeed):
             _classify_group([divincenzo_state(), MultiState(-np.eye(4), (2, 2))], -1)
+
+    @pytest.mark.parametrize("call", [
+        lambda seed: greedy_decompose(random_separable((2, 3), 4, 0), seed=seed),
+        lambda seed: find_product_vector(range_basis(random_separable((3, 3), 4, 1)), seed=seed),
+        lambda seed: find_product_vector(range_basis(random_separable((3, 3), 4, 1)),
+                                         restarts=seed),
+        lambda seed: count_kernel_product_vectors_3x3(kernel_basis(random_ppt_rank4_33(0)),
+                                                      seed=seed),
+        lambda seed: bipartite_kernel_product_vectors_2x2x2(divincenzo_state(), 1, seed=seed),
+        lambda seed: random_separable((2, 3), 3, seed=seed),
+        lambda seed: random_local_unitaries((2, 3), seed=seed),
+        lambda seed: random_ppt_rank4_33(seed=seed),
+    ], ids=[
+        "greedy_decompose", "find_product_vector", "find_product_vector-restarts",
+        "count_kernel_product_vectors_3x3", "bipartite_kernel_product_vectors_2x2x2",
+        "random_separable", "random_local_unitaries", "random_ppt_rank4_33",
+    ])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None], ids=repr)
+    def test_every_public_seed_is_checked(self, call, seed):
+        # the one seed check, where numpy raised ValueError or TypeError
+        with pytest.raises(InvalidSeed, match="non-negative integer"):
+            call(seed)
 
     def test_numpy_integer_seed_is_the_int_seed(self):
         state = random_separable((3, 3), 3, seed=1)

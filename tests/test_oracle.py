@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import sep4.oracle as oracle
 from sep4.engine import classify
-from sep4.errors import DegenerateConfiguration, NotApplicable, WrongDimension
+from sep4.errors import DegenerateConfiguration, InvalidSeed, NotApplicable, WrongDimension
 from sep4.gallery import (
     divincenzo_state,
     random_separable,
@@ -144,9 +144,10 @@ class TestFindProductVector:
          ({"restarts": -1}, "restarts")],
     )
     def test_search_knobs_that_sweep_nothing_rejected(self, kwargs, name):
-        # a search over no start would return None, which reads as "no product vector"
+        # a search over no start would return None, which reads as "no
+        # product vector"; a negative count of starts fails the seed check
         basis = planted_basis(0, (3, 3))
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(InvalidSeed if name == "restarts" else ValueError, match=name):
             find_product_vector(basis, **kwargs)
 
 
