@@ -194,15 +194,18 @@ def _check_fits(form: ChowForm, k: int, d: int) -> None:
 def eval_chow(form: ChowForm, p: PlueckerVector, normalized: bool = True) -> complex:
     """Assemble the numeric matrix and return its determinant.
 
-    With ``normalized=True`` the coordinates are first rescaled so the
-    largest magnitude is 1, making the value scale-free and directly
-    comparable against ``tol_chow``; with ``normalized=False`` the raw
+    With ``normalized=True`` the form is evaluated at sqrt(C(d, k)) times
+    the unit-norm coordinates, whose entries then have mean square 1: the
+    value does not depend on the spanning basis, and its modulus not on
+    the local frame either, since a local unitary is unitary on the
+    coordinates and moves the form by a unimodular factor.  It is directly
+    comparable against ``tol_chow``.  With ``normalized=False`` the raw
     minors are used (the convention in which published closed-form values
     are quoted).
     """
     _check_fits(form, p.k, p.d)
     if normalized:
-        vec = p.normalized / np.abs(p.normalized).max()
+        vec = math.sqrt(len(p.normalized)) * p.normalized
     else:
         vec = p.raw
     signs, positions = form._gather
@@ -219,9 +222,10 @@ def subspace_meets_segre(
 ) -> tuple[bool, float]:
     """Decide whether a critical-dimension subspace contains a product vector.
 
-    Returns ``(meets, |F|)``: ``meets`` is True iff the scale-free Chow
-    value is at most ``tol_chow``; False certifies a completely entangled
-    subspace.
+    Returns ``(meets, |F|)``: ``meets`` is True iff the frame-free Chow
+    value of :func:`eval_chow` is at most ``tol_chow``; False certifies a
+    completely entangled subspace.  Neither a change of spanning basis nor
+    a local unitary on the subspace moves |F| beyond rounding.
     """
     expected = delta1(basis.dims)
     if basis.k != expected:

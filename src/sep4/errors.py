@@ -86,7 +86,8 @@ class InconsistentTolerances(Sep4Error):
 
 
 class InvalidSeed(Sep4Error):
-    """A random seed or count of random starts is not a non-negative integer."""
+    """A random seed or count of random starts is not a non-negative
+    integer, or a count of starts per chunk is not a positive one."""
 
 
 class StateFormatError(Sep4Error):

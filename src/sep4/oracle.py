@@ -287,14 +287,14 @@ def find_product_vector(
     ``DEFAULT_TOLERANCES.tol_product``; ``None`` after exhausting all
     starts.  A ``None`` is evidence, not proof, that the subspace is
     completely entangled.
-    Raises :class:`InvalidSeed` unless ``restarts`` and ``seed`` are
-    non-negative integers, and ``ValueError`` when ``chunk_size`` is below
-    1, which would sweep no start and make that ``None`` meaningless.
+    Raises :class:`InvalidSeed`, before any sweep, unless ``restarts`` and
+    ``seed`` are non-negative integers and ``chunk_size`` is a positive
+    one: a chunk of no start would sweep nothing and make that ``None``
+    meaningless.
     """
     _check_seed(restarts, "restarts")
     _check_seed(seed)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size!r}")
+    _check_seed(chunk_size, "chunk_size", positive=True)
     k = basis.k
     if k == 0:
         return None

@@ -23,6 +23,7 @@ from .codec import from_pairs, to_pairs
 from .errors import (
     AllPartiesTrivial,
     DimensionMismatch,
+    DuplicateIndex,
     EigFailure,
     EmptySubset,
     InvalidSeed,
@@ -113,11 +114,13 @@ class CompressionResult:
     dropped: tuple[int, ...]
 
 
-def _check_seed(seed, name: str = "seed") -> None:
+def _check_seed(seed, name: str = "seed", positive: bool = False) -> None:
     """Raise :class:`InvalidSeed` unless ``seed``, a random seed or count of
-    random starts, is a non-negative integer."""
-    if not (isinstance(seed, Integral) and seed >= 0):
-        raise InvalidSeed(f"{name} must be a non-negative integer, got {seed!r}")
+    random starts, is a non-negative integer, or with ``positive`` a
+    positive one."""
+    if not (isinstance(seed, Integral) and seed >= (1 if positive else 0)):
+        kind = "positive" if positive else "non-negative"
+        raise InvalidSeed(f"{name} must be a {kind} integer, got {seed!r}")
 
 
 def _check_layout(shape: tuple[int, ...], dims: tuple[int, ...]) -> None:
@@ -227,10 +230,13 @@ def _check_psd(eigs: np.ndarray, cfg: ToleranceConfig) -> None:
 
 
 def normalize_subset(subset, n: int) -> tuple[int, ...]:
-    """Sorted tuple of distinct 1-based party indices within [1, n]."""
-    s = sorted({int(x) for x in subset})
+    """Sorted tuple of distinct 1-based party indices within [1, n]; a
+    party named twice raises :class:`DuplicateIndex`."""
+    s = sorted(int(x) for x in subset)
     if any(x < 1 or x > n for x in s):
         raise DimensionMismatch(f"subset {s} not within parties 1..{n}")
+    if len(set(s)) < len(s):
+        raise DuplicateIndex(f"subset {s} names a party more than once")
     return tuple(s)
 
 
@@ -396,13 +402,24 @@ def _party_sizes(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  for dp in dict.fromkeys(dims))
 
 
-def _local_ranges(states: list[MultiState]) -> list[list[np.ndarray]]:
+@lru_cache(maxsize=None)
+def _identity(dp: int) -> np.ndarray:
+    """The isometry of a party of dimension ``dp`` and full local rank,
+    which keeps its own basis; read-only."""
+    eye = np.eye(dp, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+def _local_ranges(states: list[MultiState], matrices=None) -> list[list[np.ndarray]]:
     """Per state of a group of one ``dims``, the range isometry (dp, rank)
     of each single-party reduced state, the eigenvectors of its significant
-    eigenvalues: one :func:`_reduced_states` gather and one stacked
-    :func:`spectral` call per party size for the whole group."""
+    eigenvalues, or :func:`_identity` at rank dp: one :func:`_reduced_states`
+    gather and one stacked :func:`spectral` call per party size on the
+    group's :func:`_stacked` ``matrices``, stacked here if not given."""
     dims, g = states[0].dims, len(states)
-    matrices = _stacked([s.matrix for s in states])
+    if matrices is None:
+        matrices = _stacked([s.matrix for s in states])
     ranges = [[None] * len(dims) for _ in states]
     for parties in _party_sizes(dims):
         sd = spectral(_reduced_states(matrices, dims, parties))
@@ -410,7 +427,8 @@ def _local_ranges(states: list[MultiState]) -> list[list[np.ndarray]]:
         for state, out, es, vs in zip(states, ranges, eigs, _members(sd.eigenvectors, g)):
             tol = state.cfg.tol_rank
             for p, e, v in zip(parties, es, vs):
-                out[p - 1] = np.ascontiguousarray(v[:, :_rank_from_eigenvalues(e, tol)])
+                r = _rank_from_eigenvalues(e, tol)
+                out[p - 1] = _identity(r) if r == len(e) else np.ascontiguousarray(v[:, :r])
     return ranges
 
 
@@ -426,12 +444,15 @@ def compress_support(state: MultiState) -> CompressionResult:
 
     Parties whose reduced state has rank one are removed entirely; rank,
     PPT status and separability are unaffected.  The isometry widths are
-    the local ranks.  Reduced states of one size are formed by one gather
-    and diagonalized in one stacked :func:`spectral` call
-    (:func:`_local_ranges`).  A state :func:`new_state` did not build is
-    passed through it first.  Raises :class:`AllPartiesTrivial` when
-    nothing would remain (the state is a pure product state), and
-    :class:`NotPositive` when a reduced state is zero.
+    the local ranks.  A party of full local rank keeps its own basis (its
+    isometry is the identity; with every party's, the compressed state is
+    the input state), and only a party that loses dimensions is rotated.
+    Reduced states of one size are formed by one gather and diagonalized
+    in one stacked :func:`spectral` call (:func:`_local_ranges`).  A state
+    :func:`new_state` did not build is passed through it first.  Raises
+    :class:`AllPartiesTrivial` when nothing would remain (the state is a
+    pure product state), and :class:`NotPositive` when a reduced state is
+    zero.
     """
     comp = _compress_group([_validated(state)])[0][0]
     if comp.state is None:
@@ -443,13 +464,17 @@ def _compress_group(states: list[MultiState]) -> tuple[list, list]:
     """:func:`compress_support` over a group of validated states of one
     ``dims``: the local ranges by :func:`_local_ranges`, then, for the
     states that share their local ranks, one broadcast Kronecker product of
-    the isometries and one stacked pair of products.  Per state its
-    :class:`CompressionResult`, whose state is ``None`` when every local
-    rank is 1, and per set of local ranks with one above 1 its members and
-    their compressed matrices, as :func:`_stacked` gives them.  A zero
-    reduced state, which a loose ``tol_psd`` lets through, raises
-    :class:`NotPositive`; :func:`~sep4.engine._classify_group` isolates it."""
-    ranges = _local_ranges(states)
+    the isometries and one stacked pair of products, none when every local
+    rank is full (W is then the identity, and each state its own
+    compression).  Per state its :class:`CompressionResult`, whose state
+    is ``None`` when every local rank is 1, and per set of local ranks with
+    one above 1 its members and their compressed matrices, as
+    :func:`_stacked` gives them.  A zero reduced state, which a loose
+    ``tol_psd`` lets through, raises :class:`NotPositive`;
+    :func:`~sep4.engine._classify_group` isolates it."""
+    dims = states[0].dims
+    matrices = _stacked([s.matrix for s in states])
+    ranges = _local_ranges(states, matrices)
     out: list = [None] * len(states)
     stacks = []
     by_ranks: dict = {}
@@ -463,22 +488,25 @@ def _compress_group(states: list[MultiState]) -> tuple[list, list]:
             by_ranks.setdefault(ranks, []).append(i)
     for ranks, members in by_ranks.items():
         g = len(members)
-        # the Kronecker product of the isometries, one broadcast product per
-        # factor, stacked by party over the group; a lone state's as they
-        # are, since stacking them made a lone classify 0.8% slower
-        factors = [ranges[i] for i in members]
-        factors = map(np.stack, zip(*factors)) if g > 1 else factors[0]
-        w = reduce(_kron_columns, factors)
-        m = _adjoint(w) @ _stacked([states[i].matrix for i in members]) @ w
-        # halved before the sum, which overflows near the float limit
-        m *= 0.5
-        m += _adjoint(m)
         cdims = tuple(r for r in ranks if r > 1)
         dropped = tuple(p for p, r in enumerate(ranks, 1) if r == 1)
+        m = matrices if g == len(states) else _stacked([states[i].matrix for i in members])
+        if ranks != dims:
+            # the Kronecker product of the isometries, one broadcast product
+            # per factor, stacked by party over the group; a lone state's as
+            # they are, since stacking them made a lone classify 0.8% slower
+            factors = [ranges[i] for i in members]
+            factors = map(np.stack, zip(*factors)) if g > 1 else factors[0]
+            w = reduce(_kron_columns, factors)
+            m = _adjoint(w) @ m @ w
+            # halved before the sum, which overflows near the float limit
+            m *= 0.5
+            m += _adjoint(m)
         for i, small in zip(members, _members(m, g)):
-            out[i] = CompressionResult(
-                MultiState(small, cdims, states[i].cfg), tuple(ranges[i]), dropped
-            )
+            state = states[i]
+            if cdims != dims:
+                state = MultiState(small, cdims, state.cfg)
+            out[i] = CompressionResult(state, tuple(ranges[i]), dropped)
         stacks.append((members, m))
     return out, stacks
 

@@ -1,3 +1,6 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,12 @@ from sep4.errors import (
     UnsupportedSystem,
     WrongDimension,
 )
-from sep4.gallery import divincenzo_state, two_qutrit_ab_rows, two_qutrit_ab_state
+from sep4.gallery import (
+    divincenzo_state,
+    random_local_unitaries,
+    two_qutrit_ab_rows,
+    two_qutrit_ab_state,
+)
 from sep4.grassmann import SubspaceBasis, pluecker
 from sep4.states import assemble_product, range_basis
 
@@ -221,11 +229,12 @@ class TestEvalChow:
 class TestCompiledEvaluation:
     """``eval_chow`` gathers each form's terms from its compiled tables; the
     value is bit-identical to the literal cell-by-cell sum over the entries,
-    signs of zero included."""
+    signs of zero included, at sqrt(C(d, k)) times the unit-norm
+    coordinates or at the raw minors."""
 
     @staticmethod
     def literal(form, p, normalized):
-        vec = p.normalized / np.abs(p.normalized).max() if normalized else p.raw
+        vec = math.sqrt(math.comb(p.d, p.k)) * p.normalized if normalized else p.raw
         values = dict(zip(p.tuples, vec))
         mat = np.zeros((form.matrix_size, form.matrix_size), dtype=complex)
         for i, row in enumerate(form.entries):
@@ -315,6 +324,38 @@ class TestSubspaceMeetsSegre:
         rows = np.vstack([random_vec(rng, 8) for _ in range(delta1((2, 4)))])
         with pytest.raises(UnsupportedSystem):
             subspace_meets_segre(SubspaceBasis(rows, (2, 4)))
+
+
+class TestFrameFree:
+    """|F| of a subspace does not move with the local frame: one verdict,
+    and |F| within rtol 1e-12, across 50 local unitaries, on criterion 7's
+    planted and generic subspaces."""
+
+    @staticmethod
+    def subspace(dims, kind, i):
+        d = int(np.prod(dims))
+        if kind == "planted":
+            rng = np.random.default_rng(31000 + i)
+            planted = assemble_product([random_vec(rng, dp) for dp in dims])
+            return np.vstack([planted] + [random_vec(rng, d) for _ in range(3)])
+        rng = np.random.default_rng(63000 + i)
+        return np.vstack([random_vec(rng, d) for _ in range(4)])
+
+    @pytest.mark.parametrize("kind", ["planted", "generic"])
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)], ids=["3x3", "2x2x2"])
+    @pytest.mark.parametrize("i", range(3))
+    def test_fifty_local_frames(self, dims, kind, i):
+        rows = self.subspace(dims, kind, i)
+        meets, value = subspace_meets_segre(SubspaceBasis(rows, dims))
+        assert meets == (kind == "planted")
+        for frame in range(50):
+            u = reduce(np.kron, random_local_unitaries(dims, frame))
+            got, got_value = subspace_meets_segre(SubspaceBasis(rows @ u.T, dims))
+            assert got == meets
+            if meets:
+                assert max(value, got_value) <= 1e-12
+            else:
+                assert got_value == pytest.approx(value, rel=1e-12, abs=0)
 
 
 class TestFormSerialization:

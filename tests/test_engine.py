@@ -1236,6 +1236,56 @@ class TestChowDrift:
         assert checked > 0
 
 
+def _permuted(state, perm):
+    """``state`` with its parties in the order ``perm`` (0-based)."""
+    n, dims = state.n, state.dims
+    axes = list(perm) + [n + p for p in perm]
+    matrix = state.matrix.reshape(dims + dims).transpose(axes).reshape(state.d, state.d)
+    return new_state(matrix, tuple(dims[p] for p in perm))
+
+
+# the Chow rules' inputs: rotated two-qutrit family members, DiVincenzo, the
+# family at real dyadic (a, b), and separable rank-4 states on 3x3 and 2x2x2
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+_CHOW_INPUTS = st.one_of(
+    st.integers(0, 10**6).map(lambda seed: random_ppt_rank4_33(seed=seed)),
+    st.just(()).map(lambda _: divincenzo_state()),
+    st.tuples(_DYADIC, _DYADIC).map(lambda ab: two_qutrit_ab_state(*ab)),
+    st.tuples(st.sampled_from([(3, 3), (2, 2, 2)]), st.integers(0, 10**6)).map(
+        lambda x: random_separable(x[0], 4, seed=x[1])),
+)
+
+
+class TestFrameFreeChow:
+    """The Chow value is evaluated at sqrt(C(d, k)) times the unit-norm
+    Plücker vector, so its modulus does not depend on the local frame, and
+    full-rank parties can keep their own basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=_CHOW_INPUTS, frame=st.integers(0, 10**6), exponent=st.integers(-40, 40))
+    def test_report_invariant_under_local_frame_party_order_and_scale(
+        self, state, frame, exponent
+    ):
+        base = classify(state, decompose=False)
+        assert base.rule in ("Chow33", "Chow222")
+        perm = np.random.default_rng(frame).permutation(state.n)
+        moved = conjugate_local(state, random_local_unitaries(state.dims, frame))
+        moved = _permuted(moved, perm)
+        moved = new_state(moved.matrix * 2.0 ** exponent, moved.dims)
+        got = classify(moved, decompose=False)
+        assert (got.verdict, got.rule, got.rank, got.length_bounds, got.low_confidence) == (
+            base.verdict, base.rule, base.rank, base.length_bounds, base.low_confidence)
+        assert got.local_ranks == tuple(base.local_ranks[p] for p in perm)
+        if base.chow_abs > 1e-6:
+            assert got.chow_abs == pytest.approx(base.chow_abs, rel=1e-12, abs=0)
+        else:
+            assert max(got.chow_abs, base.chow_abs) <= 1e-12
+
+    def test_divincenzo_value(self):
+        # the frame-free value the CI smoke step prints as |F|: 8.374e+01
+        assert classify(divincenzo_state()).chow_abs == pytest.approx(83.7402, rel=1e-6)
+
+
 def outcome(result) -> str:
     """A report as its JSON text, an error as its class and message."""
     if isinstance(result, Exception):

@@ -147,8 +147,19 @@ class TestFindProductVector:
         # a search over no start would return None, which reads as "no
         # product vector"; a negative count of starts fails the seed check
         basis = planted_basis(0, (3, 3))
-        with pytest.raises(InvalidSeed if name == "restarts" else ValueError, match=name):
+        with pytest.raises(InvalidSeed, match=name):
             find_product_vector(basis, **kwargs)
+
+    @pytest.mark.parametrize("chunk_size", [0, -3, 1.5, "2", None, 2.0])
+    def test_chunk_size_that_is_not_a_positive_integer_rejected_before_any_sweep(
+        self, chunk_size, monkeypatch
+    ):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(oracle, "_search_product_vector", no_sweep)
+        with pytest.raises(InvalidSeed, match="chunk_size must be a positive integer"):
+            find_product_vector(planted_basis(0, (3, 3)), chunk_size=chunk_size)
 
 
 class TestSearchCost:

@@ -9,14 +9,17 @@ from hypothesis import given, settings, strategies as st
 from sep4.errors import (
     AllPartiesTrivial,
     DimensionMismatch,
+    DuplicateIndex,
     EmptySubset,
     NotHermitian,
     NotPositive,
     StateFormatError,
     ZeroVector,
 )
+from sep4 import states as states_module
 from sep4.states import (
     MultiState,
+    _compress_group,
     _local_ranges,
     _partial_trace,
     _rank_from_eigenvalues,
@@ -227,6 +230,18 @@ class TestPartialTranspose:
             assert [w.shape[1] for w in _local_ranges([pt])[0]] == base
 
 
+class TestRepeatedParty:
+    """A party named twice is an error, not a silent merge."""
+
+    def test_partial_transpose_rejects_a_repeated_party(self):
+        with pytest.raises(DuplicateIndex, match="more than once"):
+            partial_transpose(random_state((2, 3), 2, seed=0), (1, 1))
+
+    def test_reduced_state_rejects_a_repeated_party(self):
+        with pytest.raises(DuplicateIndex, match="more than once"):
+            reduced_state(random_state((2, 2, 3), 2, seed=0), (1, 3, 1))
+
+
 class TestReducedState:
     def test_ghz_single_party(self):
         v = np.zeros(8)
@@ -423,11 +438,16 @@ class TestStackedKernels:
 
     @staticmethod
     def reference(state):
+        # a party of full local rank keeps its basis; the others are rotated
+        # onto the leading eigenvectors of their reduced states
         isometries = []
         for p in range(1, state.n + 1):
             reduced = reduced_state(state, (p,))
             r = rank_of(reduced)
-            isometries.append(np.ascontiguousarray(spectral(reduced).eigenvectors[:, :r]))
+            if r == reduced.d:
+                isometries.append(np.eye(r, dtype=complex))
+            else:
+                isometries.append(np.ascontiguousarray(spectral(reduced).eigenvectors[:, :r]))
         w = reduce(np.kron, isometries)
         m = w.conj().T @ state.matrix @ w
         return isometries, 0.5 * (m + m.conj().T)
@@ -483,6 +503,69 @@ class TestStackedKernels:
             assert np.array_equal(got, want)
         assert np.array_equal(comp.state.matrix, matrix)
         assert comp.state.dims == tuple(w.shape[1] for w in isometries if w.shape[1] > 1)
+
+
+class TestCompressionRule:
+    """A party of full local rank keeps its own basis; only a party that
+    loses dimensions is rotated, and with none the products are skipped."""
+
+    @pytest.fixture
+    def kron_calls(self, monkeypatch):
+        calls = []
+        real = states_module._kron_columns
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(states_module, "_kron_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("dims, rank", [((2, 3), 4), ((3, 3), 4), ((2, 2, 2), 4),
+                                            ((2, 2, 3), 3), ((2, 2, 2, 2), 4)])
+    def test_full_local_ranks_skip_the_products(self, dims, rank, kron_calls):
+        state = random_state(dims, rank, seed=sum(dims) + rank)
+        comp = compress_support(state)
+        assert kron_calls == []
+        assert comp.state is state
+        assert comp.dropped == ()
+        for w, dp in zip(comp.isometries, dims):
+            assert np.array_equal(w, np.eye(dp))
+            assert not w.flags.writeable
+
+    def test_a_group_of_full_rank_states_is_its_own_stack(self, kron_calls):
+        group = [random_state((3, 3), 4, seed=seed) for seed in range(3)]
+        comps, stacks = _compress_group(group)
+        assert kron_calls == []
+        assert [c.state for c in comps] == group
+        ((members, stack),) = stacks
+        assert members == [0, 1, 2]
+        assert np.array_equal(stack, np.stack([s.matrix for s in group]))
+
+    def test_one_deficient_party_keeps_identities_on_the_full_ones(self, kron_calls):
+        # a 3x3 state with party 2 embedded in 4 dimensions: only it is rotated
+        sigma = random_state((3, 3), 4, seed=3)
+        embed = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 3)))[0]
+        lift = np.kron(np.eye(3), embed)
+        state = new_state(lift @ sigma.matrix @ lift.T, (3, 4))
+        comp = compress_support(state)
+        assert local_ranks(state) == [3, 3]
+        assert len(kron_calls) == 1
+        assert np.array_equal(comp.isometries[0], np.eye(3))
+        w = comp.isometries[1]
+        assert w.shape == (4, 3)
+        assert np.allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
+        assert comp.state.dims == (3, 3)
+
+    def test_a_dropped_party_of_a_full_rank_rest(self, kron_calls):
+        sigma = random_state((2, 3), 4, seed=17)
+        state = new_state(np.kron(np.diag([0.0, 1.0]).astype(complex), sigma.matrix), (2, 2, 3))
+        comp = compress_support(state)
+        assert comp.dropped == (1,)
+        assert len(kron_calls) == 2
+        assert [np.array_equal(w, np.eye(w.shape[0])) for w in comp.isometries] == [
+            False, True, True]
+        assert np.allclose(comp.state.matrix, sigma.matrix, rtol=0, atol=1e-12)
 
 
 class TestIsProduct:
