@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotBijective, ShapeMismatch, UnsupportedSystem, WrongDimension
 from .grassmann import PlueckerVector, SubspaceBasis, index_tuples, permutation_sign, pluecker
-from .states import DEFAULT_TOLERANCES, ToleranceConfig
+from .states import DEFAULT_TOLERANCES, ToleranceConfig, _stacked
 
 # entry cell: tuple of (sign, index-tuple) terms, all linear in p
 Cell = tuple[tuple[int, tuple[int, ...]], ...]
@@ -55,11 +55,11 @@ class ChowForm:
     def degree(self) -> int:
         return self.matrix_size
 
-    @property
+    @cached_property
     def d(self) -> int:
         return math.prod(self.dims)
 
-    @property
+    @cached_property
     def k(self) -> int:
         return delta1(self.dims)
 
@@ -201,20 +201,32 @@ def eval_chow(form: ChowForm, p: PlueckerVector, normalized: bool = True) -> com
     coordinates and moves the form by a unimodular factor.  It is directly
     comparable against ``tol_chow``.  With ``normalized=False`` the raw
     minors are used (the convention in which published closed-form values
-    are quoted).
+    are quoted).  This is :func:`_chow_values` on a group of one.
     """
     _check_fits(form, p.k, p.d)
-    if normalized:
-        vec = math.sqrt(len(p.normalized)) * p.normalized
-    else:
-        vec = p.raw
+    return complex(_chow_values(form, [p.normalized if normalized else p.raw], normalized))
+
+
+def _chow_values(form: ChowForm, coords: list[np.ndarray], scaled: bool = True) -> np.ndarray:
+    """The value of ``form`` at each of ``coords``, Plücker coordinates of
+    subspaces that fit it, with ``scaled`` at sqrt(C(d, k)) times each:
+    an array (g,), or one scalar for a lone vector, which is not stacked
+    (see :func:`~sep4.states._stacked`).  One scale, gather,
+    column-by-column sum and ``det`` call over the stack, which give each
+    vector the bits it gets alone."""
+    vecs = _stacked(coords)
+    if scaled:
+        vecs = math.sqrt(vecs.shape[-1]) * vecs
     signs, positions = form._gather
-    terms = signs * np.append(vec, 0.0)[positions]
-    # column by column, so each entry adds its terms in the order of its cell
-    mat = np.zeros(len(terms), dtype=complex)
+    padded = np.concatenate((vecs, np.zeros(vecs.shape[:-1] + (1,), dtype=complex)), axis=-1)
+    terms = signs * padded.take(positions, axis=-1)
+    # column by column, so each entry adds its terms in the order of its
+    # cell; a stack's sums are (cells, g), so that each column is one view
+    mat = np.zeros(terms.shape[-2::-1], dtype=complex)
     for column in terms.T:
         mat += column
-    return complex(np.linalg.det(mat.reshape(form.matrix_size, form.matrix_size)))
+    size = form.matrix_size
+    return np.linalg.det(mat.T.reshape(vecs.shape[:-1] + (size, size)))
 
 
 def subspace_meets_segre(

@@ -236,7 +236,7 @@ def _cmd_chow(args) -> int:
 
 
 # most files one chunk parses and holds at once
-_CHUNK_FILES = 128
+_CHUNK_FILES = 256
 # pipe capacity asked for each forked child (Linux's default pipe-max-size):
 # a result that fits is written at once, so the child exits without waiting
 # for the parent to read it
@@ -386,22 +386,21 @@ def _cmd_batch(args) -> int:
         workers = 1
     # each chunk's files are decoded, and their states validated and
     # classified one group per dims, so that every numeric stage is one
-    # call per group: two chunks per process, at most _CHUNK_FILES files each
-    size = max(1, min(_CHUNK_FILES, math.ceil(len(files) / (2 * workers))))
-    chunks = [files[i:i + size] for i in range(0, len(files), size)]
+    # call per group: the fewest chunks of at most _CHUNK_FILES files each
+    # that every process gets as many of, their sizes differing by at most one
+    per = math.ceil(len(files) / (workers * _CHUNK_FILES))
+    count = workers * per
+    chunks = [files[len(files) * k // count:len(files) * (k + 1) // count] for k in range(count)]
 
     def classified(run: list) -> list:
         return [line for chunk in run for line in _classify_files(chunk, cfg, args.seed)]
 
-    # this process is one of the workers: it keeps the last
-    # ceil(chunks / workers) chunks, and each of the workers - 1 children
-    # one contiguous run of the others, the runs' lengths differing by at
-    # most one; one worker forks nothing
-    cut = len(chunks) - math.ceil(len(chunks) / workers)
-    n = workers - 1
-    runs = [chunks[cut * k // n:cut * (k + 1) // n] for k in range(n)]
-    done = _fork_join([lambda run=run: classified(run) for run in runs],
-                      lambda: classified(chunks[cut:]))
+    # this process is one of the workers: it keeps the last run of chunks,
+    # and each of the workers - 1 children one contiguous run of the others;
+    # one worker forks nothing
+    runs = [chunks[k * per:(k + 1) * per] for k in range(workers)]
+    done = _fork_join([lambda run=run: classified(run) for run in runs[:-1]],
+                      lambda: classified(runs[-1]))
     results = [line for lines in done for line in lines]
     # the workers serialize; here each line is only written and counted
     counts: dict[str, int] = {}

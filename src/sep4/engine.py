@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import builtin_chow, eval_chow
+from .chow import _chow_values, builtin_chow
 from .codec import from_dict, to_dict
 from .errors import InconsistentTolerances, NotSeparableVerdict
 from .grassmann import _pluecker_rows
@@ -26,8 +26,8 @@ from .states import (
     _each_alone,
     _members,
     _stacked,
+    _unit_factorize,
     _validated,
-    is_product,
     spectral,
 )
 
@@ -154,9 +154,13 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     states share one compressed shape, the compression products
     (:func:`~sep4.states._compress_group`), the eigenvalue stack and one
     ``eigh`` for the states whose rules read eigenvectors
-    (:func:`_reads_vectors`).  A stacked call gives each matrix the bits
-    one call on it alone gives, so a report does not depend on its group.
-    The rules and the decomposition run one state at a time.  No stage
+    (:func:`_reads_vectors`), and each rule's number: one
+    :func:`~sep4.states._unit_factorize` call over the rank-1 states'
+    leading eigenvectors, one :func:`~sep4.chow._chow_values` call over
+    the Chow states' Plücker coordinates, each built alone.  A stacked
+    call gives each matrix the bits one call on it alone gives, so a
+    report does not depend on its group.  The verdicts and the
+    decomposition run one state at a time.  No stage
     catches anything: the first error of any state, an invalid input, a
     failed stacked call or a rule's own, raises, and the group is then
     rerun one state at a time (:func:`~sep4.states._each_alone`, the one
@@ -183,8 +187,8 @@ def _classify_stacked(states, seed, decompose) -> list:
     states = [_validated(state) for state in states]
     comps, groups = _compress_group(states)
     # per state the rules' inputs: PPT record, whose first record is the
-    # rank, and eigenvectors; a pure product has neither
-    ppts, sds = [None] * len(states), [None] * len(states)
+    # rank, eigenvectors and the rule's number; a pure product has none
+    ppts, sds, values = [None] * len(states), [None] * len(states), [None] * len(states)
     # the states that share their local ranks share a compressed shape
     for members, matrices in groups:
         cdims = comps[members[0]].state.dims
@@ -195,26 +199,53 @@ def _classify_stacked(states, seed, decompose) -> list:
             ppts[i] = is_ppt(small, spectra)
         # the eigenvectors the rules read, one stacked call
         need = [i for i in members if _reads_vectors(ppts[i], cdims, decompose)]
-        if need:
-            sd = spectral(_stacked([comps[i].state.matrix for i in need]))
-            g = len(need)
-            for i, w, v in zip(need, _members(sd.eigenvalues, g), _members(sd.eigenvectors, g)):
-                sds[i] = SpectralData(w, v)
-    return [_verdict(state, comp, ppt, sd, seed, decompose)
-            for state, comp, ppt, sd in zip(states, comps, ppts, sds)]
+        if not need:
+            continue
+        sd = spectral(_stacked([comps[i].state.matrix for i in need]))
+        g = len(need)
+        for i, w, v in zip(need, _members(sd.eigenvalues, g), _members(sd.eigenvectors, g)):
+            sds[i] = SpectralData(w, v)
+        # each rule's number, one kernel call over its states: the leading
+        # eigenvector's flattening ratio at rank 1, the Chow value of the
+        # range at rank 4
+        ones, chow = [], []
+        for i in need:
+            rank = ppts[i].records[0].rank
+            if rank == 1:
+                ones.append(i)
+            elif rank == 4 and ppts[i].is_ppt and cdims in _CHOW_SHAPES:
+                chow.append(i)
+        if ones:
+            _, ratios = _unit_factorize([sds[i].eigenvectors[:, 0] for i in ones], cdims)
+            for i, ratio in zip(ones, ratios.tolist()):
+                values[i] = ratio
+        if chow:
+            # eigh's columns are orthonormal, so the range rows need no
+            # independence check; the wedge runs per state, since its
+            # product with the signs does not give a stack's rows their
+            # lone bits
+            coords = [_pluecker_rows(sds[i].eigenvectors[:, :4].T)[1] for i in chow]
+            found = _chow_values(builtin_chow(cdims), coords)
+            for i, value in zip(chow, found.reshape(-1).tolist()):
+                values[i] = value
+    return [_verdict(state, comp, ppt, sd, value, seed, decompose)
+            for state, comp, ppt, sd, value in zip(states, comps, ppts, sds, values)]
 
 
-def _verdict(state, comp, ppt, sd, seed, decompose) -> ClassificationReport:
+def _verdict(state, comp, ppt, sd, value, seed, decompose) -> ClassificationReport:
     """The rules on one compressed state, from its PPT record, whose first
-    record is the rank, and eigenvectors (``None`` where no rule reads
-    them, :func:`_reads_vectors`); a pure product, whose compressed state
-    is ``None``, has rank 1, and a ``Rank1Product`` report no PPT record."""
+    record is the rank, its eigenvectors (``None`` where no rule reads
+    them, :func:`_reads_vectors`) and the rule's number ``value``: the
+    flattening ratio at rank 1, the Chow value on a Chow shape at rank 4,
+    else ``None``.  A pure product, whose compressed state is ``None``,
+    has rank 1, and a ``Rank1Product`` report no PPT record."""
     small = comp.state
     cdims = () if small is None else small.dims
     rank = 1 if ppt is None else ppt.records[0].rank
     chow = {}
     if rank == 1:
-        if small is None or is_product(sd.eigenvectors[:, 0], cdims, small.cfg.tol_product)[0]:
+        # as is_product decides: a NaN ratio does not exceed the tolerance
+        if small is None or not value > small.cfg.tol_product:
             verdict, rule, ppt = SEPARABLE, RULE_RANK1_PRODUCT, None
         else:
             verdict, rule = ENTANGLED, RULE_RANK1_NON_PRODUCT
@@ -226,10 +257,6 @@ def _verdict(state, comp, ppt, sd, seed, decompose) -> ClassificationReport:
         verdict, rule = SEPARABLE, RULE_PPT_RANK3
     elif rank == 4 and cdims in _CHOW_SHAPES:
         rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
-        # eigh's columns are orthonormal, so the range rows need no
-        # independence check
-        rows = sd.eigenvectors[:, :rank].T
-        value = eval_chow(builtin_chow(cdims), _pluecker_rows(rows), normalized=True)
         mag = abs(value)
         tol = small.cfg.tol_chow
         chow = dict(chow_system=cdims, chow_value=value, chow_abs=mag,

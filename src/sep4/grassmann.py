@@ -130,8 +130,10 @@ def _wedge_tables(d: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return drop, cols, signs
 
 
-def _pluecker_rows(rows: np.ndarray) -> PlueckerVector:
-    """:func:`pluecker` on a bare k x d array of independent rows.
+def _pluecker_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``raw`` and ``normalized`` coordinates :func:`pluecker` gives a
+    bare k x d array of independent rows, without the
+    :class:`PlueckerVector` around them.
 
     The minors are built as r_0 ^ r_1 ^ ..., one row at a time: each
     (j+1) x (j+1) minor is the Laplace expansion along row j of the j x j
@@ -144,13 +146,13 @@ def _pluecker_rows(rows: np.ndarray) -> PlueckerVector:
     for j in range(1, k):
         drop, cols, signs = _wedge_tables(d, j)
         raw = (raw[drop] * rows[j][cols]) @ signs
-    scale = np.abs(raw).max()
+    mags = np.abs(raw)
+    scale = mags.max()
     if scale == 0:
         raise RankDeficientBasis("all maximal minors vanish")
-    lead = int(np.flatnonzero(np.abs(raw) > _LEAD_RTOL * scale)[0])
+    lead = int(np.flatnonzero(mags > _LEAD_RTOL * scale)[0])
     phase = raw[lead] / abs(raw[lead])
-    normalized = raw / (np.linalg.norm(raw) * phase)
-    return PlueckerVector(k=k, d=d, tuples=index_tuples(d, k), raw=raw, normalized=normalized)
+    return raw, raw / (np.linalg.norm(raw) * phase)
 
 
 def pluecker(basis: SubspaceBasis) -> PlueckerVector:
@@ -160,7 +162,9 @@ def pluecker(basis: SubspaceBasis) -> PlueckerVector:
     tuple, built by wedge products of the rows (:func:`_pluecker_rows`).
     Raises :class:`RankDeficientBasis` when every minor vanishes.
     """
-    return _pluecker_rows(basis.rows)
+    raw, normalized = _pluecker_rows(basis.rows)
+    k, d = basis.k, basis.d
+    return PlueckerVector(k=k, d=d, tuples=index_tuples(d, k), raw=raw, normalized=normalized)
 
 
 def pluecker_relations_residual(p: PlueckerVector) -> float:

@@ -738,7 +738,7 @@ def _decompose(state, isometries, small, sd, rank, max_terms, seed) -> Decomposi
     count = len(weights)
     local = iter(f for f in local if f.shape[1] > 1)
     factors = [
-        next(local) @ w.T if w.shape[1] > 1 else np.broadcast_to(w[:, 0], (count, w.shape[0]))
+        next(local) @ w.T if w.shape[1] > 1 else w[:, 0][None].repeat(count, 0)
         for w in isometries
     ]
     lifted = _row_kron(factors)

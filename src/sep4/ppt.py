@@ -88,8 +88,10 @@ def is_ppt(state: MultiState, spectra=None) -> PptReport:
 
     PPT holds iff each minimum eigenvalue is at least
     ``-tol_psd * lambda_max`` of the input state.  The worst subset is the
-    first with the lowest minimum, where a minimum within that band counts
-    as 0: a PPT state whose partial transposes are all singular reports
+    first whose minimum lies within that band above the lowest, where a
+    minimum within the band around 0 counts as 0: subsets whose minima tie
+    in exact arithmetic then name the first of them in every local frame,
+    and a PPT state whose partial transposes are all singular reports
     ``()``.  The empty subset, which is first, is the state itself.  The
     records read ``spectra`` when the caller already has them from
     :func:`_spectra`, which is called otherwise: one ``eigvalsh`` call on
@@ -102,19 +104,26 @@ def is_ppt(state: MultiState, spectra=None) -> PptReport:
     # in Python floats, one conversion for the whole stack
     rows = spectra.tolist()
     band = cfg.tol_psd * rows[0][-1]
+    tol_rank = cfg.tol_rank
     records = []
     ok = True
-    worst: tuple[int, ...] = ()
-    worst_val = math.inf
+    lowest = math.inf
     # ascending, as eigvalsh gives them
     for subset, eigs in zip(_representatives(state.n), rows):
         mn = eigs[0]
-        records.append(SubsetRecord(subset, mn, _rank_from_eigenvalues(eigs, cfg.tol_rank)))
+        records.append(SubsetRecord(subset, mn, _rank_from_eigenvalues(eigs, tol_rank)))
         ok = ok and mn >= -band
         val = 0.0 if abs(mn) <= band else mn
-        if val < worst_val:
-            worst_val = val
-            worst = subset
+        # a NaN minimum takes no part, as it compares false
+        if val < lowest:
+            lowest = val
+    worst: tuple[int, ...] = ()
+    cut = lowest + band
+    for rec in records:
+        mn = rec.min_eigenvalue
+        if (0.0 if abs(mn) <= band else mn) <= cut:
+            worst = rec.subset
+            break
     return PptReport(is_ppt=ok, records=tuple(records), worst_subset=worst)
 
 

@@ -562,6 +562,21 @@ def _factorize(x: np.ndarray, dims) -> tuple[list[np.ndarray], np.ndarray]:
     return factors, np.concatenate(ratios).max(axis=0)
 
 
+def _unit_factorize(vectors: list, dims) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`_factorize` on the rows of ``vectors`` of one ``dims``, each
+    divided by its own ``norm`` (a norm along a stack's axis sums in another
+    order) and stacked, a lone one viewed as a row: one stacked SVD per
+    party size for the group, and each row's ratio has the bits it has
+    alone.  A zero vector raises :class:`ZeroVector`."""
+    rows = []
+    for v in vectors:
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise ZeroVector("cannot factor the zero vector")
+        rows.append(v / norm)
+    return _factorize(rows[0][None] if len(rows) == 1 else np.stack(rows), dims)
+
+
 def _projector_sum(rows: np.ndarray, weights) -> np.ndarray:
     """The one weighted projector sum, sum_i w_i |row_i><row_i|: a stated
     residual and its reconstruction both take it, so they agree bit for bit."""
@@ -573,7 +588,8 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
 
     True iff every party flattening has second-to-first singular value
     ratio at most ``tol_product``.  The factors of :func:`_fit_product`
-    are returned on success, ``None`` otherwise.
+    are returned on success, ``None`` otherwise.  The ratio is
+    :func:`_unit_factorize`'s on a group of one.
     """
     dims = tuple(int(x) for x in dims)
     vec = np.asarray(v, dtype=complex).ravel()
@@ -581,10 +597,7 @@ def is_product(v, dims, tol_product: float = DEFAULT_TOLERANCES.tol_product):
         raise DimensionMismatch(f"party dimensions {dims} must be at least 1")
     if vec.shape[0] != math.prod(dims):
         raise DimensionMismatch(f"vector length {vec.shape[0]} != prod{dims}")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ZeroVector("cannot factor the zero vector")
-    factors, ratios = _factorize((vec / norm)[None, :], dims)
+    factors, ratios = _unit_factorize([vec], dims)
     if ratios[0] > tol_product:
         return False, None
     return True, _fit_product(factors, vec)

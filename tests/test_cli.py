@@ -511,8 +511,8 @@ class TestBatchCommand:
 
     @pytest.mark.parametrize("where", ["parent", "worker"])
     def test_any_chunks_error_stops_the_batch(self, tmp_path, capsys, monkeypatch, where):
-        # four files, one per chunk: the one forked child takes the first
-        # two chunks, this process the last two
+        # four files in two chunks: the one forked child takes the first,
+        # this process the last
         parent = os.getpid()
         real_verdict = sep4.engine._verdict
 
@@ -563,7 +563,7 @@ class TestBatchCommand:
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch):
         # --parallel N runs N processes: N - 1 forked children, each with a
         # contiguous run of chunks, and this process, which classifies the
-        # last ceil(chunks / N) chunks
+        # last run; every run holds ceil(files / (N * _CHUNK_FILES)) chunks
         runs = []
         sizes = []
         real_classify_files = cli._classify_files
@@ -591,11 +591,12 @@ class TestBatchCommand:
         serial = tmp_path / "serial.jsonl"
         assert main(["batch", "--input", str(inputs), "--out", str(serial)]) == 0
         assert runs == []
-        assert sizes == [10, 10]
-        # two chunks per process, each of at most _CHUNK_FILES files
+        assert sizes == [20]
+        # as many chunks per process, each of at most _CHUNK_FILES files,
+        # their sizes differing by at most one
         for parallel, children, forked, mine, cap in [
-            ("5000", 7, [2] * 8, [2, 2], 128), ("3", 2, [4] * 3, [4, 4], 128),
-            ("2", 1, [3] * 3, [3, 3, 3, 2], 3), ("1", 0, [], [10, 10], 128),
+            ("5000", 7, [2, 3] * 3 + [2], [3], 256), ("3", 2, [6, 7], [7], 256),
+            ("2", 1, [2, 3, 2, 3], [2, 3, 2, 3], 3), ("1", 0, [], [20], 256),
         ]:
             monkeypatch.setattr(cli, "_CHUNK_FILES", cap)
             sizes.clear()

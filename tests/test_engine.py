@@ -1342,6 +1342,39 @@ def mixed_group(dims, decompose):
     return [states[k] for k in order]
 
 
+def chow_state(rule, seed):
+    """A state the rule ``Chow33`` decides (a ``random_ppt_rank4_33`` seed)
+    or one ``Chow222`` decides (DiVincenzo in a random local frame)."""
+    if rule == "Chow33":
+        return random_ppt_rank4_33(seed=seed)
+    return conjugate_local(divincenzo_state(), random_local_unitaries((2, 2, 2), seed))
+
+
+RANK1_DIMS = [(2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 2, 2, 2)]
+
+
+def rule_group(kind, size):
+    """``size`` states whose rule reads a number stacked over the group:
+    states of one Chow rule, or pure states on the dims ``kind``,
+    non-product and product in turn."""
+    if kind in ("Chow33", "Chow222"):
+        return [chow_state(kind, seed) for seed in range(size)]
+    return [pure_state(kind, seed, product=seed % 2 == 1) for seed in range(size)]
+
+
+def spied(monkeypatch, name):
+    """The input shapes of every ``np.linalg.<name>`` call from now on."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
 class TestClassifyGroup:
     """``_classify_group`` gives each state the report, or the error, that
     ``classify`` gives it alone, byte for byte."""
@@ -1356,6 +1389,60 @@ class TestClassifyGroup:
         got = [outcome(r) for r in _classify_group(states, decompose=decompose)]
         assert got == want
         assert all(text.startswith("{") for text in want)
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("kind", ["Chow33", "Chow222", *RANK1_DIMS],
+                             ids=lambda k: k if isinstance(k, str) else "x".join(map(str, k)))
+    def test_stacked_rule_numbers_are_byte_identical(self, kind, size, decompose):
+        # the Chow values and rank-1 flattening ratios are computed once per
+        # group, each with the bits of its lone call
+        states = rule_group(kind, size)
+        want = [alone(state, decompose=decompose) for state in states]
+        results = _classify_group(states, decompose=decompose)
+        assert [outcome(r) for r in results] == want
+        if isinstance(kind, str):
+            assert {r.rule for r in results} == {kind}
+        else:
+            rules = ["Rank1NonProduct", "Rank1Product"] * size
+            assert [r.rule for r in results] == rules[:size]
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    @pytest.mark.parametrize("dims, rule", [((3, 3), "Chow33"), ((2, 2, 2), "Chow222")])
+    def test_chow_and_rank_one_states_in_one_group(self, dims, rule, decompose):
+        states = [chow_state(rule, seed) for seed in range(3)]
+        states += [pure_state(dims, seed, product=seed == 2) for seed in range(4)]
+        states = [states[k] for k in np.random.default_rng(7).permutation(len(states))]
+        want = [alone(state, decompose=decompose) for state in states]
+        results = _classify_group(states, decompose=decompose)
+        assert [outcome(r) for r in results] == want
+        assert sorted(r.rule for r in results) == sorted(
+            [rule] * 3 + ["Rank1NonProduct"] * 3 + ["Rank1Product"])
+
+    @pytest.mark.parametrize("rule", ["Chow33", "Chow222"])
+    def test_one_det_call_for_a_group_of_chow_states(self, rule, monkeypatch):
+        states = [chow_state(rule, seed) for seed in range(24)]
+        want = [alone(state, decompose=False) for state in states]
+        shapes = spied(monkeypatch, "det")
+        results = _classify_group(states, decompose=False)
+        size = builtin_chow(states[0].dims).matrix_size
+        assert shapes == [(24, size, size)]
+        assert [outcome(r) for r in results] == want
+
+    @pytest.mark.parametrize("dims", RANK1_DIMS, ids=lambda d: "x".join(map(str, d)))
+    def test_one_svd_call_per_party_size_for_rank_one_states(self, dims, monkeypatch):
+        states = [pure_state(dims, seed) for seed in range(6)]
+        want = [alone(state, decompose=False) for state in states]
+        shapes = spied(monkeypatch, "svd")
+        results = _classify_group(states, decompose=False)
+        assert [outcome(r) for r in results] == want
+        assert {r.rule for r in results} == {"Rank1NonProduct"}
+        # a random pure state's local ranks are its Schmidt ranks, so the
+        # compressed shapes agree, and the flattenings of the parties of
+        # one size go to one call
+        (cdims,) = {r.compressed_dims for r in results}
+        d = math.prod(cdims)
+        assert shapes == [(cdims.count(dp), 6, dp, d // dp) for dp in dict.fromkeys(cdims)]
 
     @pytest.mark.parametrize("dims, i, j", [((1, 3), 0, 2), ((2, 2), 0, 3)],
                              ids=["one-dim-party", "two-qubit"])

@@ -3,7 +3,10 @@ import pytest
 
 from sep4 import from_dict, to_dict
 from sep4.errors import NotBipartite
-from sep4.gallery import divincenzo_state, random_separable, two_qutrit_ab_state
+from sep4.gallery import (
+    conjugate_local, divincenzo_state, random_local_unitaries, random_separable,
+    two_qutrit_ab_state,
+)
 from sep4.ppt import PptReport, birank, is_ppt, subset_representatives
 from sep4.states import (
     MultiState, _rank_from_eigenvalues, new_state, partial_transpose, rank_of
@@ -31,7 +34,41 @@ class TestSubsetEnumeration:
         ]
 
 
+def schmidt_pair_mixture(dims, seed):
+    """A Schmidt pair on parties 1 and 2, times a random product on the
+    rest, plus a little of a random product: NPT, and the partial
+    transposes on (1), (2), (1, 3) and (2, 3) have the same spectrum in
+    exact arithmetic."""
+    rng = np.random.default_rng(seed)
+
+    def product(ds):
+        vec = np.ones(1, dtype=complex)
+        for dp in ds:
+            vec = np.kron(vec, rng.standard_normal(dp) + 1j * rng.standard_normal(dp))
+        return vec
+
+    t = rng.uniform(0.5, np.pi / 4)
+    pair = np.zeros(dims[0] * dims[1], dtype=complex)
+    pair[0], pair[dims[1] + 1] = np.cos(t), np.sin(t)
+    psi, phi = np.kron(pair, product(dims[2:])), product(dims)
+    psi /= np.linalg.norm(psi)
+    phi /= np.linalg.norm(phi)
+    return new_state(np.outer(psi, psi.conj()) + 0.2 * np.outer(phi, phi.conj()), dims)
+
+
 class TestIsPpt:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)])
+    def test_tied_worst_subsets_name_the_first_in_every_frame(self, dims):
+        # minima within tol_psd * lambda_max of the lowest tie: rounding,
+        # which the local frame moves, does not pick among them
+        for seed in range(3):
+            state = schmidt_pair_mixture(dims, seed)
+            for frame in range(20):
+                moved = conjugate_local(state, random_local_unitaries(dims, 100 * seed + frame))
+                report = is_ppt(moved)
+                assert not report.is_ppt
+                assert report.worst_subset == (1,)
+
     def test_separable_sums_are_ppt(self):
         for seed in range(5):
             st = random_separable((2, 2, 2), 3, seed=seed)

@@ -46,7 +46,7 @@ ALLOWED = {
     "eigh": {"states.spectral"},
     "eigvalsh": {"states._new_states", "ppt._spectra"},
     "eig": {"oracle._isolated_eig"},
-    "det": {"chow.eval_chow"},
+    "det": {"chow._chow_values"},
 }
 
 
