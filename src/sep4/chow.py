@@ -69,7 +69,7 @@ class ChowForm:
         the signs, as complex numbers, and the positions of the index tuples
         in the Plücker order of :func:`~sep4.grassmann.index_tuples`.  A cell
         with fewer terms is padded with sign 1 at position C(d, k), one past
-        the last coordinate, where :func:`eval_chow` puts a zero."""
+        the last coordinate, where :func:`_chow_values` puts a zero."""
         position = {tup: q for q, tup in enumerate(index_tuples(self.d, self.k))}
         cells = [cell for row in self.entries for cell in row]
         width = max(len(cell) for cell in cells)
@@ -135,8 +135,9 @@ def builtin_chow(dims) -> ChowForm:
     raise UnsupportedSystem(f"no Chow form available for dims {dims}")
 
 
+@lru_cache(maxsize=None)
 def generate_chow_Mx2(m: int) -> ChowForm:
-    """Closed-form M x M matrix for the M x 2 system.
+    """Closed-form M x M matrix for the M x 2 system, built once per M.
 
     Entry (i, j) is the unsigned sum over all ways of incrementing exactly
     j-1 terms of the odd base sequence (1, 3, ..., 2M-1) with 2(M-i)+1

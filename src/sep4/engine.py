@@ -45,19 +45,20 @@ RULE_CHOW_33 = "Chow33"
 RULE_CHOW_222 = "Chow222"
 RULE_RANK_ABOVE_4 = "RankAbove4"
 
-# compressed shapes whose rank-4 PPT states the Chow form decides
-_CHOW_SHAPES = ((3, 3), (2, 2, 2))
+# the rule of each compressed shape whose rank-4 PPT states the Chow form decides
+_CHOW_RULES = {(3, 3): RULE_CHOW_33, (2, 2, 2): RULE_CHOW_222}
 
-_RULE_NOTES = {
-    RULE_NPT: "a partial transpose has a negative eigenvalue",
-    RULE_RANK1_PRODUCT: "pure product state",
-    RULE_RANK1_NON_PRODUCT: "pure state that does not factor across every party",
-    RULE_PPT_RANK2: "PPT with rank 2: separable, length exactly 2",
-    RULE_PPT_RANK3: "PPT with rank 3: separable",
-    RULE_PPT_RANK4_SHAPE: "PPT rank-4 state not supported on 3x3 or 2x2x2: separable",
-    RULE_CHOW_33: "rank-4 support on 3x3: decided by the Chow-form value on the range",
-    RULE_CHOW_222: "rank-4 support on 2x2x2: decided by the Chow-form value on the range",
-    RULE_RANK_ABOVE_4: "rank exceeds four: outside the decision scope",
+# each rule's verdict, ``None`` where the rule's number decides it, and note
+_RULES = {
+    RULE_NPT: (ENTANGLED, "a partial transpose has a negative eigenvalue"),
+    RULE_RANK1_PRODUCT: (None, "pure product state"),
+    RULE_RANK1_NON_PRODUCT: (ENTANGLED, "pure state that does not factor across every party"),
+    RULE_PPT_RANK2: (SEPARABLE, "PPT with rank 2: separable, length exactly 2"),
+    RULE_PPT_RANK3: (SEPARABLE, "PPT with rank 3: separable"),
+    RULE_PPT_RANK4_SHAPE: (SEPARABLE, "PPT rank-4 state not supported on 3x3 or 2x2x2: separable"),
+    RULE_CHOW_33: (None, "rank-4 support on 3x3: decided by the Chow-form value on the range"),
+    RULE_CHOW_222: (None, "rank-4 support on 2x2x2: decided by the Chow-form value on the range"),
+    RULE_RANK_ABOVE_4: (OUT_OF_SCOPE, "rank exceeds four: outside the decision scope"),
 }
 
 
@@ -152,10 +153,10 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     Each numeric stage runs once over the group: the reduced states and
     their ``eigh`` per party size, then per set of local ranks, whose
     states share one compressed shape, the compression products
-    (:func:`~sep4.states._compress_group`), the eigenvalue stack and one
-    ``eigh`` for the states whose rules read eigenvectors
-    (:func:`_reads_vectors`), and each rule's number: one
-    :func:`~sep4.states._unit_factorize` call over the rank-1 states'
+    (:func:`~sep4.states._compress_group`), the eigenvalue stack, whose
+    PPT record picks each state's rule once (:func:`_rule`), one ``eigh``
+    for the states whose rules read eigenvectors, and each rule's number:
+    one :func:`~sep4.states._unit_factorize` call over the rank-1 states'
     leading eigenvectors, one :func:`~sep4.chow._chow_values` call over
     the Chow states' Plücker coordinates, each built alone.  A stacked
     call gives each matrix the bits one call on it alone gives, so a
@@ -171,13 +172,21 @@ def _classify_group(states: list[MultiState], seed: int = 0, decompose: bool = T
     return _each_alone(_classify_stacked, states, seed, decompose)
 
 
-def _reads_vectors(ppt: PptReport, cdims, decompose: bool) -> bool:
-    """Whether the rules read the compressed state's eigenvectors: the
-    rank-1 product check, the Chow form, and a decomposition of a
-    separable verdict."""
+def _rule(ppt: PptReport, cdims) -> str:
+    """The theorem's ladder: the rule of a compressed state of shape
+    ``cdims`` from its PPT record, whose first record is the rank."""
     rank = ppt.records[0].rank
-    return rank == 1 or (ppt.is_ppt and 2 <= rank <= 4
-                         and (decompose or (rank == 4 and cdims in _CHOW_SHAPES)))
+    if rank == 1:
+        return RULE_RANK1_PRODUCT
+    if not ppt.is_ppt:
+        return RULE_NPT
+    if rank == 2:
+        return RULE_PPT_RANK2
+    if rank == 3:
+        return RULE_PPT_RANK3
+    if rank == 4:
+        return _CHOW_RULES.get(cdims, RULE_PPT_RANK4_SHAPE)
+    return RULE_RANK_ABOVE_4
 
 
 def _classify_stacked(states, seed, decompose) -> list:
@@ -187,8 +196,11 @@ def _classify_stacked(states, seed, decompose) -> list:
     states = [_validated(state) for state in states]
     comps, groups = _compress_group(states)
     # per state the rules' inputs: PPT record, whose first record is the
-    # rank, eigenvectors and the rule's number; a pure product has none
+    # rank, rule, eigenvectors and the rule's number; a pure product has
+    # only its rule
     ppts, sds, values = [None] * len(states), [None] * len(states), [None] * len(states)
+    rules = [RULE_RANK1_PRODUCT] * len(states)
+    reads = (None, SEPARABLE) if decompose else (None,)
     # the states that share their local ranks share a compressed shape
     for members, matrices in groups:
         cdims = comps[members[0]].state.dims
@@ -197,8 +209,10 @@ def _classify_stacked(states, seed, decompose) -> list:
             small = comps[i].state
             _check_psd(spectra[0], small.cfg)
             ppts[i] = is_ppt(small, spectra)
-        # the eigenvectors the rules read, one stacked call
-        need = [i for i in members if _reads_vectors(ppts[i], cdims, decompose)]
+            rules[i] = _rule(ppts[i], cdims)
+        # the eigenvectors the rules read, one stacked call: a rule its
+        # number settles, and a separable verdict's decomposition
+        need = [i for i in members if _RULES[rules[i]][0] in reads]
         if not need:
             continue
         sd = spectral(_stacked([comps[i].state.matrix for i in need]))
@@ -208,13 +222,8 @@ def _classify_stacked(states, seed, decompose) -> list:
         # each rule's number, one kernel call over its states: the leading
         # eigenvector's flattening ratio at rank 1, the Chow value of the
         # range at rank 4
-        ones, chow = [], []
-        for i in need:
-            rank = ppts[i].records[0].rank
-            if rank == 1:
-                ones.append(i)
-            elif rank == 4 and ppts[i].is_ppt and cdims in _CHOW_SHAPES:
-                chow.append(i)
+        ones = [i for i in need if rules[i] == RULE_RANK1_PRODUCT]
+        chow = [i for i in need if rules[i] in (RULE_CHOW_33, RULE_CHOW_222)]
         if ones:
             _, ratios = _unit_factorize([sds[i].eigenvectors[:, 0] for i in ones], cdims)
             for i, ratio in zip(ones, ratios.tolist()):
@@ -228,35 +237,28 @@ def _classify_stacked(states, seed, decompose) -> list:
             found = _chow_values(builtin_chow(cdims), coords)
             for i, value in zip(chow, found.reshape(-1).tolist()):
                 values[i] = value
-    return [_verdict(state, comp, ppt, sd, value, seed, decompose)
-            for state, comp, ppt, sd, value in zip(states, comps, ppts, sds, values)]
+    return [_verdict(state, comp, ppt, rule, sd, value, seed, decompose)
+            for state, comp, ppt, rule, sd, value in zip(states, comps, ppts, rules, sds, values)]
 
 
-def _verdict(state, comp, ppt, sd, value, seed, decompose) -> ClassificationReport:
-    """The rules on one compressed state, from its PPT record, whose first
-    record is the rank, its eigenvectors (``None`` where no rule reads
-    them, :func:`_reads_vectors`) and the rule's number ``value``: the
-    flattening ratio at rank 1, the Chow value on a Chow shape at rank 4,
-    else ``None``.  A pure product, whose compressed state is ``None``,
-    has rank 1, and a ``Rank1Product`` report no PPT record."""
+def _verdict(state, comp, ppt, rule, sd, value, seed, decompose) -> ClassificationReport:
+    """The report of one compressed state from its PPT record, whose first
+    record is the rank, its :func:`_rule`, eigenvectors (``None`` where the
+    rule reads none) and the rule's number ``value``, by which the product
+    check's flattening ratio and the Chow rules' |F| settle their verdicts.
+    A pure product, whose compressed state is ``None``, has rank 1, and a
+    ``Rank1Product`` report no PPT record."""
     small = comp.state
     cdims = () if small is None else small.dims
     rank = 1 if ppt is None else ppt.records[0].rank
+    # as is_product decides: a NaN ratio does not exceed the tolerance
+    if rule == RULE_RANK1_PRODUCT and small is not None and value > small.cfg.tol_product:
+        rule = RULE_RANK1_NON_PRODUCT
+    verdict, note = _RULES[rule]
     chow = {}
-    if rank == 1:
-        # as is_product decides: a NaN ratio does not exceed the tolerance
-        if small is None or not value > small.cfg.tol_product:
-            verdict, rule, ppt = SEPARABLE, RULE_RANK1_PRODUCT, None
-        else:
-            verdict, rule = ENTANGLED, RULE_RANK1_NON_PRODUCT
-    elif not ppt.is_ppt:
-        verdict, rule = ENTANGLED, RULE_NPT
-    elif rank == 2:
-        verdict, rule = SEPARABLE, RULE_PPT_RANK2
-    elif rank == 3:
-        verdict, rule = SEPARABLE, RULE_PPT_RANK3
-    elif rank == 4 and cdims in _CHOW_SHAPES:
-        rule = RULE_CHOW_33 if cdims == (3, 3) else RULE_CHOW_222
+    if rule == RULE_RANK1_PRODUCT:
+        verdict, ppt = SEPARABLE, None
+    elif verdict is None:  # a Chow rule
         mag = abs(value)
         tol = small.cfg.tol_chow
         chow = dict(chow_system=cdims, chow_value=value, chow_abs=mag,
@@ -269,10 +271,6 @@ def _verdict(state, comp, ppt, sd, value, seed, decompose) -> ClassificationRepo
                     "tolerance bug: entangled 2x2x2 rank-4 state has a partial "
                     f"transpose of rank != 4: {bad}"
                 )
-    elif rank == 4:
-        verdict, rule = SEPARABLE, RULE_PPT_RANK4_SHAPE
-    else:
-        verdict, rule = OUT_OF_SCOPE, RULE_RANK_ABOVE_4
 
     bounds = dec = None
     if verdict == SEPARABLE:
@@ -287,7 +285,7 @@ def _verdict(state, comp, ppt, sd, value, seed, decompose) -> ClassificationRepo
     local_ranks = tuple([w.shape[1] for w in comp.isometries])
     return ClassificationReport(
         verdict, rule, state.dims, cdims, comp.dropped, rank, local_ranks, ppt, **chow,
-        decomposition=dec, length_bounds=bounds, notes=(_RULE_NOTES[rule],),
+        decomposition=dec, length_bounds=bounds, notes=(note,),
     )
 
 

@@ -87,6 +87,24 @@ class TestBuiltinTables:
         b = form_checksum(builtin_chow((3, 3)))
         assert a == b and len(a) == 64
 
+    # the tables' bytes: the reference the generator and the Chow rules are
+    # checked against, and what ``sep4 --version`` prints
+    CHECKSUMS = {
+        (2, 2): "55c5ef7895091e71a8303a8df8574513f10f8beec72ff91ea4f9d775acd7c0c0",
+        (2, 3): "2cdb97786a4e3284a656309374c8d3c3f96a0f33872e481ac0763bf8da30cfcf",
+        (3, 2): "9a208155820bcd5133050c923d282b2735d32bdfd6c6ec91e74727fc4882b653",
+        (3, 3): "e478eec0d2afc3b445ba2288d803b2c3c40e6946e7e66df2ef8df96d2d45cafb",
+        (4, 2): "fbb7f7071d9d154774319cd329d57e4ef26c68d25b2c9f37ed3152e49c9d1ed9",
+        (2, 2, 2): "e61a2c105891b4230fcdf5db2cf57bbaa6c9eb762e84249b41a9155278302cd5",
+    }
+
+    @pytest.mark.parametrize("dims", sorted(CHECKSUMS), ids=lambda d: "x".join(map(str, d)))
+    def test_table_bytes_are_pinned(self, dims):
+        assert form_checksum(builtin_chow(dims)) == self.CHECKSUMS[dims]
+
+    def test_every_table_is_pinned(self):
+        assert set(supported_systems()) == set(self.CHECKSUMS)
+
 
 class TestCheckForm:
     """A table is checked when it is loaded: every row as long as the
@@ -148,6 +166,18 @@ class TestGenerator:
         # the form has M 2^(M-1) terms: no M above the bound is built
         with pytest.raises(UnsupportedSystem, match=f"2 <= M <= {MAX_MX2}, got {m}"):
             generate_chow_Mx2(m)
+
+    def test_built_once_per_m(self):
+        # a frozen form, and its gather tables, are shared by every call
+        assert builtin_chow((5, 2)) is builtin_chow((5, 2))
+        assert generate_chow_Mx2(5) is builtin_chow((5, 2))
+
+    def test_an_unbuilt_m_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedSystem, match=f"got {MAX_MX2 + 1}"):
+                generate_chow_Mx2(MAX_MX2 + 1)
+            with pytest.raises(UnsupportedSystem):
+                builtin_chow((MAX_MX2 + 1, 2))
 
     def test_builtin_obeys_the_bound(self):
         assert builtin_chow((MAX_MX2, 2)).matrix_size == MAX_MX2

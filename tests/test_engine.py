@@ -1375,6 +1375,42 @@ def spied(monkeypatch, name):
     return shapes
 
 
+def every_rule_group():
+    """One 3x3 group, in one tolerance setting, with a state of each rule,
+    keyed by the rule it reads and shuffled: a pure product, a rank-1
+    state near it, which ``tol_product = 1e-2`` calls a product but whose
+    local ranks stay full, a pure entangled state, an NPT state, separable
+    states of rank 2, 3 and 6, a rank-4 separable state on local ranks
+    (2, 3), and a separable and an entangled state that ``Chow33``
+    decides."""
+    cfg = ToleranceConfig(tol_product=1e-2)
+    rng = np.random.default_rng(4)
+
+    def vector(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def mixture(vectors):
+        return new_state(sum(np.outer(v, v.conj()) for v in vectors), (3, 3), cfg)
+
+    product = assemble_product([vector(3), vector(3)])
+    shape = [assemble_product([np.r_[vector(2), 0], vector(3)]) for _ in range(4)]
+    states = {
+        "Rank1Product": mixture([product]),
+        "Rank1Product near": mixture([product / np.linalg.norm(product) + 1e-3 * vector(9) / 3]),
+        "Rank1NonProduct": mixture([vector(9)]),
+        "NPT": two_qutrit_ab_state(0.0, 1 + 1j),
+        "PPTRank2": random_separable((3, 3), 2, seed=1),
+        "PPTRank3": random_separable((3, 3), 3, seed=1),
+        "PPTRank4Shape": mixture(shape),
+        "Chow33 separable": two_qutrit_ab_state(0.0, 1.0),
+        "Chow33 entangled": random_ppt_rank4_33(seed=1),
+        "RankAbove4": random_separable((3, 3), 6, seed=1),
+    }
+    states = {name: new_state(state.matrix, (3, 3), cfg) for name, state in states.items()}
+    items = list(states.items())
+    return dict(items[k] for k in np.random.default_rng(9).permutation(len(items)))
+
+
 class TestClassifyGroup:
     """``_classify_group`` gives each state the report, or the error, that
     ``classify`` gives it alone, byte for byte."""
@@ -1443,6 +1479,45 @@ class TestClassifyGroup:
         (cdims,) = {r.compressed_dims for r in results}
         d = math.prod(cdims)
         assert shapes == [(cdims.count(dp), 6, dp, d // dp) for dp in dict.fromkeys(cdims)]
+
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_eigenvectors_only_for_the_rules_that_read_them(self, decompose, monkeypatch):
+        # each state's rule is picked once, and the one stacked eigh per set
+        # of local ranks holds the states whose rule a number settles and,
+        # with a decomposition, the separable ones; never an NPT state or
+        # one above rank 4, whose verdicts need no eigenvector
+        group = every_rule_group()
+        names, states = list(group), list(group.values())
+        want = [alone(state, decompose=decompose) for state in states]
+        stacks = []
+        real = sep4.engine.spectral
+
+        def spy(matrices):
+            stacks.append(matrices)
+            return real(matrices)
+
+        monkeypatch.setattr(sep4.engine, "spectral", spy)
+        results = _classify_group(states, decompose=decompose)
+        assert [outcome(r) for r in results] == want
+        assert [r.rule for r in results] == [name.split()[0] for name in names]
+        compressed = [None if max(r.local_ranks) == 1 else compress_support(state).state.matrix
+                      for state, r in zip(states, results)]
+        read = []
+        for stack in stacks:
+            members = [[k for k, m in enumerate(compressed) if m is not None
+                        and m.shape == matrix.shape and np.allclose(m, matrix)]
+                       for matrix in (stack if stack.ndim == 3 else [stack])]
+            assert all(len(match) == 1 for match in members)
+            ranks = {results[k].local_ranks for (k,) in members}
+            assert len(ranks) == 1
+            read += [names[k] for (k,) in members]
+        expected = {"Rank1Product near", "Rank1NonProduct", "Chow33 separable", "Chow33 entangled"}
+        if decompose:
+            expected |= {"PPTRank2", "PPTRank3", "PPTRank4Shape"}
+        assert sorted(read) == sorted(expected)
+        # one call per set of local ranks: (3, 3), and with a decomposition
+        # (2, 2) and (2, 3)
+        assert len(stacks) == (3 if decompose else 1)
 
     @pytest.mark.parametrize("dims, i, j", [((1, 3), 0, 2), ((2, 2), 0, 3)],
                              ids=["one-dim-party", "two-qubit"])

@@ -29,8 +29,11 @@ the verdict path reads a compressed state's rank off ``is_ppt``'s first
 record, and reads its eigenvalue stack in one place.  A pure product
 state is a compression result with no state, and
 ``states.compress_support`` alone raises
-``AllPartiesTrivial``.  The rules are one ladder in ``engine._verdict``,
-the one place a ``ClassificationReport`` is built.  The stages catch
+``AllPartiesTrivial``.  The rules are one ladder in ``engine._rule``,
+which picks each state's rule once, from its PPT record; every later
+stage reads that rule, and ``engine._verdict`` settles the two rules a
+number decides (the product check and the Chow form) and is the one
+place a ``ClassificationReport`` is built.  The stages catch
 nothing: an error raises, and the one rerun, ``states._each_alone``,
 which validation and ``engine._classify_group`` share, alone turns it
 into a state's result.
@@ -204,16 +207,16 @@ def called(node) -> list[str]:
 
 
 def test_one_verdict_path():
-    # classify is the group of one: the rules live in one function, which
-    # only the group's stages call, and the group is entered from classify
-    # and from sep4 batch's chunk function alone; its rerun is the shared
-    # error boundary's
-    found = uses({"_classify_group", "_classify_stacked", "_verdict", "RULE_NPT"})
+    # classify is the group of one: the ladder and the report live in one
+    # function each, which only the group's stages call, and the group is
+    # entered from classify and from sep4 batch's chunk function alone; its
+    # rerun is the shared error boundary's
+    found = uses({"_classify_group", "_classify_stacked", "_rule", "_verdict", "RULE_NPT"})
     assert found["_classify_group"] == {"engine.classify", "cli", "cli._classify_files"}
     assert found["_classify_stacked"] == {"engine._classify_group"}
     assert "_each_alone" in called(function("engine", "_classify_group"))
-    assert found["_verdict"] == {"engine._classify_stacked"}
-    assert found["RULE_NPT"] == {"engine", "engine._verdict"}
+    assert found["_rule"] == found["_verdict"] == {"engine._classify_stacked"}
+    assert found["RULE_NPT"] == {"engine", "engine._rule"}
     assert "_classify_group" in called(function("engine", "classify"))
 
 
@@ -246,10 +249,28 @@ def test_a_pure_product_is_a_compression_result():
     assert found["AllPartiesTrivial"] == {"states", "states.compress_support"}
 
 
+def reads_the_ladder(node) -> bool:
+    """Whether ``node`` reads a PPT record's ``is_ppt`` attribute or the
+    shapes the Chow form decides, ``_CHOW_RULES``."""
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "is_ppt"
+        or isinstance(sub, ast.Name) and sub.id == "_CHOW_RULES" and isinstance(sub.ctx, ast.Load)
+        for sub in ast.walk(node)
+    )
+
+
 def test_one_rule_ladder():
-    # the rules pick a verdict and a rule in one chain, with no nested
-    # helper, and the one report is built after it; the group's
+    # one chain picks each state's rule, with no nested helper: it alone in
+    # engine reads whether a state is PPT and which shapes the Chow form
+    # decides, and the group's stages read no rank of their own; the one
+    # report is built after the rule's number settles it, and the group's
     # eigenvectors are split by states._members
+    ladder = {where for where, top in top_levels()
+              if where.split(".")[0] == "engine" and reads_the_ladder(top)}
+    assert ladder == {"engine._rule"}, sorted(ladder)
+    stages = function("engine", "_classify_stacked")
+    assert not [node for node in ast.walk(stages)
+                if isinstance(node, ast.Attribute) and node.attr == "rank"]
     built = [
         where
         for where, top in top_levels()
@@ -257,10 +278,11 @@ def test_one_rule_ladder():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ClassificationReport"
     ]
     assert built == ["engine._verdict"], built
-    verdict = function("engine", "_verdict")
-    nested = [node for node in ast.walk(verdict) if node is not verdict
-              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
-    assert not nested
+    for name in ("_rule", "_verdict"):
+        top = function("engine", name)
+        nested = [node for node in ast.walk(top) if node is not top
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        assert not nested, name
     assert "engine._split" not in {where for where, _ in top_levels()}
     assert not uses({"_split"})["_split"]
 
